@@ -15,8 +15,10 @@
 
 namespace ace {
 
-// Field-wise `after - before`. Counters are monotone, so the result is well defined
-// whenever `before` was captured earlier on the same machine.
+// Field-wise `after - before` over every MachineStats counter. Counters are monotone,
+// so the result is well defined whenever `before` was captured earlier on the same
+// machine. tests/obs_test.cc pins the struct's size, so a new counter fails to
+// compile there until it is added here.
 inline MachineStats DiffStats(const MachineStats& before, const MachineStats& after) {
   MachineStats d;
   for (std::size_t p = 0; p < d.refs.size(); ++p) {
@@ -36,6 +38,18 @@ inline MachineStats DiffStats(const MachineStats& before, const MachineStats& af
   d.ownership_moves = after.ownership_moves - before.ownership_moves;
   d.pages_pinned = after.pages_pinned - before.pages_pinned;
   d.local_alloc_failures = after.local_alloc_failures - before.local_alloc_failures;
+  d.degraded_global_fallbacks =
+      after.degraded_global_fallbacks - before.degraded_global_fallbacks;
+  d.degraded_copy_failures = after.degraded_copy_failures - before.degraded_copy_failures;
+  d.degraded_pool_retries = after.degraded_pool_retries - before.degraded_pool_retries;
+  d.degraded_oom_faults = after.degraded_oom_faults - before.degraded_oom_faults;
+  d.chaos_events = after.chaos_events - before.chaos_events;
+  d.evacuated_pages = after.evacuated_pages - before.evacuated_pages;
+  d.replicated_pages = after.replicated_pages - before.replicated_pages;
+  d.journal_bytes = after.journal_bytes - before.journal_bytes;
+  d.recovered_pages = after.recovered_pages - before.recovered_pages;
+  d.lost_pages = after.lost_pages - before.lost_pages;
+  d.checksum_failures = after.checksum_failures - before.checksum_failures;
   return d;
 }
 

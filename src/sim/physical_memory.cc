@@ -1,26 +1,46 @@
 #include "src/sim/physical_memory.h"
 
+#include <sys/mman.h>
+
 #include <cstring>
+#include <utility>
 
 #include "src/inject/fault_plan.h"
 
 namespace ace {
 
+// Not calloc: glibc raises its mmap threshold after the first large free, so later
+// machines in the same process would get recycled heap memory and memset it again.
+PhysicalMemory::Slab::Slab(std::size_t bytes) : size_(bytes) {
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ACE_CHECK_MSG(p != MAP_FAILED, "mmap of a frame slab failed");
+  data_ = static_cast<std::uint8_t*>(p);
+}
+
+PhysicalMemory::Slab::Slab(Slab&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)), size_(std::exchange(other.size_, 0)) {}
+
+PhysicalMemory::Slab::~Slab() {
+  if (data_ != nullptr) {
+    munmap(data_, size_);
+  }
+}
+
 PhysicalMemory::PhysicalMemory(const MachineConfig& config)
-    : page_size_(config.page_size),
+    // Validate first: the global slab below is mapped in the initializer list.
+    : page_size_((config.Validate(), config.page_size)),
       words_per_page_(config.WordsPerPage()),
       global_pages_(config.global_pages),
       local_pages_per_proc_(config.local_pages_per_proc),
       num_processors_(config.num_processors),
       latency_(config.latency),
-      copy_efficiency_(config.kernel.copy_efficiency) {
-  config.Validate();
-  global_data_.resize(static_cast<std::size_t>(global_pages_) * page_size_, 0);
-  local_data_.resize(static_cast<std::size_t>(num_processors_));
+      copy_efficiency_(config.kernel.copy_efficiency),
+      global_data_(static_cast<std::size_t>(global_pages_) * page_size_) {
+  local_data_.reserve(static_cast<std::size_t>(num_processors_));
   local_free_.resize(static_cast<std::size_t>(num_processors_));
   for (int p = 0; p < num_processors_; ++p) {
-    local_data_[static_cast<std::size_t>(p)].resize(
-        static_cast<std::size_t>(local_pages_per_proc_) * page_size_, 0);
+    local_data_.emplace_back(static_cast<std::size_t>(local_pages_per_proc_) * page_size_);
     auto& free_list = local_free_[static_cast<std::size_t>(p)];
     free_list.reserve(local_pages_per_proc_);
     // Push in reverse so that frames are handed out in increasing index order.

@@ -6,10 +6,17 @@
 //
 // Global frames back the Mach logical page pool and are allocated/freed by the VM
 // layer; local frames are the NUMA manager's cache resource, allocated per processor.
+//
+// Each slab (global memory, and each processor's local memory) is an anonymous zero
+// mapping that the host commits page by page on first touch, so building a machine
+// costs a handful of mmap calls, not a memset over every frame, and a frame nothing
+// ever touches costs no host memory. Untouched frames read as zero, exactly like the
+// simulated OS's own lazy zero-fill (paper section 2.3.1).
 
 #ifndef SRC_SIM_PHYSICAL_MEMORY_H_
 #define SRC_SIM_PHYSICAL_MEMORY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -111,6 +118,25 @@ class PhysicalMemory {
   std::uint32_t page_size() const { return page_size_; }
 
  private:
+  // A zero-filled byte range backed by an anonymous private mapping, unmapped on
+  // destruction. The host commits its pages on first touch (see the file comment).
+  class Slab {
+   public:
+    explicit Slab(std::size_t bytes);
+    Slab(Slab&& other) noexcept;
+    Slab(const Slab&) = delete;
+    Slab& operator=(const Slab&) = delete;
+    Slab& operator=(Slab&&) = delete;
+    ~Slab();
+
+    std::uint8_t* data() const { return data_; }
+    std::size_t size() const { return size_; }
+
+   private:
+    std::uint8_t* data_;
+    std::size_t size_;
+  };
+
   std::size_t FrameOffset(FrameRef frame) const {
     ACE_DCHECK(frame.valid());
     if (frame.is_global()) {
@@ -131,8 +157,8 @@ class PhysicalMemory {
   double copy_efficiency_;
 
   // Backing stores: one slab for global memory, one per processor for local memory.
-  std::vector<std::uint8_t> global_data_;
-  std::vector<std::vector<std::uint8_t>> local_data_;
+  Slab global_data_;
+  std::vector<Slab> local_data_;
 
   // Per-processor free lists of local frame indices.
   std::vector<std::vector<std::uint32_t>> local_free_;

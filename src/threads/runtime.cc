@@ -224,6 +224,19 @@ void Runtime::MaybeYield(Env& env, bool voluntary) {
 void Runtime::DispatchNextFrom(FiberContext* from, int self) {
   int next = PickNext();
   ACE_CHECK_MSG(next >= 0, "no runnable thread but work remains");
+  if (hooks_armed_) {
+    next = RunDispatchHooks(next);
+  }
+  current_ = next;
+  current_deadline_ = DeadlineFor(next);
+  context_switches_++;
+  if (next == self) {
+    return;  // the yielding fiber won the dispatch again: no stack switch needed
+  }
+  FiberContext::Switch(from, &fibers_[static_cast<std::size_t>(next)]->ctx);
+}
+
+int Runtime::RunDispatchHooks(int next) {
   if (machine_->chaos() != nullptr) {
     // Chaos transitions fire when the minimum runnable clock — monotone across
     // dispatches — crosses an event boundary. A transition can advance a clock (a
@@ -251,15 +264,7 @@ void Runtime::DispatchNextFrom(FiberContext* from, int self) {
     options_.sampler->Tick(ProcNow(fibers_[static_cast<std::size_t>(next)]->env.proc_));
   }
   CheckWatchdog(next);
-  current_ = next;
-  current_deadline_ = DeadlineFor(next);
-  Fiber& fiber = *fibers_[static_cast<std::size_t>(next)];
-  fiber.last_dispatch_ns = ProcNow(fiber.env.proc_);
-  context_switches_++;
-  if (next == self) {
-    return;  // the yielding fiber won the dispatch again: no stack switch needed
-  }
-  FiberContext::Switch(from, &fiber.ctx);
+  return next;
 }
 
 bool Runtime::RehomeDeadNodeFibers() {
@@ -369,6 +374,8 @@ void Runtime::Run(int num_threads, const Body& body) {
   kill_reason_.clear();
   kill_detail_.clear();
   fiber_exception_ = nullptr;
+  hooks_armed_ = machine_->chaos() != nullptr || options_.sampler != nullptr ||
+                 options_.watchdog.enabled();
 
   for (int i = 0; i < num_threads; ++i) {
     auto fiber = std::make_unique<Fiber>();

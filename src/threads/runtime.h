@@ -126,7 +126,6 @@ class Runtime {
     Env env;
     bool finished = false;
     std::uint64_t seq = 0;         // dispatch sequence number (round-robin tie-break)
-    TimeNs last_dispatch_ns = 0;   // proc clock when last dispatched (timeslice)
     TimeNs migrate_epoch_ns = 0;   // proc clock when the thread landed on this proc
   };
 
@@ -136,8 +135,13 @@ class Runtime {
   // reason/diagnostics and flip killing_ so every fiber unwinds at its next Env op.
   void CheckWatchdog(int next);
 
+  // Run the armed per-dispatch hooks for the picked fiber `next`: chaos transitions
+  // (which may re-pick), the live sampler tick, then the watchdog check. Returns the
+  // fiber to dispatch. Only called when hooks_armed_.
+  int RunDispatchHooks(int next);
+
   // The dispatcher: pick the earliest runnable fiber, stamp the dispatch bookkeeping
-  // (watchdog check, deadline, sequence counters) and switch to it directly from
+  // (armed hooks, deadline, sequence counters) and switch to it directly from
   // `from` — fiber to fiber, with no intermediate hop through a scheduler context.
   // When the chosen fiber is `self` (the caller re-earning the CPU after a voluntary
   // yield) the dispatch is recorded but no stack switch happens. Exactly one dispatch
@@ -172,6 +176,9 @@ class Runtime {
   int live_count_ = 0;
   std::uint64_t next_seq_ = 0;
   const Body* body_ = nullptr;
+  // Any of chaos, the live sampler or a watchdog limit is attached. Fixed for the
+  // whole of a Run(), so an unarmed run's dispatch skips all three with one branch.
+  bool hooks_armed_ = false;
 
   std::uint64_t context_switches_ = 0;
   std::uint64_t migrations_ = 0;

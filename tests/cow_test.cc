@@ -136,9 +136,10 @@ TEST(CopyOnWrite, ManyCopiesOfOneObject) {
   Task* t = m.CreateTask("t");
   VirtAddr orig = t->MapAnonymous("orig", m.page_size());
   m.StoreWord(*t, 0, orig, 10);
-  const Region* r = t->FindRegion(orig);
-  VirtAddr c1 = t->MapCopy("c1", r->object, 0, m.page_size());
-  VirtAddr c2 = t->MapCopy("c2", r->object, 0, m.page_size());
+  // Keep the object, not the Region: MapCopy may reallocate the task's region list.
+  VmObject* object = t->FindRegion(orig)->object;
+  VirtAddr c1 = t->MapCopy("c1", object, 0, m.page_size());
+  VirtAddr c2 = t->MapCopy("c2", object, 0, m.page_size());
   m.StoreWord(*t, 1, c1, 11);
   m.StoreWord(*t, 2, c2, 12);
   EXPECT_EQ(m.LoadWord(*t, 0, orig), 10u);

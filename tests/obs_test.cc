@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <map>
 #include <sstream>
+#include <type_traits>
 
 #include "src/apps/app.h"
 #include "src/machine/machine.h"
@@ -170,6 +173,26 @@ TEST(ObsSnapshot, DiffStatsSubtractsFieldWise) {
   EXPECT_NE(line.find("faults=3"), std::string::npos);
   EXPECT_NE(line.find("copies=2"), std::string::npos);
   EXPECT_NE(line.find("pins=1"), std::string::npos);
+}
+
+// MachineStats is a flat run of uint64 counters: kMaxProcessors x 6 reference
+// counters, then 20 machine-wide counters. Adding a counter changes the size and
+// fails here, until DiffStats subtracts it and the count below is bumped.
+static_assert(std::is_trivially_copyable_v<MachineStats>);
+static_assert(sizeof(MachineStats) == (kMaxProcessors * 6 + 20) * sizeof(std::uint64_t),
+              "MachineStats gained or lost a counter: update DiffStats (src/obs/snapshot.h)");
+
+TEST(ObsSnapshot, DiffStatsCoversEveryCounter) {
+  // Give every counter a distinct value, without naming the fields.
+  std::uint64_t words[sizeof(MachineStats) / sizeof(std::uint64_t)] = {};
+  for (std::size_t i = 0; i < std::size(words); ++i) {
+    words[i] = 1000 + i;
+  }
+  MachineStats s;
+  std::memcpy(&s, words, sizeof s);
+
+  MachineStats d = DiffStats(MachineStats{}, s);
+  EXPECT_EQ(std::memcmp(&d, &s, sizeof s), 0);
 }
 
 TEST(ObsFacade, TracingRespectsCompileTimeToggle) {

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#ifdef __linux__
+#include <sys/resource.h>
+#endif
+
+#include <cstring>
+#include <memory>
+#include <vector>
+
 #include "src/sim/bus.h"
 #include "src/sim/clocks.h"
 #include "src/sim/machine_config.h"
@@ -145,6 +153,77 @@ TEST(PhysicalMemory, ZeroPage) {
   TimeNs cost = phys.ZeroPage(l, 0);
   EXPECT_EQ(cost, static_cast<TimeNs>(config.WordsPerPage()) * config.latency.local_store_ns);
   EXPECT_EQ(phys.ReadWord(l, 0), 0u);
+}
+
+// The default machine shape of the paper's Table 4 runs: 7 processors, 8 Mbyte of
+// local memory each and a 16 Mbyte global board.
+MachineConfig DefaultShape() {
+  MachineConfig config;
+  config.num_processors = 7;
+  return config;
+}
+
+#ifdef __linux__
+TEST(PhysicalMemory, ConstructionCommitsNoFrameMemory) {
+  MachineConfig config = DefaultShape();
+  rusage before{};
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_THREAD, &before), 0);
+  auto phys = std::make_unique<PhysicalMemory>(config);
+  ASSERT_EQ(getrusage(RUSAGE_THREAD, &after), 0);
+  // 72 Mbyte of frames is 18,432 host pages; only the free lists may fault in.
+  EXPECT_LT(after.ru_minflt - before.ru_minflt, 64);
+  EXPECT_EQ(phys->FreeLocalFrames(6), 2048u);
+}
+#endif  // __linux__
+
+TEST(PhysicalMemory, UntouchedFramesOfEverySlabReadZero) {
+  MachineConfig config = DefaultShape();
+  PhysicalMemory phys(config);
+  const std::uint32_t last_word = config.page_size - kWordBytes;
+  std::vector<FrameRef> edges = {FrameRef::Global(0), FrameRef::Global(config.global_pages - 1)};
+  for (ProcId p = 0; p < config.num_processors; ++p) {
+    edges.push_back(FrameRef::Local(p, 0));
+    edges.push_back(FrameRef::Local(p, config.local_pages_per_proc - 1));
+  }
+  for (FrameRef f : edges) {
+    EXPECT_EQ(phys.ReadWord(f, 0), 0u);
+    EXPECT_EQ(phys.ReadWord(f, last_word), 0u);
+  }
+}
+
+TEST(PhysicalMemory, ZeroAndCopyBetweenUntouchedFrames) {
+  MachineConfig config = SmallConfig();
+  PhysicalMemory phys(config);
+  const std::vector<std::uint8_t> zeros(config.page_size, 0);
+  const TimeNs words = config.WordsPerPage();
+
+  FrameRef l0 = phys.AllocLocal(0);
+  EXPECT_EQ(phys.ZeroPage(l0, 0), words * config.latency.local_store_ns);
+  EXPECT_EQ(std::memcmp(phys.FrameData(l0), zeros.data(), zeros.size()), 0);
+
+  FrameRef l1 = phys.AllocLocal(1);
+  EXPECT_EQ(phys.CopyPage(FrameRef::Global(5), l1, 1),
+            words * (config.latency.global_fetch_ns + config.latency.local_store_ns));
+  EXPECT_EQ(std::memcmp(phys.FrameData(l1), zeros.data(), zeros.size()), 0);
+
+  FrameRef l1b = phys.AllocLocal(1);
+  EXPECT_EQ(phys.CopyPage(l1b, FrameRef::Global(6), 0),
+            words * (config.latency.remote_fetch_ns + config.latency.global_store_ns));
+  EXPECT_EQ(std::memcmp(phys.FrameData(FrameRef::Global(6)), zeros.data(), zeros.size()), 0);
+}
+
+TEST(PhysicalMemory, PoisonLocalOverwritesTheWholeSlab) {
+  MachineConfig config = SmallConfig();
+  PhysicalMemory phys(config);
+  phys.WriteWord(FrameRef::Local(1, 2), 8, 42);
+  phys.PoisonLocal(1, 0xDE);
+  for (std::uint32_t i = 0; i < config.local_pages_per_proc; ++i) {
+    for (std::uint32_t off = 0; off < config.page_size; off += kWordBytes) {
+      ASSERT_EQ(phys.ReadWord(FrameRef::Local(1, i), off), 0xDEDEDEDEu) << i << "+" << off;
+      ASSERT_EQ(phys.ReadWord(FrameRef::Local(0, i), off), 0u) << i << "+" << off;
+    }
+  }
 }
 
 TEST(FrameRef, ClassFor) {
