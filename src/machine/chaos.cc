@@ -14,9 +14,6 @@ ChaosController::ChaosController(std::vector<ChaosEvent> events, Machine* machin
     if (e.node >= static_cast<std::uint32_t>(machine_->num_processors())) {
       continue;  // written for a larger machine; nothing to degrade here
     }
-    if (e.kind == ChaosKind::kSlowLink) {
-      has_slow_link_ = true;
-    }
     if (events_.empty() || e.t_begin < first_begin_ns_) {
       first_begin_ns_ = e.t_begin;
     }
@@ -35,10 +32,6 @@ bool ChaosController::Advance(TimeNs now, ProcId proc) {
   for (EventState& es : events_) {
     const ChaosEvent& e = es.event;
     if (es.phase == Phase::kPending && now >= e.t_begin) {
-      // Transitions charge time outside any reference run; commit open runs first so
-      // their bus-horizon stamps stay per-reference-exact (same discipline as
-      // Env::MigrateTo's idle padding).
-      machine_->FlushPendingRefs();
       Activate(e, proc);
       // One-shot kinds have no recovery transition: a stall pads the whole window at
       // activation; the permanent kinds (kill-node, corrupt-page) have nothing to
@@ -54,7 +47,6 @@ bool ChaosController::Advance(TimeNs now, ProcId proc) {
       applied = true;
     }
     if (es.phase == Phase::kActive && now >= e.t_end) {
-      machine_->FlushPendingRefs();
       Recover(e);
       es.phase = Phase::kDone;
       ++done_;

@@ -61,10 +61,6 @@ class ChaosController {
     return cost * static_cast<TimeNs>(mult) / 1000;
   }
 
-  // Whether the plan carries any slow-link event. The machine then disables batched
-  // TLB accounting: cached per-entry costs would bypass the window multiplier.
-  bool has_slow_link() const { return has_slow_link_; }
-
   // Window hull over all events, for SLO reporting (the serving app splits its
   // latency tail into in-window and post-recovery populations).
   TimeNs first_begin_ns() const { return first_begin_ns_; }
@@ -86,7 +82,6 @@ class ChaosController {
   Machine* machine_;
   std::vector<EventState> events_;
   std::size_t done_ = 0;
-  bool has_slow_link_ = false;
   TimeNs first_begin_ns_ = 0;
   TimeNs last_end_ns_ = 0;
   // Per-processor slow-link multiplier in permille; 1000 = no dilation.

@@ -34,7 +34,8 @@ Machine::Machine(Options options)
       clocks_(options_.config.num_processors),
       bus_(options_.bus),
       tlb_(options_.config.num_processors, options_.config.tlb_entries),
-      phys_(options_.config) {
+      phys_(options_.config),
+      obs_(options_.config.num_processors, options_.config.global_pages, &clocks_) {
   options_.config.Validate();
   tlb_on_ = EnvToggle("ACE_TLB", options_.enable_tlb);
 #ifdef ACE_TLB_VERIFY_DEFAULT
@@ -45,7 +46,6 @@ Machine::Machine(Options options)
   tlb_verify_on_ = EnvToggle(
       "ACE_TLB_VERIFY",
       options_.tlb_verify < 0 ? verify_default : options_.tlb_verify != 0);
-  RecomputeFastPathMode();
   if (options_.custom_policy != nullptr) {
     active_policy_ = options_.custom_policy;
   } else {
@@ -117,20 +117,13 @@ Machine::Machine(Options options)
                                                 &stats_, &bus_, ropt);
     pmap_->manager().set_replica_manager(replica_.get());
     recovery_ = std::make_unique<RecoveryManager>(this);
-    // Batched TLB accounting would complete owned stores without the journal
-    // write-through hook; every armed store must take the immediate path.
-    RecomputeFastPathMode();
   }
   if (!options_.fault_plan.chaos.empty()) {
     chaos_ = std::make_unique<ChaosController>(options_.fault_plan.chaos, this);
-    // A slow-link window changes reference costs mid-run; cached TLB entry costs
-    // must not batch past the window boundary.
-    RecomputeFastPathMode();
   }
 }
 
 Machine::~Machine() {
-  FlushPendingRefs();
   for (auto& task : tasks_) {
     if (task != nullptr) {
       task->ReleaseAll(*pool_);
@@ -148,9 +141,6 @@ Task* Machine::CreateTask(const std::string& name) {
 }
 
 void Machine::DestroyTask(Task* task) {
-  // Teardown charges system time outside any reference run; commit open runs so their
-  // eventual bus-horizon stamps can't absorb those charges.
-  FlushPendingRefs();
   for (auto& slot : tasks_) {
     if (slot.get() == task) {
       slot->ReleaseAll(*pool_);
@@ -165,36 +155,27 @@ AccessStatus Machine::Access(Task& task, ProcId proc, VirtAddr va, AccessKind ki
                              std::uint32_t* value) {
   ACE_DCHECK(proc >= 0 && proc < options_.config.num_processors);
   ACE_DCHECK(va % kWordBytes == 0);
-  // A slow-path reference (and any fault-time system charge it triggers) interrupts
-  // the processor's run of fast-path hits; commit the run first so every record keeps
-  // the order per-reference accounting would have produced.
-  FlushRefRun(proc);
   VirtPage vpage = va >> page_shift_;
   for (int attempt = 0; attempt < kMaxFaultRetries; ++attempt) {
     TranslateResult t = pmap_->Translate(proc, vpage, kind);
     if (t.ok()) {
       MemoryClass cls = t.frame.ClassFor(proc);
       TimeNs cost = options_.config.latency.Cost(cls, kind);
-      if (cls != MemoryClass::kLocal && bus_.options().model_contention) {
-        // Bus contention dilates every transaction that crosses the IPC bus.
-        cost = static_cast<TimeNs>(static_cast<double>(cost) * bus_.DilationFactor());
-      }
-      if (chaos_ != nullptr && cls != MemoryClass::kLocal) {
-        // Slow-link chaos dilates this processor's off-node references in-window.
-        cost = chaos_->AdjustCost(proc, cost);
+      if (cls != MemoryClass::kLocal) {
+        cost = DilateOffNode(proc, cost);
       }
       clocks_.ChargeUser(proc, cost);
       stats_.RecordRef(proc, cls, kind);
       LogicalPage lp = kNoLogicalPage;
-      if (tlb_on_ || (obs_ != nullptr && obs_->heat_on()) || replica_ != nullptr) {
+      if (tlb_on_ || obs_.heat_on() || replica_ != nullptr) {
         // The durability subsystem needs the logical page for its store hook even
         // when both the TLB and heat profiling are off (ACE_TLB=0 equivalence).
         lp = pmap_->LookupLogicalPage(proc, vpage);
       }
-      if (obs_ != nullptr && obs_->heat_on() && lp != kNoLogicalPage) {
+      if (obs_.heat_on() && lp != kNoLogicalPage) {
         // Recorded at the same point as RecordRef, so the heat profile's aggregate
         // locality fraction agrees with MeasuredAlpha() exactly.
-        obs_->OnRef(lp, proc, cls, kind);
+        obs_.OnRef(lp, proc, cls, kind);
       }
       if (cls != MemoryClass::kLocal) {
         bus_.RecordTransfer(kWordBytes, clocks_.now(proc));
@@ -251,38 +232,16 @@ void Machine::StoreWordSlow(Task& task, ProcId proc, VirtAddr va, std::uint32_t 
   ACE_CHECK_MSG(s == AccessStatus::kOk, "StoreWord failed");
 }
 
-bool Machine::FastAccessImmediate(ProcId proc, const Tlb::Entry& entry, VirtAddr va,
-                                  AccessKind kind, std::uint32_t* value) {
-  // Field-for-field the same accounting sequence as the slow path's hit block, fed
-  // from the cached entry instead of a fresh translate + lookup.
-  TimeNs cost = kind == AccessKind::kFetch ? entry.cost_fetch : entry.cost_store;
-  if (entry.cls != MemoryClass::kLocal && bus_.options().model_contention) {
+TimeNs Machine::DilateOffNode(ProcId proc, TimeNs cost) const {
+  if (bus_.options().model_contention) {
+    // Bus contention dilates every transaction that crosses the IPC bus.
     cost = static_cast<TimeNs>(static_cast<double>(cost) * bus_.DilationFactor());
   }
-  if (chaos_ != nullptr && entry.cls != MemoryClass::kLocal) {
+  if (chaos_ != nullptr) {
+    // Slow-link chaos dilates this processor's off-node references in-window.
     cost = chaos_->AdjustCost(proc, cost);
   }
-  clocks_.ChargeUser(proc, cost);
-  stats_.RecordRef(proc, entry.cls, kind);
-  if (obs_ != nullptr && obs_->heat_on() && entry.lp != kNoLogicalPage) {
-    obs_->OnRef(entry.lp, proc, entry.cls, kind);
-  }
-  if (entry.cls != MemoryClass::kLocal) {
-    bus_.RecordTransfer(kWordBytes, clocks_.now(proc));
-  }
-  std::uint32_t offset = static_cast<std::uint32_t>(va & page_mask_);
-  if (kind == AccessKind::kFetch) {
-    *value = phys_.ReadWord(entry.frame, offset);
-  } else {
-    phys_.WriteWord(entry.frame, offset, *value);
-    if (replica_ != nullptr && entry.lp != kNoLogicalPage) {
-      pmap_->manager().NoteStore(entry.lp, offset, *value, proc, /*charge=*/true);
-    }
-  }
-  if (ref_observer_ != nullptr) {
-    ref_observer_(ref_observer_ctx_, proc, va, kind, entry.cls);
-  }
-  return true;
+  return cost;
 }
 
 void Machine::VerifyTlbEntry(ProcId proc, VirtPage vpage, const Tlb::Entry& entry) {
@@ -297,42 +256,6 @@ void Machine::VerifyTlbEntry(ProcId proc, VirtPage vpage, const Tlb::Entry& entr
                 "poisoned TLB entry: memory class changed");
   ACE_CHECK_MSG(pmap_->LookupLogicalPage(proc, vpage) == entry.lp,
                 "poisoned TLB entry: logical page changed");
-}
-
-void Machine::FlushRefRun(ProcId proc) {
-  Tlb::Run& run = tlb_.run(proc);
-  if (run.count == 0) {
-    return;
-  }
-  // The block's time is already in now()/user_ns() (accumulated eagerly per hit);
-  // commit attributes it to user time and records the stats/bus block. The bus stamp
-  // now(proc) equals the clock right after the run's last reference — exactly the
-  // stamp per-reference recording would have left as its horizon contribution.
-  clocks_.CommitUser(proc);
-  stats_.RecordRefBlock(proc, run.cls, run.kind, run.count);
-  if (run.cls != MemoryClass::kLocal) {
-    bus_.RecordTransferBlock(kWordBytes, run.count, clocks_.now(proc));
-  }
-  tlb_.global_stats().run_flushes++;
-  tlb_.global_stats().batched_refs += run.count;
-  run.count = 0;
-}
-
-void Machine::FlushPendingRefs() {
-  for (int p = 0; p < options_.config.num_processors; ++p) {
-    FlushRefRun(static_cast<ProcId>(p));
-  }
-}
-
-void Machine::RecomputeFastPathMode() {
-  // A slow-link chaos plan also rules out batching: batched hits charge costs cached
-  // in the TLB entry at fill time, which would carry a pre-window cost across the
-  // window boundary (or vice versa). Immediate mode recomputes per reference.
-  // An armed durability subsystem rules it out too: batched hits complete stores
-  // without the journal write-through hook, so every store must go immediate.
-  batchable_ = !bus_.options().model_contention && ref_observer_ == nullptr &&
-               (chaos_ == nullptr || !chaos_->has_slow_link()) && replica_ == nullptr;
-  fast_immediate_ = !batchable_ || (obs_ != nullptr && obs_->heat_on());
 }
 
 std::uint32_t Machine::TestAndSet(Task& task, ProcId proc, VirtAddr va,
@@ -408,9 +331,6 @@ void Machine::DebugWrite(Task& task, VirtAddr va, std::uint32_t value) {
 }
 
 std::uint32_t Machine::ReexamineGlobalPages(ProcId proc) {
-  // System-time charges below land outside any reference run; commit open runs first
-  // so their bus-horizon stamps stay per-reference-exact.
-  FlushPendingRefs();
   NumaManager& manager = pmap_->manager();
   std::uint32_t count = 0;
   for (LogicalPage lp = 0; lp < manager.num_pages(); ++lp) {
@@ -424,21 +344,17 @@ std::uint32_t Machine::ReexamineGlobalPages(ProcId proc) {
 }
 
 Observability& Machine::observability() {
-  if (obs_ == nullptr) {
-    obs_ = std::make_unique<Observability>(options_.config.num_processors,
-                                           options_.config.global_pages, &clocks_);
-    obs_->SetStateListener(
-        [](void* ctx) { static_cast<Machine*>(ctx)->RecomputeFastPathMode(); }, this);
-    RecomputeFastPathMode();
-    pmap_->manager().set_observability(obs_.get());
+  if (!obs_attached_) {
+    obs_attached_ = true;
+    pmap_->manager().set_observability(&obs_);
     fault_handler_->SetObserver(
         [](void* ctx, ProcId proc, LogicalPage lp, std::uint8_t status) {
           static_cast<Observability*>(ctx)->OnEvent(TraceEventType::kPageFault, lp, proc,
                                                     status);
         },
-        obs_.get());
+        &obs_);
   }
-  return *obs_;
+  return obs_;
 }
 
 MoveLimitPolicy* Machine::move_limit_policy() {
@@ -464,12 +380,6 @@ const NumaPageInfo& Machine::PageInfoFor(Task& task, VirtAddr va) {
 }
 
 void Machine::CaptureLiveSample(LiveSample* out) {
-  // Commit open TLB runs so the counters below include every reference issued so
-  // far. Idempotent and invisible to MachineStats totals (only the tlb group's
-  // run_flushes/batched_refs bookkeeping differs from a lazier flush schedule), so
-  // sampling cannot perturb a run's results.
-  FlushPendingRefs();
-
   out->stats = stats_;
   out->user_ns = clocks_.TotalUser();
   out->system_ns = clocks_.TotalSystem();
@@ -495,16 +405,16 @@ void Machine::CaptureLiveSample(LiveSample* out) {
 
   out->trace_emitted = 0;
   out->trace_dropped = 0;
-  if (obs_ != nullptr && obs_->tracer().configured()) {
-    out->trace_emitted = obs_->tracer().total_emitted();
-    out->trace_dropped = obs_->tracer().dropped();
+  if (obs_.tracer().configured()) {
+    out->trace_emitted = obs_.tracer().total_emitted();
+    out->trace_dropped = obs_.tracer().dropped();
   }
 
   out->decisions = {};
   out->have_heat = false;
   out->page_refs.clear();
-  if (obs_ != nullptr && obs_->heat_on()) {
-    const HeatProfile& heat = obs_->heat();
+  if (obs_.heat_on()) {
+    const HeatProfile& heat = obs_.heat();
     out->have_heat = true;
     out->decisions[0] = heat.decisions(Placement::kLocal);
     out->decisions[1] = heat.decisions(Placement::kGlobal);

@@ -183,12 +183,7 @@ class Machine {
   }
 
   // Pure computation: charge `ns` of user time to `proc` without touching memory.
-  // Commits `proc`'s open reference run first so the bus horizon of the run's block
-  // record stays exactly what per-reference recording would have produced.
-  void Compute(ProcId proc, TimeNs ns) {
-    FlushRefRun(proc);
-    clocks_.ChargeUser(proc, ns);
-  }
+  void Compute(ProcId proc, TimeNs ns) { clocks_.ChargeUser(proc, ns); }
 
   // Drop all mappings of global-writable pages, forcing the next reference to each to
   // fault and re-consult the NUMA policy. Pinned pages are otherwise mapped with
@@ -203,30 +198,14 @@ class Machine {
   void DebugWrite(Task& task, VirtAddr va, std::uint32_t value);
 
   // --- introspection --------------------------------------------------------------------
-  // The clocks are exact at every instant (an open reference run's time is already in
-  // now()/user_ns()); stats() and bus() commit any open runs first, so readers always
-  // see totals identical to per-reference accounting. Callers must re-fetch through
-  // the accessor rather than caching the reference across further simulated work.
+  // Every reference is accounted as it happens, so clocks, stats and bus are exact at
+  // every instant and a reference taken once stays current.
   const MachineConfig& config() const { return options_.config; }
   ProcClocks& clocks() { return clocks_; }
   const ProcClocks& clocks() const { return clocks_; }
-  MachineStats& stats() {
-    FlushPendingRefs();
-    return stats_;
-  }
-  const MachineStats& stats() const {
-    // Committing open runs mutates only accounting state; logically const.
-    const_cast<Machine*>(this)->FlushPendingRefs();
-    return stats_;
-  }
-  IpcBus& bus() {
-    FlushPendingRefs();
-    return bus_;
-  }
-  // Commit every processor's open reference run into stats_/bus_. Idempotent; called
-  // automatically by the stats()/bus() accessors and at every point where batched and
-  // per-reference accounting could otherwise diverge observably.
-  void FlushPendingRefs();
+  MachineStats& stats() { return stats_; }
+  const MachineStats& stats() const { return stats_; }
+  IpcBus& bus() { return bus_; }
   PhysicalMemory& physical_memory() { return phys_; }
   PagePool& page_pool() { return *pool_; }
   PmapAce& pmap() { return *pmap_; }
@@ -270,13 +249,8 @@ class Machine {
   using RefObserver = void (*)(void* ctx, ProcId proc, VirtAddr va, AccessKind kind,
                                MemoryClass cls);
   void SetRefObserver(RefObserver observer, void* ctx) {
-    // Observers see each reference individually, so open runs must drain first and
-    // batching stays off while an observer is attached (the fast path then records
-    // per reference, keeping the observed stream identical to the slow path's).
-    FlushPendingRefs();
     ref_observer_ = observer;
     ref_observer_ctx_ = ctx;
-    RecomputeFastPathMode();
   }
 
   // Application-level request counters for live telemetry: the running app (the
@@ -312,22 +286,24 @@ class Machine {
   // Fill a live-telemetry capture (src/obs/sampler.h) with the machine's current
   // cumulative state: counters, clocks, per-processor TLB hit/miss, trace-ring
   // pressure, and (when heat profiling is on) per-page reference totals and policy
-  // decisions. Pure observer — commits open TLB runs first (idempotent), reads
-  // everything else through const accessors. The static thunk matches
+  // decisions. Pure observer: reads everything through const accessors and changes
+  // nothing the simulation later consults. The static thunk matches
   // LiveSampler::CaptureFn so the sampler can stay machine-independent.
   void CaptureLiveSample(LiveSample* out);
   static void LiveCaptureThunk(void* ctx, LiveSample* out) {
     static_cast<Machine*>(ctx)->CaptureLiveSample(out);
   }
 
-  // The observability layer (src/obs). Created and wired into the NUMA manager and
-  // fault path on first call; machines that never ask for it keep every hook at its
-  // null-pointer fast path. Call EnableTracing()/EnableHeat() on the result.
+  // The observability layer (src/obs). Wired into the NUMA manager and fault path on
+  // first call; machines that never ask for it keep those hooks at their null-pointer
+  // fast path. Call EnableTracing()/EnableHeat() on the result.
   Observability& observability();
-  bool has_observability() const { return obs_ != nullptr; }
-  // Read-only view that never creates the layer (nullptr when not attached); the
+  bool has_observability() const { return obs_attached_; }
+  // Read-only view that never attaches the layer (nullptr when not attached); the
   // watchdog's kill report uses it to scan the trace rings without arming anything.
-  const Observability* observability_if_attached() const { return obs_.get(); }
+  const Observability* observability_if_attached() const {
+    return obs_attached_ ? &obs_ : nullptr;
+  }
 
  private:
   AccessStatus Access(Task& task, ProcId proc, VirtAddr va, AccessKind kind,
@@ -339,24 +315,18 @@ class Machine {
   std::uint32_t LoadWordSlow(Task& task, ProcId proc, VirtAddr va);
   void StoreWordSlow(Task& task, ProcId proc, VirtAddr va, std::uint32_t value);
 
-  // TLB-hit completion when batching is off (contention model, ref observer, or heat
-  // profiling active): charges and records the reference immediately, mirroring the
-  // slow path's accounting order exactly.
-  bool FastAccessImmediate(ProcId proc, const Tlb::Entry& entry, VirtAddr va,
-                           AccessKind kind, std::uint32_t* value);
   // Poison mode: cross-check a hitting entry against the MMU and mapping directory;
   // ACE_CHECK-aborts if the entry is stale in any field.
   void VerifyTlbEntry(ProcId proc, VirtPage vpage, const Tlb::Entry& entry);
-  // Refresh batchable_/fast_immediate_ from the contention model, ref observer and
-  // heat-profiling state (also runs when the observability layer toggles heat).
-  void RecomputeFastPathMode();
-  // Commit `proc`'s open reference run (no-op when none).
-  void FlushRefRun(ProcId proc);
+  // Off-node cost dilation shared by both halves of the reference path: bus
+  // contention (when modeled) and an active slow-link chaos window on `proc`.
+  TimeNs DilateOffNode(ProcId proc, TimeNs cost) const;
 
   // The reference fast path: probe the TLB and, on a hit, complete the access without
-  // entering the pmap/NUMA machinery. Returns false on TLB-off, miss, or insufficient
-  // cached protection — the caller then takes the slow path, which faults (or
-  // upgrades) exactly as it would have without a TLB.
+  // entering the pmap/NUMA machinery, using field for field the accounting sequence of
+  // the slow path's hit block in Access, fed from the cached entry. Returns false on
+  // TLB-off, miss, or insufficient cached protection — the caller then takes the slow
+  // path, which faults (or upgrades) exactly as it would have without a TLB.
   bool FastAccess(ProcId proc, VirtAddr va, AccessKind kind, std::uint32_t* value) {
     if (!tlb_on_) {
       return false;
@@ -369,29 +339,30 @@ class Machine {
     if (tlb_verify_on_) {
       VerifyTlbEntry(proc, vpage, *e);
     }
-    if (fast_immediate_) {
-      return FastAccessImmediate(proc, *e, va, kind, value);
+    TimeNs cost = kind == AccessKind::kFetch ? e->cost_fetch : e->cost_store;
+    if (e->cls != MemoryClass::kLocal &&
+        (bus_.options().model_contention || chaos_ != nullptr)) {
+      cost = DilateOffNode(proc, cost);
     }
-    // Batched run-length accounting: extend (or open) this processor's run. The run
-    // key is (vpage, kind); the class cannot change while the entry is live, so the
-    // eventual block commit records exactly what per-reference recording would.
-    Tlb::Run& run = tlb_.run(proc);
-    if (run.count != 0 && (run.vpage != e->vpage || run.kind != kind)) {
-      FlushRefRun(proc);
+    clocks_.ChargeUser(proc, cost);
+    stats_.RecordRef(proc, e->cls, kind);
+    if (obs_.heat_on() && e->lp != kNoLogicalPage) {
+      obs_.OnRef(e->lp, proc, e->cls, kind);
     }
-    if (run.count == 0) {
-      run.vpage = e->vpage;
-      run.kind = kind;
-      run.cls = e->cls;
+    if (e->cls != MemoryClass::kLocal) {
+      bus_.RecordTransfer(kWordBytes, clocks_.now(proc));
     }
-    run.count++;
-    clocks_.AccumulateUser(proc,
-                           kind == AccessKind::kFetch ? e->cost_fetch : e->cost_store);
     const std::uint32_t offset = static_cast<std::uint32_t>(va & page_mask_);
     if (kind == AccessKind::kFetch) {
       *value = phys_.ReadWord(e->frame, offset);
     } else {
       phys_.WriteWord(e->frame, offset, *value);
+      if (replica_ != nullptr && e->lp != kNoLogicalPage) {
+        pmap_->manager().NoteStore(e->lp, offset, *value, proc, /*charge=*/true);
+      }
+    }
+    if (ref_observer_ != nullptr) {
+      ref_observer_(ref_observer_ctx_, proc, va, kind, e->cls);
     }
     return true;
   }
@@ -403,11 +374,6 @@ class Machine {
   // Resolved at construction (Options + ACE_TLB / ACE_TLB_VERIFY environment).
   bool tlb_on_ = true;
   bool tlb_verify_on_ = false;
-  // Whether TLB hits may batch into runs: requires no contention model and no ref
-  // observer. fast_immediate_ is the per-access test (= !batchable_ or heat profiling
-  // on) folded into one machine-local flag so a hit never chases the obs_ pointer.
-  bool batchable_ = true;
-  bool fast_immediate_ = false;
 
   MachineStats stats_;
   ProcClocks clocks_;
@@ -423,7 +389,11 @@ class Machine {
   std::unique_ptr<NumaPolicy> policy_;       // owned policy (when not custom)
   NumaPolicy* active_policy_ = nullptr;      // the policy actually in use
   // Declared before pmap_ so the hooks stay valid while the pmap layer tears down.
-  std::unique_ptr<Observability> obs_;
+  // A member rather than allocated on attach, so the reference path's heat test is
+  // one flag load off this machine whether or not the layer is attached (the
+  // bench_trace_overhead guardrail times exactly that difference).
+  Observability obs_;
+  bool obs_attached_ = false;
   // Declared before pmap_ (like obs_) so the NUMA manager's store/sync hooks stay
   // valid while the pmap layer tears down (~Machine drains the pool -> ResetPage).
   std::unique_ptr<ReplicaManager> replica_;

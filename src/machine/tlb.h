@@ -13,7 +13,8 @@
 //
 // A hit carries everything the accounting fast path needs — frame, protection,
 // logical page, memory class, and the per-kind reference cost — so a hitting access
-// neither consults the pmap nor recomputes latencies. Invalidation counters live here
+// neither consults the pmap nor recomputes latencies; the machine then accounts the
+// reference exactly as the slow path would. Invalidation and run counters live here
 // (the machine exposes them as the `tlb` counter group); they are deliberately *not*
 // part of MachineStats, whose contents must be byte-identical with the TLB on or off.
 
@@ -35,8 +36,14 @@ namespace ace {
 // Counters for the `tlb` observability group. Deterministic for a given run
 // configuration (the soak harness checks replay identity on them), but naturally
 // different between TLB-on and TLB-off runs — equivalence suites must exclude them.
-// `hits` and `misses` are aggregated from the per-processor counters below at read
-// time; the probe path pays exactly one increment either way.
+// `hits`, `misses` and `run_flushes` are aggregated from the per-processor counters
+// below at read time.
+//
+// Runs are pure observation: a run is a maximal stretch of one processor's hits on
+// the same (virtual page, kind), broken by a hit on another key or by a miss.
+// `batched_refs` is the number of references those runs cover — every hit — so
+// batched_refs / run_flushes is the mean run length. Nothing is deferred: each hit
+// is fully accounted as it happens.
 struct TlbStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;            // no entry, wrong tag, or insufficient protection
@@ -45,16 +52,20 @@ struct TlbStats {
   std::uint64_t shootdown_pages = 0;   // precise per-(proc, vpage) invalidations
   std::uint64_t shootdown_hits = 0;    // ... of which actually dropped a live entry
   std::uint64_t proc_flushes = 0;      // whole-processor invalidations
-  std::uint64_t run_flushes = 0;       // batched accounting runs committed
-  std::uint64_t batched_refs = 0;      // references charged through batched runs
+  std::uint64_t run_flushes = 0;       // same-(page, kind) hit runs started
+  std::uint64_t batched_refs = 0;      // references covered by those runs (= hits)
 };
 
 // Per-processor probe counters — the live feed's "per-processor TLB hit/miss rate"
-// source (src/obs/sampler.h). Kept separate from TlbStats so the hot-path probe
-// stays at one indexed increment; TlbStats sums them on demand.
+// source (src/obs/sampler.h) — plus the key of the processor's current hit run.
+// Kept separate from TlbStats so the probe touches one processor's line; TlbStats
+// sums them on demand.
 struct TlbProcCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  std::uint64_t runs = 0;
+  VirtPage run_vpage = ~VirtPage{0};  // never a real page: no open run
+  AccessKind run_kind = AccessKind::kFetch;
 };
 
 class Tlb final : public MmuShootdownSink {
@@ -72,20 +83,10 @@ class Tlb final : public MmuShootdownSink {
     TimeNs cost_store = 0;
   };
 
-  // An open run of consecutive same-page, same-kind references by one processor,
-  // pending commit to MachineStats / IpcBus (batched run-length accounting).
-  struct Run {
-    std::uint64_t count = 0;
-    VirtPage vpage = kInvalidVPage;
-    AccessKind kind = AccessKind::kFetch;
-    MemoryClass cls = MemoryClass::kLocal;
-  };
-
   Tlb(int num_processors, std::uint32_t entries_per_proc)
       : entries_mask_(entries_per_proc - 1),
         shift_(IndexBits(entries_per_proc)),
         slots_(static_cast<std::size_t>(num_processors) * entries_per_proc),
-        runs_(static_cast<std::size_t>(num_processors)),
         proc_counters_(static_cast<std::size_t>(num_processors)) {
     ACE_CHECK(num_processors >= 1);
     ACE_CHECK(entries_per_proc >= 2 &&
@@ -100,11 +101,18 @@ class Tlb final : public MmuShootdownSink {
   // that is a protection fault or an upgrade).
   const Entry* Find(ProcId proc, VirtPage vpage, AccessKind kind) {
     Entry& e = slots_[SlotIndex(proc, vpage)];
+    TlbProcCounters& c = proc_counters_[static_cast<std::size_t>(proc)];
     if (e.vpage != vpage || !Allows(e.prot, kind)) {
-      proc_counters_[static_cast<std::size_t>(proc)].misses++;
+      c.misses++;
+      c.run_vpage = kInvalidVPage;
       return nullptr;
     }
-    proc_counters_[static_cast<std::size_t>(proc)].hits++;
+    c.hits++;
+    if (c.run_vpage != vpage || c.run_kind != kind) {
+      c.runs++;
+      c.run_vpage = vpage;
+      c.run_kind = kind;
+    }
     return &e;
   }
 
@@ -131,8 +139,6 @@ class Tlb final : public MmuShootdownSink {
     global_.fills++;
   }
 
-  Run& run(ProcId proc) { return runs_[static_cast<std::size_t>(proc)]; }
-
   // --- MmuShootdownSink ----------------------------------------------------------------
   void ShootdownPage(ProcId proc, VirtPage vpage) override {
     global_.shootdown_pages++;
@@ -152,25 +158,24 @@ class Tlb final : public MmuShootdownSink {
   }
 
   void InvalidateAll() {
-    for (std::size_t p = 0; p < runs_.size(); ++p) {
+    for (std::size_t p = 0; p < proc_counters_.size(); ++p) {
       ShootdownProc(static_cast<ProcId>(p));
     }
   }
 
   // Aggregate snapshot of the counter group: the global counters plus the summed
-  // per-processor probe counters. By value — the hit/miss totals are materialized
-  // at read time, never stored.
+  // per-processor probe counters. By value — the hit/miss/run totals are
+  // materialized at read time, never stored.
   TlbStats stats() const {
     TlbStats s = global_;
     for (const TlbProcCounters& c : proc_counters_) {
       s.hits += c.hits;
       s.misses += c.misses;
+      s.run_flushes += c.runs;
     }
+    s.batched_refs = s.hits;
     return s;
   }
-  // The counters not split per processor (fills, shootdowns, batching), mutable for
-  // the machine's run-commit path.
-  TlbStats& global_stats() { return global_; }
   const std::vector<TlbProcCounters>& proc_counters() const { return proc_counters_; }
   std::uint32_t entries_per_proc() const {
     return static_cast<std::uint32_t>(entries_mask_ + 1);
@@ -189,7 +194,7 @@ class Tlb final : public MmuShootdownSink {
   }
 
   std::size_t SlotIndex(ProcId proc, VirtPage vpage) const {
-    ACE_DCHECK(static_cast<std::size_t>(proc) < runs_.size());
+    ACE_DCHECK(static_cast<std::size_t>(proc) < proc_counters_.size());
     return (static_cast<std::size_t>(proc) << shift_) +
            (static_cast<std::size_t>(vpage) & entries_mask_);
   }
@@ -197,8 +202,7 @@ class Tlb final : public MmuShootdownSink {
   std::size_t entries_mask_;
   std::uint32_t shift_;
   std::vector<Entry> slots_;
-  std::vector<Run> runs_;
-  TlbStats global_;  // everything except hits/misses, which live per processor
+  TlbStats global_;  // everything except hits/misses/runs, which live per processor
   std::vector<TlbProcCounters> proc_counters_;
 };
 

@@ -43,8 +43,8 @@ PlacementRun RunPlacement(App& app, const ExperimentOptions& options, PolicySpec
 
   if (options.sampler != nullptr) {
     // One feed segment per placement run. Heat profiling feeds the sampler's
-    // hot-page and policy-decision columns; it forces per-reference recording but
-    // changes no counter, clock, or app result (the obs equivalence tests prove it).
+    // hot-page and policy-decision columns; it changes no counter, clock, or app
+    // result (the obs equivalence tests prove it).
     machine.observability().EnableHeat();
     options.sampler->SetSource(&Machine::LiveCaptureThunk, &machine);
     LiveRunMeta meta;

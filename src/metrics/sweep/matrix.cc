@@ -185,7 +185,7 @@ Suite MakeSuite(const std::string& name, int threads_override, double scale_over
     suite.description =
         "Host throughput: streaming apps, numa placement, TLB on vs off (refs/sec)";
     // The streaming applications — long same-page reference runs, where the software
-    // TLB's batched fast path pays off most. Per-app scales sized so the reference
+    // TLB's hit path is taken most. Per-app scales sized so the reference
     // stream dominates host time (machine construction is milliseconds).
     const std::pair<const char*, double> kRefsApps[] = {
         {"Gfetch", 16.0}, {"IMatMult", 4.0}, {"Primes2", 4.0}};
@@ -214,7 +214,7 @@ Suite MakeSuite(const std::string& name, int threads_override, double scale_over
     // while node 1 stalls for 20 ms. The SLO guard must absorb it with zero
     // timeouts left after retry/shed, and the post-window tail (recovery_p99_ms)
     // must return to the healthy band. The second cell dilates node 1's off-node
-    // reference costs 3x, exercising the immediate (non-batched) TLB path.
+    // reference costs 3x, exercising the TLB hit path's off-node cost dilation.
     {
       SweepCell drain = ServingCell(4, 0.25, 1, 4, 0.9, 3);
       drain.fault_plan = "drain-mem@2:30000000:60000000;stall-proc@1:36000000:56000000";

@@ -41,43 +41,13 @@ void AppendRunCounters(const char* prefix, const PlacementRun& run,
                        static_cast<double>(s.local_alloc_failures));
 }
 
-// Field-by-field equality of two placement runs: the differential guarantee that the
-// software-TLB fast path changed nothing observable. Compares the virtual times, all
-// VM/NUMA counters, and the full per-processor reference matrix.
+// Equality of two placement runs: the differential guarantee that the software-TLB
+// fast path changed nothing observable. Compares the virtual times, measured alpha
+// and every MachineStats counter, the full per-processor reference matrix included.
 bool RunsIdentical(const PlacementRun& a, const PlacementRun& b) {
-  if (a.user_sec != b.user_sec || a.system_sec != b.system_sec ||
-      a.measured_alpha != b.measured_alpha || a.pages_pinned != b.pages_pinned) {
-    return false;
-  }
-  const MachineStats& x = a.stats;
-  const MachineStats& y = b.stats;
-  if (x.page_faults != y.page_faults || x.zero_fills != y.zero_fills ||
-      x.page_copies != y.page_copies || x.page_syncs != y.page_syncs ||
-      x.page_flushes != y.page_flushes || x.page_unmaps != y.page_unmaps ||
-      x.ownership_moves != y.ownership_moves || x.pages_pinned != y.pages_pinned ||
-      x.local_alloc_failures != y.local_alloc_failures ||
-      x.degraded_global_fallbacks != y.degraded_global_fallbacks ||
-      x.degraded_copy_failures != y.degraded_copy_failures ||
-      x.degraded_pool_retries != y.degraded_pool_retries ||
-      x.degraded_oom_faults != y.degraded_oom_faults) {
-    return false;
-  }
-  if (x.chaos_events != y.chaos_events || x.evacuated_pages != y.evacuated_pages ||
-      x.replicated_pages != y.replicated_pages || x.journal_bytes != y.journal_bytes ||
-      x.recovered_pages != y.recovered_pages || x.lost_pages != y.lost_pages ||
-      x.checksum_failures != y.checksum_failures) {
-    return false;
-  }
-  for (std::size_t p = 0; p < x.refs.size(); ++p) {
-    const ProcRefCounts& u = x.refs[p];
-    const ProcRefCounts& v = y.refs[p];
-    if (u.fetch_local != v.fetch_local || u.fetch_global != v.fetch_global ||
-        u.fetch_remote != v.fetch_remote || u.store_local != v.store_local ||
-        u.store_global != v.store_global || u.store_remote != v.store_remote) {
-      return false;
-    }
-  }
-  return true;
+  return a.user_sec == b.user_sec && a.system_sec == b.system_sec &&
+         a.measured_alpha == b.measured_alpha && a.pages_pinned == b.pages_pinned &&
+         a.stats == b.stats;
 }
 
 ExperimentOptions OptionsForCell(const SweepCell& cell, const MachineConfig& base_config,

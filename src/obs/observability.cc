@@ -20,7 +20,6 @@ void Observability::EnableHeat() {
     heat_ = std::make_unique<HeatProfile>(num_processors_, num_pages_);
   }
   heat_on_ = true;
-  NotifyStateListener();
 }
 
 void Observability::OnEvent(TraceEventType type, LogicalPage lp, ProcId proc,

@@ -3,9 +3,10 @@
 //
 // Cost discipline (the bench_trace_overhead guardrail):
 //   * not attached (the default)      — every hook is a single never-taken branch on
-//     a null pointer; this is the production path and must stay within 2% of a build
-//     without the hooks at all;
-//   * attached, runtime-disabled      — one extra flag test per hook;
+//     a null pointer (the machine's own per-reference heat test is a single flag
+//     test on its member instance); this is the production path and must stay
+//     within 2% of a build without the hooks at all;
+//   * attached, runtime-disabled      — one extra flag test per pointer hook;
 //   * attached, enabled               — ring-buffer stores and table increments, no
 //     allocation, no locks (the simulator is single-threaded by construction);
 //   * ACE_TRACE compiled out (CMake)  — event recording is removed entirely and
@@ -53,19 +54,7 @@ class Observability {
   void DisableTracing() { tracing_ = false; }
 
   void EnableHeat();
-  void DisableHeat() {
-    heat_on_ = false;
-    NotifyStateListener();
-  }
-
-  // Invoked whenever heat profiling toggles. The machine hangs its fast-path mode
-  // recomputation here so the per-reference path tests one machine-local flag instead
-  // of chasing this object's heat_on_ on every access.
-  using StateListener = void (*)(void* ctx);
-  void SetStateListener(StateListener listener, void* ctx) {
-    state_listener_ = listener;
-    state_listener_ctx_ = ctx;
-  }
+  void DisableHeat() { heat_on_ = false; }
 
   bool tracing() const { return tracing_; }
   bool heat_on() const { return heat_on_; }
@@ -91,12 +80,6 @@ class Observability {
   void NoteDecision(Placement decision);
 
  private:
-  void NotifyStateListener() {
-    if (state_listener_ != nullptr) {
-      state_listener_(state_listener_ctx_);
-    }
-  }
-
   int num_processors_;
   std::uint32_t num_pages_;
   const ProcClocks* clocks_;
@@ -105,8 +88,6 @@ class Observability {
   bool heat_on_ = false;
   Tracer tracer_;
   std::unique_ptr<HeatProfile> heat_;
-  StateListener state_listener_ = nullptr;
-  void* state_listener_ctx_ = nullptr;
 };
 
 }  // namespace ace

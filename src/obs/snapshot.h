@@ -69,7 +69,9 @@ inline std::string FormatProtocolCounters(const MachineStats& s) {
 }
 
 // One-line summary of the software-TLB fast-path counters (machine/tlb.h), the
-// "tlb" counter group. Takes plain integers so obs stays independent of the machine
+// "tlb" counter group. `run_flushes` counts runs of one processor's hits on the same
+// (page, kind) and `batched_refs` the hits those runs cover, so their ratio is the
+// mean run length. Takes plain integers so obs stays independent of the machine
 // layer; ace_run and the TLB tests feed it from Machine::tlb_stats().
 inline std::string FormatTlbCounters(std::uint64_t hits, std::uint64_t misses,
                                      std::uint64_t fills, std::uint64_t conflict_evictions,

@@ -6,14 +6,14 @@
 // (utilization statistics) without perturbing reference timing. A simple contention
 // model can be enabled for sensitivity studies: when the offered load over the
 // observation window exceeds the configured capacity, global references are dilated
-// proportionally.
+// proportionally. Every off-node reference, TLB hit or not, is recorded as it
+// happens, so a dilating bus always sees the offered load up to the current reference.
 
 #ifndef SRC_SIM_BUS_H_
 #define SRC_SIM_BUS_H_
 
 #include <cstdint>
 
-#include "src/common/check.h"
 #include "src/common/types.h"
 
 namespace ace {
@@ -35,21 +35,6 @@ class IpcBus {
   void RecordTransfer(std::uint64_t bytes, TimeNs now) {
     total_bytes_ += bytes;
     transactions_ += 1;
-    if (now > horizon_ns_) {
-      horizon_ns_ = now;
-    }
-  }
-
-  // Record a run of `count` transactions of `bytes_each`, the last of which completed
-  // at `now` (the TLB fast path's batched accounting). Totals are integer sums and the
-  // horizon is a running max over per-processor-monotone clocks, so one block record
-  // leaves every counter exactly as `count` individual RecordTransfer calls would
-  // have. Only valid when contention modeling is off: a dilating bus must see each
-  // transaction as it happens.
-  void RecordTransferBlock(std::uint64_t bytes_each, std::uint64_t count, TimeNs now) {
-    ACE_DCHECK(!options_.model_contention);
-    total_bytes_ += bytes_each * count;
-    transactions_ += count;
     if (now > horizon_ns_) {
       horizon_ns_ = now;
     }

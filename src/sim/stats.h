@@ -29,6 +29,8 @@ struct ProcRefCounts {
   std::uint64_t LocalTotal() const { return fetch_local + store_local; }
   std::uint64_t GlobalTotal() const { return fetch_global + store_global; }
   std::uint64_t RemoteTotal() const { return fetch_remote + store_remote; }
+
+  bool operator==(const ProcRefCounts&) const = default;
 };
 
 struct MachineStats {
@@ -69,24 +71,19 @@ struct MachineStats {
   std::uint64_t lost_pages = 0;         // unreplicated owned pages lost with their node
   std::uint64_t checksum_failures = 0;  // corrupted frames detected by the checksum scrub
 
+  // One data reference, recorded as it happens by both halves of the reference path
+  // (the software-TLB hit and the slow path's resolve).
   void RecordRef(ProcId proc, MemoryClass cls, AccessKind kind) {
-    RecordRefBlock(proc, cls, kind, 1);
-  }
-
-  // Record a run of `count` consecutive references of one (class, kind) by one
-  // processor — the TLB fast path's batched accounting. Reference counters are pure
-  // sums, so one block record is exactly `count` RecordRef calls.
-  void RecordRefBlock(ProcId proc, MemoryClass cls, AccessKind kind, std::uint64_t count) {
     ProcRefCounts& c = refs[static_cast<std::size_t>(proc)];
     switch (cls) {
       case MemoryClass::kLocal:
-        (kind == AccessKind::kFetch ? c.fetch_local : c.store_local) += count;
+        ++(kind == AccessKind::kFetch ? c.fetch_local : c.store_local);
         break;
       case MemoryClass::kGlobal:
-        (kind == AccessKind::kFetch ? c.fetch_global : c.store_global) += count;
+        ++(kind == AccessKind::kFetch ? c.fetch_global : c.store_global);
         break;
       case MemoryClass::kRemote:
-        (kind == AccessKind::kFetch ? c.fetch_remote : c.store_remote) += count;
+        ++(kind == AccessKind::kFetch ? c.fetch_remote : c.store_remote);
         break;
     }
   }
@@ -116,6 +113,9 @@ struct MachineStats {
   }
 
   void Reset() { *this = MachineStats{}; }
+
+  // Every field, the reference matrix included.
+  bool operator==(const MachineStats&) const = default;
 };
 
 }  // namespace ace

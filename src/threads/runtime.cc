@@ -76,9 +76,6 @@ void Env::MigrateTo(ProcId new_proc, bool move_pages) {
   // been sitting empty while this thread worked).
   TimeNs skew = runtime_->ProcNow(old_proc) - runtime_->ProcNow(new_proc);
   if (skew > 0) {
-    // Idle padding advances new_proc's clock outside any reference run; commit open
-    // runs first so their bus-horizon stamps stay per-reference-exact.
-    runtime_->machine_->FlushPendingRefs();
     runtime_->machine_->clocks().ChargeIdle(new_proc, skew);
   }
   if (move_pages) {
@@ -198,8 +195,6 @@ void Runtime::MaybeYield(Env& env, bool voluntary) {
       // thread cannot observe state "before" it was produced.
       TimeNs skew = ProcNow(old_proc) - ProcNow(new_proc);
       if (skew > 0) {
-        // As in MigrateTo: commit open runs before idle-padding the destination.
-        machine_->FlushPendingRefs();
         machine_->clocks().ChargeIdle(new_proc, skew);
       }
       env.proc_ = new_proc;
@@ -291,13 +286,10 @@ bool Runtime::RehomeDeadNodeFibers() {
     ACE_CHECK_MSG(best != kNoProc, "kill-node left no surviving processor");
     const ProcId old_proc = fiber.env.proc_;
     // Keep causality exactly like Env::MigrateTo: pad the destination with idle time
-    // if it is behind the orphaned fiber's clock (committing open reference runs
-    // first so their bus-horizon stamps stay per-reference-exact). The dead node's
-    // pages were already re-homed to global memory by the recovery manager, so there
-    // is nothing to move.
+    // if it is behind the orphaned fiber's clock. The dead node's pages were already
+    // re-homed to global memory by the recovery manager, so there is nothing to move.
     TimeNs skew = ProcNow(old_proc) - ProcNow(best);
     if (skew > 0) {
-      machine_->FlushPendingRefs();
       machine_->clocks().ChargeIdle(best, skew);
     }
     fiber.env.proc_ = best;

@@ -78,8 +78,11 @@ SampledRun RunApp(const char* app_name, bool tlb, bool sampled, TimeNs interval_
   std::unique_ptr<LiveSampler> sampler;
   std::string path;
   if (sampled) {
-    path = ::testing::TempDir() + "live_feed_" + app_name + (tlb ? "_tlb" : "_notlb") +
-           ".jsonl";
+    // Named after the running test too: ctest runs tests in parallel processes, and
+    // two tests sampling the same app and TLB setting must not share one file.
+    path = ::testing::TempDir() + "live_feed_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" + app_name +
+           (tlb ? "_tlb" : "_notlb") + ".jsonl";
     EXPECT_TRUE(writer.Open(path, /*append=*/false));
     LiveSampler::Options so;
     so.interval_ns = interval_ns;
@@ -224,14 +227,13 @@ TEST(LiveDeterminism, SampledRunMatchesUnsampledExactly) {
     EXPECT_EQ(x.refs[p].store_global, y.refs[p].store_global) << "proc " << p;
     EXPECT_EQ(x.refs[p].store_remote, y.refs[p].store_remote) << "proc " << p;
   }
-  // TLB behavior identical too. (batched_refs/run_flushes are excluded by design:
-  // the sampler's heat profiling forces per-reference recording, which bypasses run
-  // batching — pure bookkeeping of the fast path's batching, with every hit, miss,
-  // fill, and shootdown unchanged.)
+  // TLB behavior identical too.
   EXPECT_EQ(bare.tlb.hits, sampled.tlb.hits);
   EXPECT_EQ(bare.tlb.misses, sampled.tlb.misses);
   EXPECT_EQ(bare.tlb.fills, sampled.tlb.fills);
   EXPECT_EQ(bare.tlb.shootdown_pages, sampled.tlb.shootdown_pages);
+  EXPECT_EQ(bare.tlb.run_flushes, sampled.tlb.run_flushes);
+  EXPECT_EQ(bare.tlb.batched_refs, sampled.tlb.batched_refs);
 }
 
 // Same guarantee one layer up: a sweep cell's serialized bytes are identical with

@@ -8,16 +8,22 @@
 // the derived model parameters α/β/γ, and the serialized ace-bench-v1 cell JSON.
 // This is the invariant that makes the fast path safe to leave on everywhere; any
 // divergence — one reference misclassified, one cost charged differently, one
-// counter recorded in a different order — fails here with the field named.
+// counter recorded in a different order — fails here with the field named. The same
+// holds under chaos: a slow-link window and a kill-node plan (with its durability
+// write-through on every store) run through the very same hit path.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/apps/app.h"
+#include "src/inject/fault_plan.h"
 #include "src/metrics/experiment.h"
 #include "src/metrics/sweep/report.h"
 #include "src/metrics/sweep/runner.h"
@@ -47,46 +53,59 @@ ExperimentOptions SmallOptions() {
   return options;
 }
 
-// Field-by-field comparison with the divergent field named in the failure message.
+// Every mismatching MachineStats field, named: the reference matrix first, then the
+// scalar counters, both in declaration order. Equality itself is
+// MachineStats::operator==; these names only label a failure, and the static_assert
+// keeps them exactly as long as the struct.
+std::string StatsMismatches(const MachineStats& a, const MachineStats& b) {
+  static constexpr const char* kRefFields[] = {"fetch_local", "fetch_global",
+                                               "fetch_remote", "store_local",
+                                               "store_global", "store_remote"};
+  static constexpr const char* kCounters[] = {
+      "page_faults", "zero_fills", "page_copies", "page_syncs", "page_flushes",
+      "page_unmaps", "ownership_moves", "pages_pinned", "local_alloc_failures",
+      "degraded_global_fallbacks", "degraded_copy_failures", "degraded_pool_retries",
+      "degraded_oom_faults", "chaos_events", "evacuated_pages", "replicated_pages",
+      "journal_bytes", "recovered_pages", "lost_pages", "checksum_failures"};
+  constexpr std::size_t kRefWords = std::size(kRefFields) * kMaxProcessors;
+  constexpr std::size_t kWords = kRefWords + std::size(kCounters);
+  static_assert(sizeof(MachineStats) == kWords * sizeof(std::uint64_t),
+                "MachineStats changed shape: update the names above");
+  std::uint64_t x[kWords];
+  std::uint64_t y[kWords];
+  std::memcpy(x, &a, sizeof x);
+  std::memcpy(y, &b, sizeof y);
+  std::string out;
+  for (std::size_t i = 0; i < kWords; ++i) {
+    if (x[i] == y[i]) {
+      continue;
+    }
+    out += i < kRefWords ? "proc " + std::to_string(i / std::size(kRefFields)) + " " +
+                               kRefFields[i % std::size(kRefFields)]
+                         : kCounters[i - kRefWords];
+    out += " " + std::to_string(x[i]) + " vs " + std::to_string(y[i]) + "; ";
+  }
+  return out;
+}
+
+// Whole-run comparison with the divergent fields named in the failure message.
 void ExpectRunsIdentical(const PlacementRun& on, const PlacementRun& off,
                          const std::string& label) {
   EXPECT_EQ(on.app.ok, off.app.ok) << label;
+  EXPECT_EQ(on.app.detail, off.app.detail) << label;
+  EXPECT_EQ(on.app.work_units, off.app.work_units) << label;
+  EXPECT_TRUE(on.app.metrics == off.app.metrics) << label << ": app metrics differ";
   EXPECT_EQ(on.user_sec, off.user_sec) << label << " user_sec";
   EXPECT_EQ(on.system_sec, off.system_sec) << label << " system_sec";
   EXPECT_EQ(on.measured_alpha, off.measured_alpha) << label << " measured_alpha";
   EXPECT_EQ(on.pages_pinned, off.pages_pinned) << label << " pages_pinned";
-
-  const MachineStats& a = on.stats;
-  const MachineStats& b = off.stats;
-  EXPECT_EQ(a.page_faults, b.page_faults) << label << " page_faults";
-  EXPECT_EQ(a.zero_fills, b.zero_fills) << label << " zero_fills";
-  EXPECT_EQ(a.page_copies, b.page_copies) << label << " page_copies";
-  EXPECT_EQ(a.page_syncs, b.page_syncs) << label << " page_syncs";
-  EXPECT_EQ(a.page_flushes, b.page_flushes) << label << " page_flushes";
-  EXPECT_EQ(a.page_unmaps, b.page_unmaps) << label << " page_unmaps";
-  EXPECT_EQ(a.ownership_moves, b.ownership_moves) << label << " ownership_moves";
-  EXPECT_EQ(a.pages_pinned, b.pages_pinned) << label << " pages_pinned";
-  EXPECT_EQ(a.local_alloc_failures, b.local_alloc_failures)
-      << label << " local_alloc_failures";
-  EXPECT_EQ(a.degraded_global_fallbacks, b.degraded_global_fallbacks) << label;
-  EXPECT_EQ(a.degraded_copy_failures, b.degraded_copy_failures) << label;
-  EXPECT_EQ(a.degraded_pool_retries, b.degraded_pool_retries) << label;
-  EXPECT_EQ(a.degraded_oom_faults, b.degraded_oom_faults) << label;
-  for (std::size_t p = 0; p < a.refs.size(); ++p) {
-    EXPECT_EQ(a.refs[p].fetch_local, b.refs[p].fetch_local) << label << " proc " << p;
-    EXPECT_EQ(a.refs[p].fetch_global, b.refs[p].fetch_global) << label << " proc " << p;
-    EXPECT_EQ(a.refs[p].fetch_remote, b.refs[p].fetch_remote) << label << " proc " << p;
-    EXPECT_EQ(a.refs[p].store_local, b.refs[p].store_local) << label << " proc " << p;
-    EXPECT_EQ(a.refs[p].store_global, b.refs[p].store_global) << label << " proc " << p;
-    EXPECT_EQ(a.refs[p].store_remote, b.refs[p].store_remote) << label << " proc " << p;
-  }
+  EXPECT_TRUE(on.stats == off.stats) << label << ": " << StatsMismatches(on.stats, off.stats);
 }
 
 // One app under one policy, both ways. TLB-on must actually have used the fast path
 // (hits > 0) for the comparison to mean anything.
-void RunDifferential(const std::string& app_name, const NamedPolicy& policy) {
-  ExperimentOptions options = SmallOptions();
-
+void RunDifferential(const std::string& app_name, const NamedPolicy& policy,
+                     ExperimentOptions options = SmallOptions()) {
   std::unique_ptr<App> app_on = CreateAppByName(app_name);
   std::unique_ptr<App> app_off = CreateAppByName(app_name);
   ASSERT_NE(app_on, nullptr);
@@ -107,6 +126,8 @@ void RunDifferential(const std::string& app_name, const NamedPolicy& policy) {
     EXPECT_GT(on.tlb_hits, 0u) << label << ": fast path never engaged";
   }
   EXPECT_EQ(off.tlb_hits, 0u) << label << ": TLB-off run used the TLB";
+  EXPECT_EQ(on.stats.chaos_events > 0, !options.fault_plan.chaos.empty())
+      << label << ": a chaos plan must apply transitions, a chaos-free one none";
   ExpectRunsIdentical(on, off, label);
 }
 
@@ -154,6 +175,30 @@ TEST(TlbEquivalenceModel, DerivedModelParametersIdentical) {
     ExpectRunsIdentical(on.global, off.global, std::string(app) + "/global");
     ExpectRunsIdentical(on.local, off.local, std::string(app) + "/local");
   }
+}
+
+// --- chaos plans: slow-link windows and kill-node durability ------------------------
+
+// Serving under `plan` in the chaos configuration of tests/serving_fault_test.cc:
+// move-limit threshold 1, fault seed 1.
+void RunChaosDifferential(const char* plan) {
+  ExperimentOptions options = SmallOptions();
+  std::string error;
+  ASSERT_TRUE(FaultPlan::Parse(plan, &options.fault_plan, &error)) << error;
+  options.fault_seed = 1;
+  RunDifferential("Serving", {plan, PolicySpec::MoveLimit(1)}, options);
+}
+
+TEST(TlbEquivalenceChaos, SlowLinkWindowIdenticalWithTlbOnAndOff) {
+  // Processor 1's off-node references cost 1000x inside the window: every TLB hit
+  // in it must pick up the multiplier exactly as the slow path does.
+  RunChaosDifferential("slow-link@1:20000000:80000000:1000000");
+}
+
+TEST(TlbEquivalenceChaos, KillNodePlanIdenticalWithTlbOnAndOff) {
+  // The canonical permanent-failure plan: journal write-through on every owned store
+  // (TLB hits included), a corruption scrub, then node 2 dies and is recovered.
+  RunChaosDifferential("corrupt-page@1:2000000:4000000:1000;kill-node@2:5000000");
 }
 
 // --- serialized ace-bench-v1 cell JSON, via the ACE_TLB environment toggle ----------

@@ -93,33 +93,84 @@ TEST(TlbCache, PerProcessorEntriesAreIndependent) {
   EXPECT_EQ(m.tlb().Peek(2, PageOf(m, va)), nullptr);
 }
 
-// --- batched run-length accounting --------------------------------------------------
+// --- one accounting path; runs are observation only ---------------------------------
 
-TEST(TlbBatching, RunsCommitExactPerReferenceTotals) {
+TEST(TlbRuns, StatsReferenceTakenBeforeHitsSeesEveryHit) {
   Machine m(SmallMachine());
   Task* t = m.CreateTask("t");
   VirtAddr va = t->MapAnonymous("page", m.page_size());
+  (void)m.LoadWord(*t, 0, va);  // cold: miss, fault, fill
 
+  // Every hit is accounted as it happens, so a reference taken once stays current.
+  const MachineStats& s = m.stats();
+  const std::uint64_t refs_before = s.refs[0].Total();
+  const std::uint64_t hits_before = m.tlb_stats().hits;
   for (int i = 0; i < 64; ++i) {
     (void)m.LoadWord(*t, 0, va + static_cast<VirtAddr>(4 * (i % 16)));
   }
-  // stats() flushes any open run before returning.
-  const MachineStats& s = m.stats();
-  EXPECT_EQ(s.refs[0].fetch_local + s.refs[0].fetch_global + s.refs[0].fetch_remote, 64u);
-  EXPECT_GT(m.tlb_stats().batched_refs, 0u);
-  EXPECT_GT(m.tlb_stats().run_flushes, 0u);
+  ASSERT_EQ(m.tlb_stats().hits, hits_before + 64);
+  EXPECT_EQ(s.refs[0].Total(), refs_before + 64);
+  EXPECT_EQ(s.refs[0].fetch_local, refs_before + 64);
   CheckMachineInvariants(m);
 }
 
-TEST(TlbBatching, ComputeFlushesTheOpenRun) {
+TEST(TlbRuns, SamePageLoadsCountOneRun) {
   Machine m(SmallMachine());
   Task* t = m.CreateTask("t");
   VirtAddr va = t->MapAnonymous("page", m.page_size());
-  (void)m.LoadWord(*t, 0, va);
-  std::uint64_t batched_before = m.tlb_stats().batched_refs;
-  (void)m.LoadWord(*t, 0, va + 4);  // likely opens a run (first ref was slow-path)
-  m.Compute(0, 1000);               // must commit it before charging compute time
-  EXPECT_GE(m.tlb_stats().batched_refs, batched_before + 1);
+  m.StoreWord(*t, 0, va, 1);  // the miss closes any run; caches a writable entry
+
+  const TlbStats before = m.tlb_stats();
+  for (int i = 0; i < 64; ++i) {
+    (void)m.LoadWord(*t, 0, va + static_cast<VirtAddr>(4 * (i % 16)));
+  }
+  const TlbStats after = m.tlb_stats();
+  EXPECT_EQ(after.hits - before.hits, 64u);
+  EXPECT_EQ(after.run_flushes - before.run_flushes, 1u);
+  EXPECT_EQ(after.batched_refs - before.batched_refs, 64u);
+
+  // A change of kind on the same page starts a new run.
+  m.StoreWord(*t, 0, va, 5);
+  EXPECT_EQ(m.tlb_stats().hits, after.hits + 1);
+  EXPECT_EQ(m.tlb_stats().run_flushes, after.run_flushes + 1);
+}
+
+TEST(TlbRuns, AlternatingPagesCountOneRunPerHit) {
+  Machine m(SmallMachine());
+  Task* t = m.CreateTask("t");
+  VirtAddr a = t->MapAnonymous("pages", 2 * m.page_size());
+  VirtAddr b = a + m.page_size();
+  (void)m.LoadWord(*t, 0, a);
+  (void)m.LoadWord(*t, 0, b);
+
+  const TlbStats before = m.tlb_stats();
+  for (int i = 0; i < 64; ++i) {
+    (void)m.LoadWord(*t, 0, i % 2 == 0 ? a : b);
+  }
+  const TlbStats after = m.tlb_stats();
+  EXPECT_EQ(after.hits - before.hits, 64u);
+  EXPECT_EQ(after.run_flushes - before.run_flushes, 64u);
+}
+
+TEST(TlbRuns, BatchedRefsEqualHits) {
+  Machine m(SmallMachine());
+  Task* t = m.CreateTask("t");
+  VirtAddr region = t->MapAnonymous("pages", 4 * m.page_size());
+  for (int i = 0; i < 256; ++i) {
+    const ProcId proc = static_cast<ProcId>(i % 3);
+    const VirtAddr va = region + static_cast<VirtAddr>((i * 7 % 4) * m.page_size() + 4 * i);
+    if (i % 5 == 0) {
+      m.StoreWord(*t, proc, va, static_cast<std::uint32_t>(i));
+    } else {
+      (void)m.LoadWord(*t, proc, va);
+    }
+  }
+  const TlbStats s = m.tlb_stats();
+  EXPECT_GT(s.hits, 0u);
+  EXPECT_EQ(s.batched_refs, s.hits);
+  EXPECT_GT(s.run_flushes, 0u);
+  EXPECT_LE(s.run_flushes, s.hits);
+  CheckMachineInvariants(m);
 }
 
 // --- shootdown on every protocol transition -----------------------------------------

@@ -64,7 +64,8 @@ void Usage() {
       "  --no-tlb               disable the software-TLB fast path (same metrics,\n"
       "                         slower; ACE_TLB=0 in the environment does the same)\n"
       "  --tlb-stats            print the tlb counter group (hits, fills,\n"
-      "                         shootdowns, batched refs). Off by default so output\n"
+      "                         shootdowns, and same-page hit runs: run-flushes runs\n"
+      "                         covering batched-refs hits). Off by default so output\n"
       "                         stays byte-comparable across --no-tlb\n"
       "  --optimal              print the optimal-placement comparison\n"
       "  --experiment           run all three placements and print the model row\n"

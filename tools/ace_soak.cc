@@ -412,9 +412,8 @@ std::string RunInProcess(const RunSpec& spec) {
     if (t.fills > t.misses) {
       return fail("tlb fills <= tlb misses", t.fills, t.misses);
     }
-  } else if (t.hits + t.misses + t.fills + t.batched_refs != 0) {
-    return fail("disabled TLB must stay cold", t.hits + t.misses + t.fills + t.batched_refs,
-                0);
+  } else if (t.hits + t.misses + t.fills != 0) {
+    return fail("disabled TLB must stay cold", t.hits + t.misses + t.fills, 0);
   }
   if (spec.plan.empty()) {
     std::uint64_t degraded = s.degraded_global_fallbacks + s.degraded_copy_failures +
