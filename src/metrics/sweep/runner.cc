@@ -41,6 +41,19 @@ void AppendRunCounters(const char* prefix, const PlacementRun& run,
                        static_cast<double>(s.local_alloc_failures));
 }
 
+// Every counter of `group` under its live key: the move-limit leg unprefixed, then
+// the all-global leg prefixed "g_".
+void AppendCounterGroup(CounterGroup group, const MachineStats& numa,
+                        const MachineStats& global,
+                        std::vector<std::pair<std::string, double>>& metrics) {
+  for (const MachineCounter& c : group) {
+    metrics.emplace_back(c.key, static_cast<double>(numa.*c.member));
+  }
+  for (const MachineCounter& c : group) {
+    metrics.emplace_back(std::string("g_") + c.key, static_cast<double>(global.*c.member));
+  }
+}
+
 // Equality of two placement runs: the differential guarantee that the software-TLB
 // fast path changed nothing observable. Compares the virtual times, measured alpha
 // and every MachineStats counter, the full per-processor reference matrix included.
@@ -183,14 +196,7 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
     // chaos-free cell JSON (and its committed baselines) is byte-identical to
     // before chaos existed.
     if (!options.fault_plan.chaos.empty()) {
-      result.metrics.emplace_back("chaos_events",
-                                  static_cast<double>(numa.stats.chaos_events));
-      result.metrics.emplace_back("evacuated_pages",
-                                  static_cast<double>(numa.stats.evacuated_pages));
-      result.metrics.emplace_back("g_chaos_events",
-                                  static_cast<double>(global.stats.chaos_events));
-      result.metrics.emplace_back("g_evacuated_pages",
-                                  static_cast<double>(global.stats.evacuated_pages));
+      AppendCounterGroup(kChaosCounters, numa.stats, global.stats, result.metrics);
     }
     // Recovery accounting, emitted only when the plan carries a *permanent* failure
     // (kill-node / corrupt-page) — only then is the replica manager armed — so
@@ -198,20 +204,7 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
     // in a committed baseline is the no-undetected-loss contract: a nonzero drift
     // means an owned page died without a mirror or journal to restore it from.
     if (options.fault_plan.has_durable_chaos()) {
-      auto durability = [&result](const char* prefix, const MachineStats& s) {
-        std::string p = prefix;
-        result.metrics.emplace_back(p + "replicated_pages",
-                                    static_cast<double>(s.replicated_pages));
-        result.metrics.emplace_back(p + "journal_bytes",
-                                    static_cast<double>(s.journal_bytes));
-        result.metrics.emplace_back(p + "recovered_pages",
-                                    static_cast<double>(s.recovered_pages));
-        result.metrics.emplace_back(p + "lost_pages", static_cast<double>(s.lost_pages));
-        result.metrics.emplace_back(p + "checksum_failures",
-                                    static_cast<double>(s.checksum_failures));
-      };
-      durability("", numa.stats);
-      durability("g_", global.stats);
+      AppendCounterGroup(kDurabilityCounters, numa.stats, global.stats, result.metrics);
     }
     return result;
   }

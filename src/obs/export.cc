@@ -95,12 +95,11 @@ void WriteJsonl(const ExportContext& ctx, std::ostream& os) {
   if (ctx.stats != nullptr) {
     for (ProcId p = 0; p < ctx.num_processors; ++p) {
       const ProcRefCounts& c = ctx.stats->refs[static_cast<std::size_t>(p)];
-      os << Sprintf("{\"type\":\"proc\",\"proc\":%d,\"fetch_local\":%llu,"
-                    "\"fetch_global\":%llu,\"fetch_remote\":%llu,\"store_local\":%llu,"
-                    "\"store_global\":%llu,\"store_remote\":%llu}\n",
-                    p, (unsigned long long)c.fetch_local, (unsigned long long)c.fetch_global,
-                    (unsigned long long)c.fetch_remote, (unsigned long long)c.store_local,
-                    (unsigned long long)c.store_global, (unsigned long long)c.store_remote);
+      os << "{\"type\":\"proc\",\"proc\":" << p;
+      for (const auto& r : kRefClasses) {
+        os << ",\"" << r.key << "\":" << c.*r.member;
+      }
+      os << "}\n";
     }
   }
   if (ctx.heat != nullptr) {
@@ -169,7 +168,7 @@ void WriteHeatCsv(const HeatProfile& heat, std::ostream& os) {
         lp, StateTag(h.state), (unsigned long long)h.Total(),
         (unsigned long long)h.LocalTotal(), (unsigned long long)h.GlobalTotal(),
         (unsigned long long)h.RemoteTotal(),
-        h.Total() == 0 ? 1.0 : static_cast<double>(h.LocalTotal()) / h.Total(),
+        h.LocalFraction(),
         h.Count(TraceEventType::kPageFault), h.Count(TraceEventType::kZeroFill),
         h.Count(TraceEventType::kReplicate), h.Count(TraceEventType::kMigrate),
         h.Count(TraceEventType::kSync), h.Count(TraceEventType::kFlush),
@@ -202,9 +201,7 @@ std::string RenderHotPages(const HeatProfile& heat, std::size_t top_n) {
     }
     out += Sprintf("%6u %5s %10llu %6.1f%% %10llu %9llu %6u %6u %6u %6u %5u %6d\n", lp,
                    StateTag(h.state), (unsigned long long)h.Total(),
-                   100.0 * (h.Total() == 0
-                                ? 1.0
-                                : static_cast<double>(h.LocalTotal()) / h.Total()),
+                   100.0 * h.LocalFraction(),
                    (unsigned long long)h.GlobalTotal(), (unsigned long long)h.RemoteTotal(),
                    h.Count(TraceEventType::kMigrate), h.Count(TraceEventType::kReplicate),
                    h.Count(TraceEventType::kSync), h.Count(TraceEventType::kFlush),
@@ -217,10 +214,9 @@ std::string RenderLocality(const MachineStats& stats, int num_processors) {
   std::string out = Sprintf("per-processor locality breakdown\n%6s %12s %12s %7s %12s %12s\n",
                             "proc", "total", "local", "local%", "global", "remote");
   auto row = [&](const char* label, const ProcRefCounts& c) {
-    double frac = c.Total() == 0 ? 1.0 : static_cast<double>(c.LocalTotal()) / c.Total();
     out += Sprintf("%6s %12llu %12llu %6.1f%% %12llu %12llu\n", label,
                    (unsigned long long)c.Total(), (unsigned long long)c.LocalTotal(),
-                   100.0 * frac, (unsigned long long)c.GlobalTotal(),
+                   100.0 * c.LocalFraction(), (unsigned long long)c.GlobalTotal(),
                    (unsigned long long)c.RemoteTotal());
   };
   for (ProcId p = 0; p < num_processors; ++p) {

@@ -4,27 +4,6 @@
 
 namespace ace {
 
-double HeatProfile::AggregateAlpha() const {
-  std::uint64_t local = 0;
-  std::uint64_t total = 0;
-  for (const PageHeat& h : pages_) {
-    local += h.LocalTotal();
-    total += h.Total();
-  }
-  if (total == 0) {
-    return 1.0;
-  }
-  return static_cast<double>(local) / static_cast<double>(total);
-}
-
-std::uint64_t HeatProfile::TotalRefs() const {
-  std::uint64_t total = 0;
-  for (const PageHeat& h : pages_) {
-    total += h.Total();
-  }
-  return total;
-}
-
 std::vector<LogicalPage> HeatProfile::TopPages(std::size_t n) const {
   std::vector<LogicalPage> referenced;
   for (LogicalPage lp = 0; lp < pages_.size(); ++lp) {

@@ -24,18 +24,13 @@
 #include "src/numa/page_state.h"
 #include "src/numa/policy.h"
 #include "src/obs/trace_event.h"
+#include "src/sim/stats.h"
 
 namespace ace {
 
-struct PageHeat {
-  // Reference counts by memory class served, fetch+store merged per class.
-  std::uint64_t fetch_local = 0;
-  std::uint64_t fetch_global = 0;
-  std::uint64_t fetch_remote = 0;
-  std::uint64_t store_local = 0;
-  std::uint64_t store_global = 0;
-  std::uint64_t store_remote = 0;
-
+// References to one page by memory class served (the inherited ProcRefCounts
+// fields and totals), plus who touched it and its protocol history.
+struct PageHeat : ProcRefCounts {
   // Total references by each processor (any class) — "who touches this page".
   std::array<std::uint64_t, kMaxProcessors> refs_by_proc{};
 
@@ -49,10 +44,6 @@ struct PageHeat {
   PageState state = PageState::kReadOnly;
   TimeNs state_since = 0;
 
-  std::uint64_t LocalTotal() const { return fetch_local + store_local; }
-  std::uint64_t GlobalTotal() const { return fetch_global + store_global; }
-  std::uint64_t RemoteTotal() const { return fetch_remote + store_remote; }
-  std::uint64_t Total() const { return LocalTotal() + GlobalTotal() + RemoteTotal(); }
   // The hot-page ranking key: traffic that crossed the IPC bus.
   std::uint64_t OffNodeTotal() const { return GlobalTotal() + RemoteTotal(); }
 
@@ -71,17 +62,7 @@ class HeatProfile {
 
   void RecordRef(LogicalPage lp, ProcId proc, MemoryClass cls, AccessKind kind) {
     PageHeat& h = pages_[lp];
-    switch (cls) {
-      case MemoryClass::kLocal:
-        (kind == AccessKind::kFetch ? h.fetch_local : h.store_local)++;
-        break;
-      case MemoryClass::kGlobal:
-        (kind == AccessKind::kFetch ? h.fetch_global : h.store_global)++;
-        break;
-      case MemoryClass::kRemote:
-        (kind == AccessKind::kFetch ? h.fetch_remote : h.store_remote)++;
-        break;
-    }
+    h.Record(cls, kind);
     h.refs_by_proc[static_cast<std::size_t>(proc)]++;
   }
 
@@ -125,13 +106,12 @@ class HeatProfile {
   }
 
   // Aggregate locality fraction over all recorded references — the heat-profile
-  // analogue of MachineStats::MeasuredAlpha() (eq. 4). 1.0 when nothing was recorded,
-  // matching MeasuredAlpha's convention.
-  double AggregateAlpha() const;
+  // analogue of MachineStats::MeasuredAlpha() (eq. 4), same formula and convention.
+  double AggregateAlpha() const { return Totals().LocalFraction(); }
 
   // Total references recorded across all pages (cross-check against
   // MachineStats::TotalRefs().Total()).
-  std::uint64_t TotalRefs() const;
+  std::uint64_t TotalRefs() const { return Totals().Total(); }
 
   // Pages ranked by off-node (remote+global) traffic, hottest first; ties broken by
   // total references, then by page number. Pages with no references are omitted.
@@ -147,6 +127,15 @@ class HeatProfile {
   }
 
  private:
+  // References by class summed over every page.
+  ProcRefCounts Totals() const {
+    ProcRefCounts t;
+    for (const PageHeat& h : pages_) {
+      t += h;
+    }
+    return t;
+  }
+
   int num_processors_;
   std::vector<PageHeat> pages_;
   std::array<std::uint64_t, 3> decisions_{};  // indexed by Placement

@@ -4,6 +4,8 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "src/obs/snapshot.h"
+
 namespace ace {
 
 namespace {
@@ -26,12 +28,13 @@ double Pct(std::uint64_t part, std::uint64_t whole) {
 }
 
 std::uint64_t RefTotal(const std::array<std::uint64_t, kNumLiveCounters>& c) {
-  return c[kLcFetchLocal] + c[kLcFetchGlobal] + c[kLcFetchRemote] + c[kLcStoreLocal] +
-         c[kLcStoreGlobal] + c[kLcStoreRemote];
+#define ACE_REF_LC(field, key) +c[kLc_##field]
+  return 0 ACE_REF_CLASSES(ACE_REF_LC);
+#undef ACE_REF_LC
 }
 
 std::uint64_t RefLocal(const std::array<std::uint64_t, kNumLiveCounters>& c) {
-  return c[kLcFetchLocal] + c[kLcStoreLocal];
+  return c[kLc_fetch_local] + c[kLc_store_local];
 }
 
 }  // namespace
@@ -190,14 +193,14 @@ std::string RenderLiveFrame(const LiveFeedState& s, LiveView view, std::size_t t
   const std::uint64_t int_refs = RefTotal(s.last);
   const std::uint64_t cum_refs = RefTotal(s.totals);
   const double int_ms = static_cast<double>(s.last_dur_ns) / 1e6;
-  const std::uint64_t tlb_probes = s.totals[kLcTlbHits] + s.totals[kLcTlbMisses];
+  const std::uint64_t tlb_probes = s.totals[kLc_tlb_hits] + s.totals[kLc_tlb_misses];
   Appendf(&out,
           "refs %llu (%.1f%% local)  interval %llu (%.1f%% local, %.0f/ms)  "
           "tlb-hit %.1f%%  trace-drops %llu\n\n",
           (unsigned long long)cum_refs, Pct(RefLocal(s.totals), cum_refs),
           (unsigned long long)int_refs, Pct(RefLocal(s.last), int_refs),
           int_ms > 0 ? static_cast<double>(int_refs) / int_ms : 0.0,
-          Pct(s.totals[kLcTlbHits], tlb_probes),
+          Pct(s.totals[kLc_tlb_hits], tlb_probes),
           (unsigned long long)s.trace_dropped_total);
 
   switch (view) {
@@ -226,9 +229,9 @@ std::string RenderLiveFrame(const LiveFeedState& s, LiveView view, std::size_t t
         LiveCounter c;
       };
       static const Row kRows[] = {
-          {"fetch loc", kLcFetchLocal}, {"fetch glo", kLcFetchGlobal},
-          {"fetch rem", kLcFetchRemote}, {"store loc", kLcStoreLocal},
-          {"store glo", kLcStoreGlobal}, {"store rem", kLcStoreRemote},
+          {"fetch loc", kLc_fetch_local}, {"fetch glo", kLc_fetch_global},
+          {"fetch rem", kLc_fetch_remote}, {"store loc", kLc_store_local},
+          {"store glo", kLc_store_global}, {"store rem", kLc_store_remote},
       };
       for (const Row& r : kRows) {
         Appendf(&out, "%10s %14llu %8.1f%% %14llu %8.1f%%\n", r.name,
@@ -252,7 +255,7 @@ std::string RenderLiveFrame(const LiveFeedState& s, LiveView view, std::size_t t
         const std::uint64_t int_p = l[0] + l[1] + l[2] + l[3] + l[4] + l[5];
         // dead_nodes accumulates the kill-node bitmask (bits only ever set, so the
         // per-interval deltas telescope to the current mask).
-        const bool down = p < 64 && ((s.totals[kLcDeadNodes] >> p) & 1u) != 0;
+        const bool down = p < 64 && ((s.totals[kLc_dead_nodes] >> p) & 1u) != 0;
         Appendf(&out, "%5zu %12llu %12llu %12llu %9llu %8.1f%%%s\n", p,
                 (unsigned long long)local, (unsigned long long)global,
                 (unsigned long long)remote, (unsigned long long)int_p,
@@ -264,60 +267,54 @@ std::string RenderLiveFrame(const LiveFeedState& s, LiveView view, std::size_t t
       out += "policy decisions and protocol activity\n";
       Appendf(&out, "  decisions: local=%llu global=%llu remote-home=%llu  (interval "
               "%llu/%llu/%llu)\n",
-              (unsigned long long)s.totals[kLcDecLocal],
-              (unsigned long long)s.totals[kLcDecGlobal],
-              (unsigned long long)s.totals[kLcDecRemote],
-              (unsigned long long)s.last[kLcDecLocal],
-              (unsigned long long)s.last[kLcDecGlobal],
-              (unsigned long long)s.last[kLcDecRemote]);
-      struct Row {
-        const char* name;
-        LiveCounter c;
-      };
-      static const Row kRows[] = {
-          {"faults", kLcFaults},   {"zero-fills", kLcZeroFills}, {"copies", kLcCopies},
-          {"syncs", kLcSyncs},     {"flushes", kLcFlushes},      {"unmaps", kLcUnmaps},
-          {"moves", kLcMoves},     {"pins", kLcPins},            {"alloc-fails", kLcAllocFails},
-      };
+              (unsigned long long)s.totals[kLc_dec_local],
+              (unsigned long long)s.totals[kLc_dec_global],
+              (unsigned long long)s.totals[kLc_dec_remote],
+              (unsigned long long)s.last[kLc_dec_local],
+              (unsigned long long)s.last[kLc_dec_global],
+              (unsigned long long)s.last[kLc_dec_remote]);
+#define ACE_PROTOCOL_LC(field, key) kLc_##field,
+      static const LiveCounter kProtocol[] = {ACE_PROTOCOL_COUNTERS(ACE_PROTOCOL_LC)};
+#undef ACE_PROTOCOL_LC
       Appendf(&out, "%12s %14s %14s\n", "", "cumulative", "interval");
-      for (const Row& r : kRows) {
-        Appendf(&out, "%12s %14llu %14llu\n", r.name, (unsigned long long)s.totals[r.c],
-                (unsigned long long)s.last[r.c]);
+      for (LiveCounter c : kProtocol) {
+        Appendf(&out, "%12s %14llu %14llu\n", CounterLabel(LiveCounterKey(c)).c_str(),
+                (unsigned long long)s.totals[c], (unsigned long long)s.last[c]);
       }
       // Chaos and SLO outcomes (DESIGN.md section 13). All-zero on chaos-free
       // runs, so print the block only once something moved — the common case
       // keeps its familiar frame.
-      if (s.totals[kLcChaosEvents] != 0 || s.totals[kLcEvacuatedPages] != 0 ||
-          s.totals[kLcTimeouts] != 0 || s.totals[kLcRetries] != 0 ||
-          s.totals[kLcShed] != 0) {
+      if (s.totals[kLc_chaos_events] != 0 || s.totals[kLc_evacuated_pages] != 0 ||
+          s.totals[kLc_timeouts] != 0 || s.totals[kLc_retries] != 0 ||
+          s.totals[kLc_shed] != 0) {
         Appendf(&out, "  chaos: events=%llu evacuated=%llu  slo: timeouts=%llu "
                 "retries=%llu shed=%llu  (interval %llu/%llu/%llu/%llu/%llu)\n",
-                (unsigned long long)s.totals[kLcChaosEvents],
-                (unsigned long long)s.totals[kLcEvacuatedPages],
-                (unsigned long long)s.totals[kLcTimeouts],
-                (unsigned long long)s.totals[kLcRetries],
-                (unsigned long long)s.totals[kLcShed],
-                (unsigned long long)s.last[kLcChaosEvents],
-                (unsigned long long)s.last[kLcEvacuatedPages],
-                (unsigned long long)s.last[kLcTimeouts],
-                (unsigned long long)s.last[kLcRetries],
-                (unsigned long long)s.last[kLcShed]);
+                (unsigned long long)s.totals[kLc_chaos_events],
+                (unsigned long long)s.totals[kLc_evacuated_pages],
+                (unsigned long long)s.totals[kLc_timeouts],
+                (unsigned long long)s.totals[kLc_retries],
+                (unsigned long long)s.totals[kLc_shed],
+                (unsigned long long)s.last[kLc_chaos_events],
+                (unsigned long long)s.last[kLc_evacuated_pages],
+                (unsigned long long)s.last[kLc_timeouts],
+                (unsigned long long)s.last[kLc_retries],
+                (unsigned long long)s.last[kLc_shed]);
       }
       // Durability and recovery (DESIGN.md section 14). Non-zero only under a
       // permanent chaos event (kill-node / corrupt-page), so chaos-free frames —
       // and transient-chaos frames — are byte-identical to before.
-      if (s.totals[kLcReplicatedPages] != 0 || s.totals[kLcJournalBytes] != 0 ||
-          s.totals[kLcRecoveredPages] != 0 || s.totals[kLcLostPages] != 0 ||
-          s.totals[kLcChecksumFailures] != 0 || s.totals[kLcDeadNodes] != 0) {
+      if (s.totals[kLc_replicated_pages] != 0 || s.totals[kLc_journal_bytes] != 0 ||
+          s.totals[kLc_recovered_pages] != 0 || s.totals[kLc_lost_pages] != 0 ||
+          s.totals[kLc_checksum_failures] != 0 || s.totals[kLc_dead_nodes] != 0) {
         Appendf(&out,
                 "  recovery: replicated=%llu journal=%llu B recovered=%llu "
                 "lost=%llu checksum-fails=%llu dead-nodes=0x%llx\n",
-                (unsigned long long)s.totals[kLcReplicatedPages],
-                (unsigned long long)s.totals[kLcJournalBytes],
-                (unsigned long long)s.totals[kLcRecoveredPages],
-                (unsigned long long)s.totals[kLcLostPages],
-                (unsigned long long)s.totals[kLcChecksumFailures],
-                (unsigned long long)s.totals[kLcDeadNodes]);
+                (unsigned long long)s.totals[kLc_replicated_pages],
+                (unsigned long long)s.totals[kLc_journal_bytes],
+                (unsigned long long)s.totals[kLc_recovered_pages],
+                (unsigned long long)s.totals[kLc_lost_pages],
+                (unsigned long long)s.totals[kLc_checksum_failures],
+                (unsigned long long)s.totals[kLc_dead_nodes]);
       }
       break;
     }

@@ -9,24 +9,8 @@
 namespace ace {
 
 const char* LiveCounterKey(int counter) {
-  static const char* const kKeys[kNumLiveCounters] = {
-      "fetch_local",       "fetch_global",      "fetch_remote",
-      "store_local",       "store_global",      "store_remote",
-      "faults",            "zero_fills",        "copies",
-      "syncs",             "flushes",           "unmaps",
-      "moves",             "pins",              "alloc_fails",
-      "deg_fallbacks",     "deg_copy_fails",    "deg_pool_retries",
-      "deg_oom_faults",    "tlb_hits",          "tlb_misses",
-      "dec_local",         "dec_global",        "dec_remote",
-      "trace_emitted",     "trace_dropped",     "user_ns",
-      "system_ns",         "requests",          "req_lat_ns",
-      "chaos_events",      "evacuated_pages",   "timeouts",
-      "retries",           "shed",              "replicated_pages",
-      "journal_bytes",     "recovered_pages",   "lost_pages",
-      "checksum_failures", "dead_nodes",
-  };
   ACE_CHECK(counter >= 0 && counter < kNumLiveCounters);
-  return kKeys[counter];
+  return kLiveCounterKeys[counter];
 }
 
 bool LiveStreamWriter::Open(const std::string& path, bool append) {

@@ -12,8 +12,9 @@
 // Sample records carry field-wise counter deltas over the interval; the summary
 // carries the same counter keys as end-of-run cumulative totals, so a validator can
 // check sum-of-deltas == summary exactly (tests/live_sampler_test.cc does). The
-// counter vocabulary is the flat LiveCounter enum below — shared by the sampler
-// (writer side) and tools/ace_top's feed reader (src/obs/live_feed.h).
+// counter vocabulary is ACE_LIVE_COUNTERS below, built from the counter registry —
+// shared by the sampler (writer side) and tools/ace_top's feed reader
+// (src/obs/live_feed.h).
 //
 // Durability follows the soak journal's discipline (tools/ace_soak.cc,
 // DESIGN.md section 9): every record is fflushed as one line, the summary is
@@ -26,73 +27,56 @@
 #include <cstdio>
 #include <string>
 
+#include "src/sim/stats.h"
+
 namespace ace {
 
 inline constexpr const char* kLiveFeedFormat = "ace-live-v1";
 inline constexpr int kLiveFeedVersion = 1;
 
-// Flat counter vocabulary of sample (delta) and summary (cumulative) records. Every
-// counter is monotone over a run, so sample fields are non-negative by construction
-// — the validator enforces it.
+// The counter vocabulary of sample (delta) and summary (cumulative) records, in
+// feed order. The machine rows are the registry's groups (src/sim/stats.h) under
+// their live keys; each SAMPLE(key, expr) row is a counter MachineStats does not
+// keep, read as `sample.expr` from a LiveSample (src/obs/sampler.h documents each).
+// Every counter is monotone over a run, so sample fields are non-negative by
+// construction — the validator enforces it. The key order is the wire format;
+// tests/counter_registry_test.cc pins it, so a change to it is deliberate.
+#define ACE_LIVE_COUNTERS(REF, STAT, SAMPLE) \
+  ACE_REF_CLASSES(REF)                       \
+  ACE_PROTOCOL_COUNTERS(STAT)                \
+  ACE_DEGRADED_COUNTERS(STAT)                \
+  SAMPLE(tlb_hits, TlbHits())                \
+  SAMPLE(tlb_misses, TlbMisses())            \
+  SAMPLE(dec_local, decisions[0])            \
+  SAMPLE(dec_global, decisions[1])           \
+  SAMPLE(dec_remote, decisions[2])           \
+  SAMPLE(trace_emitted, trace_emitted)       \
+  SAMPLE(trace_dropped, trace_dropped)       \
+  SAMPLE(user_ns, user_ns)                   \
+  SAMPLE(system_ns, system_ns)               \
+  SAMPLE(requests, app_requests)             \
+  SAMPLE(req_lat_ns, app_req_lat_ns)         \
+  ACE_CHAOS_COUNTERS(STAT)                   \
+  SAMPLE(timeouts, app_timeouts)             \
+  SAMPLE(retries, app_retries)               \
+  SAMPLE(shed, app_shed)                     \
+  ACE_DURABILITY_COUNTERS(STAT)              \
+  SAMPLE(dead_nodes, dead_nodes)
+
+// One enumerator per row: kLc_<field> for machine rows, kLc_<key> for sample rows.
+#define ACE_LIVE_ENUM(name, ...) kLc_##name,
 enum LiveCounter {
-  kLcFetchLocal = 0,
-  kLcFetchGlobal,
-  kLcFetchRemote,
-  kLcStoreLocal,
-  kLcStoreGlobal,
-  kLcStoreRemote,
-  kLcFaults,
-  kLcZeroFills,
-  kLcCopies,
-  kLcSyncs,
-  kLcFlushes,
-  kLcUnmaps,
-  kLcMoves,
-  kLcPins,
-  kLcAllocFails,
-  kLcDegFallbacks,
-  kLcDegCopyFails,
-  kLcDegPoolRetries,
-  kLcDegOomFaults,
-  kLcTlbHits,
-  kLcTlbMisses,
-  kLcDecLocal,
-  kLcDecGlobal,
-  kLcDecRemote,
-  kLcTraceEmitted,
-  kLcTraceDropped,
-  kLcUserNs,
-  kLcSystemNs,
-  // Application-level serving counters (Machine::RecordAppRequest): completed
-  // requests and the running sum of their virtual-time latencies. Zero for apps
-  // that never record requests. Cumulative latency (not a percentile) keeps the
-  // vocabulary monotone, as the validator requires; a reader derives mean latency
-  // per interval as req_lat_ns / requests.
-  kLcRequests,
-  kLcReqLatNs,
-  // Chaos and graceful-degradation counters (DESIGN.md section 13): chaos
-  // transitions applied, pages evacuated off draining nodes, and the serving app's
-  // SLO outcomes (deadline misses, retries, shed requests). All exactly zero on
-  // chaos-free runs.
-  kLcChaosEvents,
-  kLcEvacuatedPages,
-  kLcTimeouts,
-  kLcRetries,
-  kLcShed,
-  // Durability and recovery counters (DESIGN.md section 14): owned pages that
-  // opened a dirty-page journal, bytes mirrored off-node, pages reconstructed after
-  // a kill-node or checksum-detected corruption, pages written off as lost,
-  // checksum verification failures, and the dead-node bitmask (bit p = processor p
-  // lost to kill-node; monotone — bits only ever set). All exactly zero unless the
-  // plan carries a permanent chaos event.
-  kLcReplicatedPages,
-  kLcJournalBytes,
-  kLcRecoveredPages,
-  kLcLostPages,
-  kLcChecksumFailures,
-  kLcDeadNodes,
+  ACE_LIVE_COUNTERS(ACE_LIVE_ENUM, ACE_LIVE_ENUM, ACE_LIVE_ENUM)
   kNumLiveCounters,
 };
+#undef ACE_LIVE_ENUM
+
+#define ACE_LIVE_KEY(field, key) key,
+#define ACE_LIVE_SAMPLE_KEY(key, expr) #key,
+inline constexpr const char* kLiveCounterKeys[kNumLiveCounters] = {
+    ACE_LIVE_COUNTERS(ACE_LIVE_KEY, ACE_LIVE_KEY, ACE_LIVE_SAMPLE_KEY)};
+#undef ACE_LIVE_KEY
+#undef ACE_LIVE_SAMPLE_KEY
 
 // JSON key for each LiveCounter, stable across the format version.
 const char* LiveCounterKey(int counter);

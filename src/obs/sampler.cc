@@ -49,47 +49,13 @@ std::uint64_t LiveSample::TlbMisses() const {
 
 void FlattenLiveCounters(const LiveSample& s, std::uint64_t out[kNumLiveCounters]) {
   const ProcRefCounts t = s.stats.TotalRefs();
-  out[kLcFetchLocal] = t.fetch_local;
-  out[kLcFetchGlobal] = t.fetch_global;
-  out[kLcFetchRemote] = t.fetch_remote;
-  out[kLcStoreLocal] = t.store_local;
-  out[kLcStoreGlobal] = t.store_global;
-  out[kLcStoreRemote] = t.store_remote;
-  out[kLcFaults] = s.stats.page_faults;
-  out[kLcZeroFills] = s.stats.zero_fills;
-  out[kLcCopies] = s.stats.page_copies;
-  out[kLcSyncs] = s.stats.page_syncs;
-  out[kLcFlushes] = s.stats.page_flushes;
-  out[kLcUnmaps] = s.stats.page_unmaps;
-  out[kLcMoves] = s.stats.ownership_moves;
-  out[kLcPins] = s.stats.pages_pinned;
-  out[kLcAllocFails] = s.stats.local_alloc_failures;
-  out[kLcDegFallbacks] = s.stats.degraded_global_fallbacks;
-  out[kLcDegCopyFails] = s.stats.degraded_copy_failures;
-  out[kLcDegPoolRetries] = s.stats.degraded_pool_retries;
-  out[kLcDegOomFaults] = s.stats.degraded_oom_faults;
-  out[kLcTlbHits] = s.TlbHits();
-  out[kLcTlbMisses] = s.TlbMisses();
-  out[kLcDecLocal] = s.decisions[0];
-  out[kLcDecGlobal] = s.decisions[1];
-  out[kLcDecRemote] = s.decisions[2];
-  out[kLcTraceEmitted] = s.trace_emitted;
-  out[kLcTraceDropped] = s.trace_dropped;
-  out[kLcUserNs] = static_cast<std::uint64_t>(s.user_ns);
-  out[kLcSystemNs] = static_cast<std::uint64_t>(s.system_ns);
-  out[kLcRequests] = s.app_requests;
-  out[kLcReqLatNs] = s.app_req_lat_ns;
-  out[kLcChaosEvents] = s.stats.chaos_events;
-  out[kLcEvacuatedPages] = s.stats.evacuated_pages;
-  out[kLcTimeouts] = s.app_timeouts;
-  out[kLcRetries] = s.app_retries;
-  out[kLcShed] = s.app_shed;
-  out[kLcReplicatedPages] = s.stats.replicated_pages;
-  out[kLcJournalBytes] = s.stats.journal_bytes;
-  out[kLcRecoveredPages] = s.stats.recovered_pages;
-  out[kLcLostPages] = s.stats.lost_pages;
-  out[kLcChecksumFailures] = s.stats.checksum_failures;
-  out[kLcDeadNodes] = s.dead_nodes;
+#define ACE_FLATTEN_REF(field, key) out[kLc_##field] = t.field;
+#define ACE_FLATTEN_STAT(field, key) out[kLc_##field] = s.stats.field;
+#define ACE_FLATTEN_SAMPLE(key, expr) out[kLc_##key] = static_cast<std::uint64_t>(s.expr);
+  ACE_LIVE_COUNTERS(ACE_FLATTEN_REF, ACE_FLATTEN_STAT, ACE_FLATTEN_SAMPLE)
+#undef ACE_FLATTEN_REF
+#undef ACE_FLATTEN_STAT
+#undef ACE_FLATTEN_SAMPLE
 }
 
 void LiveSampler::BeginRun(LiveRunMeta meta) {
@@ -186,17 +152,11 @@ void LiveSampler::EmitSample(TimeNs ts, bool force) {
           i < prev_.tlb_misses_by_proc.size() ? prev_.tlb_misses_by_proc[i] : 0;
       std::uint64_t ch = i < cur.tlb_hits_by_proc.size() ? cur.tlb_hits_by_proc[i] : 0;
       std::uint64_t cm = i < cur.tlb_misses_by_proc.size() ? cur.tlb_misses_by_proc[i] : 0;
-      char buf[192];
-      std::snprintf(buf, sizeof buf, "%s[%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu]",
-                    p == 0 ? "" : ",",
-                    (unsigned long long)(b.fetch_local - a.fetch_local),
-                    (unsigned long long)(b.fetch_global - a.fetch_global),
-                    (unsigned long long)(b.fetch_remote - a.fetch_remote),
-                    (unsigned long long)(b.store_local - a.store_local),
-                    (unsigned long long)(b.store_global - a.store_global),
-                    (unsigned long long)(b.store_remote - a.store_remote),
-                    (unsigned long long)(ch - ph), (unsigned long long)(cm - pm));
-      line += buf;
+      line += p == 0 ? "[" : ",[";
+      for (const auto& r : kRefClasses) {
+        line += std::to_string(b.*r.member - a.*r.member) + ",";
+      }
+      line += std::to_string(ch - ph) + "," + std::to_string(cm - pm) + "]";
     }
     line += "]";
 

@@ -59,7 +59,8 @@ struct LiveSample {
   bool have_heat = false;
   std::vector<std::array<std::uint64_t, 4>> page_refs;
   // Application-level serving counters (Machine::RecordAppRequest); zeros when
-  // the running app records no requests.
+  // the running app records no requests. The latency is a running sum, not a
+  // percentile, so it stays monotone in the feed (mean = req_lat_ns / requests).
   std::uint64_t app_requests = 0;
   std::uint64_t app_req_lat_ns = 0;
   // SLO outcome counters under chaos (Machine::RecordAppTimeout/Retry/Shed);

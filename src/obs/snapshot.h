@@ -1,4 +1,6 @@
-// Counter snapshot/diff: field-wise deltas of MachineStats between two points.
+// Counter snapshot/diff: field-wise deltas of MachineStats between two points, the
+// mismatch text and the one-line formatters, all loops over the counter registry
+// (src/sim/stats.h).
 //
 // Used by the golden-counter tests (tests/golden_counters_test.cc) to assert exactly
 // which counters each NUMA-manager operation increments, by the overhead guardrail
@@ -8,6 +10,7 @@
 #ifndef SRC_OBS_SNAPSHOT_H_
 #define SRC_OBS_SNAPSHOT_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -15,57 +18,62 @@
 
 namespace ace {
 
-// Field-wise `after - before` over every MachineStats counter. Counters are monotone,
-// so the result is well defined whenever `before` was captured earlier on the same
-// machine. tests/obs_test.cc pins the struct's size, so a new counter fails to
-// compile there until it is added here.
+// Field-wise `after - before` over every registered counter, the reference matrix
+// included. Counters are monotone, so the result is well defined whenever `before`
+// was captured earlier on the same machine.
 inline MachineStats DiffStats(const MachineStats& before, const MachineStats& after) {
   MachineStats d;
   for (std::size_t p = 0; p < d.refs.size(); ++p) {
-    d.refs[p].fetch_local = after.refs[p].fetch_local - before.refs[p].fetch_local;
-    d.refs[p].fetch_global = after.refs[p].fetch_global - before.refs[p].fetch_global;
-    d.refs[p].fetch_remote = after.refs[p].fetch_remote - before.refs[p].fetch_remote;
-    d.refs[p].store_local = after.refs[p].store_local - before.refs[p].store_local;
-    d.refs[p].store_global = after.refs[p].store_global - before.refs[p].store_global;
-    d.refs[p].store_remote = after.refs[p].store_remote - before.refs[p].store_remote;
+    for (const auto& r : kRefClasses) {
+      d.refs[p].*r.member = after.refs[p].*r.member - before.refs[p].*r.member;
+    }
   }
-  d.page_faults = after.page_faults - before.page_faults;
-  d.zero_fills = after.zero_fills - before.zero_fills;
-  d.page_copies = after.page_copies - before.page_copies;
-  d.page_syncs = after.page_syncs - before.page_syncs;
-  d.page_flushes = after.page_flushes - before.page_flushes;
-  d.page_unmaps = after.page_unmaps - before.page_unmaps;
-  d.ownership_moves = after.ownership_moves - before.ownership_moves;
-  d.pages_pinned = after.pages_pinned - before.pages_pinned;
-  d.local_alloc_failures = after.local_alloc_failures - before.local_alloc_failures;
-  d.degraded_global_fallbacks =
-      after.degraded_global_fallbacks - before.degraded_global_fallbacks;
-  d.degraded_copy_failures = after.degraded_copy_failures - before.degraded_copy_failures;
-  d.degraded_pool_retries = after.degraded_pool_retries - before.degraded_pool_retries;
-  d.degraded_oom_faults = after.degraded_oom_faults - before.degraded_oom_faults;
-  d.chaos_events = after.chaos_events - before.chaos_events;
-  d.evacuated_pages = after.evacuated_pages - before.evacuated_pages;
-  d.replicated_pages = after.replicated_pages - before.replicated_pages;
-  d.journal_bytes = after.journal_bytes - before.journal_bytes;
-  d.recovered_pages = after.recovered_pages - before.recovered_pages;
-  d.lost_pages = after.lost_pages - before.lost_pages;
-  d.checksum_failures = after.checksum_failures - before.checksum_failures;
+  for (const MachineCounter& c : kMachineCounters) {
+    d.*c.member = after.*c.member - before.*c.member;
+  }
   return d;
 }
 
-// One-line summary of the protocol counters ("faults=3 copies=2 ..."), used in CI
-// logs so a sweep's activity is visible at a glance.
+// Every registered counter on which `a` and `b` differ, named: the reference matrix
+// first, then the scalar counters, both in declaration order ("proc 2 fetch_local
+// 5 vs 6; page_faults 1 vs 2; "). Empty when a == b. Labels a failed equality check.
+inline std::string DescribeStatsMismatch(const MachineStats& a, const MachineStats& b) {
+  std::string out;
+  auto note = [&out](const std::string& name, std::uint64_t x, std::uint64_t y) {
+    if (x != y) {
+      out += name + " " + std::to_string(x) + " vs " + std::to_string(y) + "; ";
+    }
+  };
+  for (std::size_t p = 0; p < a.refs.size(); ++p) {
+    for (const auto& r : kRefClasses) {
+      note("proc " + std::to_string(p) + " " + r.field, a.refs[p].*r.member,
+           b.refs[p].*r.member);
+    }
+  }
+  for (const MachineCounter& c : kMachineCounters) {
+    note(c.field, a.*c.member, b.*c.member);
+  }
+  return out;
+}
+
+// Display label of a counter: its live key with '-' for '_' ("zero-fills").
+inline std::string CounterLabel(const char* key) {
+  std::string label = key;
+  std::replace(label.begin(), label.end(), '_', '-');
+  return label;
+}
+
+// One-line summary of the protocol counters ("faults=3 zero-fills=1 ..."), used in
+// CI logs so a sweep's activity is visible at a glance.
 inline std::string FormatProtocolCounters(const MachineStats& s) {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "faults=%llu zero-fills=%llu copies=%llu syncs=%llu flushes=%llu "
-                "unmaps=%llu moves=%llu pins=%llu alloc-fails=%llu",
-                (unsigned long long)s.page_faults, (unsigned long long)s.zero_fills,
-                (unsigned long long)s.page_copies, (unsigned long long)s.page_syncs,
-                (unsigned long long)s.page_flushes, (unsigned long long)s.page_unmaps,
-                (unsigned long long)s.ownership_moves, (unsigned long long)s.pages_pinned,
-                (unsigned long long)s.local_alloc_failures);
-  return buf;
+  std::string out;
+  for (const MachineCounter& c : kProtocolCounters) {
+    if (!out.empty()) {
+      out += ' ';
+    }
+    out += CounterLabel(c.key) + "=" + std::to_string(s.*c.member);
+  }
+  return out;
 }
 
 // One-line summary of the software-TLB fast-path counters (machine/tlb.h), the

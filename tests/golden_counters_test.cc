@@ -27,17 +27,12 @@ void ExpectDelta(const MachineStats& d, std::uint64_t faults, std::uint64_t zero
                  std::uint64_t copies, std::uint64_t syncs, std::uint64_t flushes,
                  std::uint64_t unmaps, std::uint64_t moves, std::uint64_t pins,
                  std::uint64_t alloc_fails) {
-  EXPECT_EQ(d.degraded_global_fallbacks, 0u) << "degraded_global_fallbacks";
-  EXPECT_EQ(d.degraded_copy_failures, 0u) << "degraded_copy_failures";
-  EXPECT_EQ(d.degraded_pool_retries, 0u) << "degraded_pool_retries";
-  EXPECT_EQ(d.degraded_oom_faults, 0u) << "degraded_oom_faults";
-  EXPECT_EQ(d.chaos_events, 0u) << "chaos_events";
-  EXPECT_EQ(d.evacuated_pages, 0u) << "evacuated_pages";
-  EXPECT_EQ(d.replicated_pages, 0u) << "replicated_pages";
-  EXPECT_EQ(d.journal_bytes, 0u) << "journal_bytes";
-  EXPECT_EQ(d.recovered_pages, 0u) << "recovered_pages";
-  EXPECT_EQ(d.lost_pages, 0u) << "lost_pages";
-  EXPECT_EQ(d.checksum_failures, 0u) << "checksum_failures";
+  for (CounterGroup unarmed : {CounterGroup(kDegradedCounters), CounterGroup(kChaosCounters),
+                                CounterGroup(kDurabilityCounters)}) {
+    for (const MachineCounter& c : unarmed) {
+      EXPECT_EQ(d.*c.member, 0u) << c.field;
+    }
+  }
   EXPECT_EQ(d.page_faults, faults) << "page_faults";
   EXPECT_EQ(d.zero_fills, zero_fills) << "zero_fills";
   EXPECT_EQ(d.page_copies, copies) << "page_copies";

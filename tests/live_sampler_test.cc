@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/apps/app.h"
+#include "src/inject/fault_plan.h"
 #include "src/machine/machine.h"
 #include "src/metrics/sweep/cell.h"
 #include "src/metrics/sweep/report.h"
@@ -59,20 +60,28 @@ struct SampledRun {
 
 // One app run on a fresh machine, optionally streamed through a LiveSampler into a
 // temp feed file — the same wiring ace_run --live-out uses. `trace_capacity` > 0
-// additionally arms event tracing with a ring that small (to force drops).
+// additionally arms event tracing with a ring that small (to force drops). A
+// non-empty `plan` arms that fault plan under the serving fault tests' setup
+// (move-limit threshold 1, fault and client seed 1).
 SampledRun RunApp(const char* app_name, bool tlb, bool sampled, TimeNs interval_ns,
-                  std::size_t trace_capacity = 0) {
+                  std::size_t trace_capacity = 0, const std::string& plan = "") {
   Machine::Options mo;
   mo.config.num_processors = 4;
   mo.enable_tlb = tlb;
+  AppConfig cfg;
+  cfg.num_threads = 4;
+  cfg.scale = 0.25;
+  if (!plan.empty()) {
+    std::string error;
+    EXPECT_TRUE(FaultPlan::Parse(plan, &mo.fault_plan, &error)) << error;
+    mo.policy = PolicySpec::MoveLimit(1);
+    mo.fault_seed = 1;
+    cfg.serving.seed = 1;
+  }
   Machine machine(mo);
   if (trace_capacity > 0) {
     EXPECT_TRUE(machine.observability().EnableTracing(trace_capacity));
   }
-
-  AppConfig cfg;
-  cfg.num_threads = 4;
-  cfg.scale = 0.25;
 
   LiveStreamWriter writer;
   std::unique_ptr<LiveSampler> sampler;
@@ -133,14 +142,32 @@ LiveFeedState FoldFeed(const std::string& feed) {
 
 // --- golden sum-of-deltas ------------------------------------------------------------
 
-void GoldenSumOfDeltas(bool tlb) {
-  SampledRun run = RunApp("IMatMult", tlb, /*sampled=*/true, /*interval_ns=*/1'000'000);
-  ASSERT_TRUE(run.app.ok) << run.app.detail;
-  ASSERT_GT(run.samples, 1u) << "cadence never fired: the runtime hook is dead";
+// The summary equals the machine's actual final counters: every registered machine
+// counter under its live key, and the counters the sampler adds from elsewhere.
+void ExpectSummaryMatchesRun(const LiveFeedState& state, const SampledRun& run) {
+  const ProcRefCounts t = run.stats.TotalRefs();
+#define EXPECT_LIVE_REF(field, key) EXPECT_EQ(state.totals[kLc_##field], t.field) << key;
+#define EXPECT_LIVE_STAT(field, key) \
+  EXPECT_EQ(state.totals[kLc_##field], run.stats.field) << key;
+  ACE_REF_CLASSES(EXPECT_LIVE_REF)
+  ACE_MACHINE_COUNTERS(EXPECT_LIVE_STAT)
+#undef EXPECT_LIVE_REF
+#undef EXPECT_LIVE_STAT
+  EXPECT_EQ(state.totals[kLc_tlb_hits], run.tlb.hits);
+  EXPECT_EQ(state.totals[kLc_tlb_misses], run.tlb.misses);
+  EXPECT_EQ(state.totals[kLc_user_ns], static_cast<std::uint64_t>(run.user_ns));
+  EXPECT_EQ(state.totals[kLc_system_ns], static_cast<std::uint64_t>(run.system_ns));
+}
+
+SampledRun GoldenSumOfDeltas(const char* app_name, bool tlb, const std::string& plan = "") {
+  SampledRun run = RunApp(app_name, tlb, /*sampled=*/true, /*interval_ns=*/1'000'000,
+                          /*trace_capacity=*/0, plan);
+  EXPECT_TRUE(run.app.ok) << run.app.detail;
+  EXPECT_GT(run.samples, 1u) << "cadence never fired: the runtime hook is dead";
 
   // The validator proves per-segment sum-of-deltas == summary...
   LiveValidateResult v = ValidateLiveFeed(run.feed);
-  ASSERT_TRUE(v.ok) << v.error;
+  EXPECT_TRUE(v.ok) << v.error;
   EXPECT_EQ(v.segments, 1u);
   EXPECT_EQ(v.samples, run.samples);
   EXPECT_FALSE(v.torn_tail);
@@ -149,38 +176,19 @@ void GoldenSumOfDeltas(bool tlb) {
   // ...and this closes the loop: the summary equals the machine's actual final
   // counters, so the deltas are a lossless decomposition of the run.
   LiveFeedState state = FoldFeed(run.feed);
-  ASSERT_TRUE(state.finished);
+  EXPECT_TRUE(state.finished);
   EXPECT_EQ(state.outcome, "ok");
-  const ProcRefCounts t = run.stats.TotalRefs();
-  EXPECT_EQ(state.totals[kLcFetchLocal], t.fetch_local);
-  EXPECT_EQ(state.totals[kLcFetchGlobal], t.fetch_global);
-  EXPECT_EQ(state.totals[kLcFetchRemote], t.fetch_remote);
-  EXPECT_EQ(state.totals[kLcStoreLocal], t.store_local);
-  EXPECT_EQ(state.totals[kLcStoreGlobal], t.store_global);
-  EXPECT_EQ(state.totals[kLcStoreRemote], t.store_remote);
-  EXPECT_EQ(state.totals[kLcFaults], run.stats.page_faults);
-  EXPECT_EQ(state.totals[kLcZeroFills], run.stats.zero_fills);
-  EXPECT_EQ(state.totals[kLcCopies], run.stats.page_copies);
-  EXPECT_EQ(state.totals[kLcSyncs], run.stats.page_syncs);
-  EXPECT_EQ(state.totals[kLcFlushes], run.stats.page_flushes);
-  EXPECT_EQ(state.totals[kLcUnmaps], run.stats.page_unmaps);
-  EXPECT_EQ(state.totals[kLcMoves], run.stats.ownership_moves);
-  EXPECT_EQ(state.totals[kLcPins], run.stats.pages_pinned);
-  EXPECT_EQ(state.totals[kLcAllocFails], run.stats.local_alloc_failures);
-  EXPECT_EQ(state.totals[kLcTlbHits], run.tlb.hits);
-  EXPECT_EQ(state.totals[kLcTlbMisses], run.tlb.misses);
-  EXPECT_EQ(state.totals[kLcUserNs], static_cast<std::uint64_t>(run.user_ns));
-  EXPECT_EQ(state.totals[kLcSystemNs], static_cast<std::uint64_t>(run.system_ns));
+  ExpectSummaryMatchesRun(state, run);
   if (tlb) {
-    EXPECT_GT(state.totals[kLcTlbHits], 0u);
+    EXPECT_GT(state.totals[kLc_tlb_hits], 0u);
   } else {
-    EXPECT_EQ(state.totals[kLcTlbHits], 0u);
-    EXPECT_EQ(state.totals[kLcTlbMisses], 0u);
+    EXPECT_EQ(state.totals[kLc_tlb_hits], 0u);
+    EXPECT_EQ(state.totals[kLc_tlb_misses], 0u);
   }
   // Heat profiling rode along: policy decisions and hot-page rows made it into the
   // feed (the numatop-style views render from these).
-  EXPECT_GT(state.totals[kLcDecLocal] + state.totals[kLcDecGlobal] +
-                state.totals[kLcDecRemote],
+  EXPECT_GT(state.totals[kLc_dec_local] + state.totals[kLc_dec_global] +
+                state.totals[kLc_dec_remote],
             0u);
   EXPECT_NE(run.feed.find("\"hot\":["), std::string::npos);
 
@@ -188,10 +196,24 @@ void GoldenSumOfDeltas(bool tlb) {
   LiveValidateResult torn = ValidateLiveFeed(run.feed.substr(0, run.feed.size() - 7));
   EXPECT_TRUE(torn.ok) << torn.error;
   EXPECT_TRUE(torn.torn_tail);
+  return run;
 }
 
-TEST(LiveGolden, DeltasSumToFinalCountersWithTlb) { GoldenSumOfDeltas(true); }
-TEST(LiveGolden, DeltasSumToFinalCountersWithoutTlb) { GoldenSumOfDeltas(false); }
+TEST(LiveGolden, DeltasSumToFinalCountersWithTlb) { GoldenSumOfDeltas("IMatMult", true); }
+TEST(LiveGolden, DeltasSumToFinalCountersWithoutTlb) { GoldenSumOfDeltas("IMatMult", false); }
+
+// The serving fault tests' canonical permanent-failure plan: a corruption burst on
+// node 1, then node 2 dies. The chaos and durability keys move, so the golden
+// comparison above covers them with non-zero values.
+TEST(LiveGolden, DeltasSumToFinalCountersUnderKillNode) {
+  SampledRun run = GoldenSumOfDeltas(
+      "Serving", true, "corrupt-page@1:2000000:4000000:1000;kill-node@2:5000000");
+  EXPECT_GT(CounterGroupTotal(run.stats, kChaosCounters), 0u);
+  EXPECT_GT(run.stats.replicated_pages, 0u);
+  EXPECT_GT(run.stats.recovered_pages, 0u);
+  EXPECT_GT(run.stats.checksum_failures, 0u);
+  EXPECT_EQ(FoldFeed(run.feed).totals[kLc_dead_nodes], 1u << 2);
+}
 
 // --- determinism ---------------------------------------------------------------------
 
@@ -207,26 +229,7 @@ TEST(LiveDeterminism, SampledRunMatchesUnsampledExactly) {
   EXPECT_EQ(bare.app.detail, sampled.app.detail);
   EXPECT_EQ(bare.user_ns, sampled.user_ns);
   EXPECT_EQ(bare.system_ns, sampled.system_ns);
-  const MachineStats& x = bare.stats;
-  const MachineStats& y = sampled.stats;
-  EXPECT_EQ(x.page_faults, y.page_faults);
-  EXPECT_EQ(x.zero_fills, y.zero_fills);
-  EXPECT_EQ(x.page_copies, y.page_copies);
-  EXPECT_EQ(x.page_syncs, y.page_syncs);
-  EXPECT_EQ(x.page_flushes, y.page_flushes);
-  EXPECT_EQ(x.page_unmaps, y.page_unmaps);
-  EXPECT_EQ(x.ownership_moves, y.ownership_moves);
-  EXPECT_EQ(x.pages_pinned, y.pages_pinned);
-  EXPECT_EQ(x.local_alloc_failures, y.local_alloc_failures);
-  ASSERT_EQ(x.refs.size(), y.refs.size());
-  for (std::size_t p = 0; p < x.refs.size(); ++p) {
-    EXPECT_EQ(x.refs[p].fetch_local, y.refs[p].fetch_local) << "proc " << p;
-    EXPECT_EQ(x.refs[p].fetch_global, y.refs[p].fetch_global) << "proc " << p;
-    EXPECT_EQ(x.refs[p].fetch_remote, y.refs[p].fetch_remote) << "proc " << p;
-    EXPECT_EQ(x.refs[p].store_local, y.refs[p].store_local) << "proc " << p;
-    EXPECT_EQ(x.refs[p].store_global, y.refs[p].store_global) << "proc " << p;
-    EXPECT_EQ(x.refs[p].store_remote, y.refs[p].store_remote) << "proc " << p;
-  }
+  EXPECT_TRUE(bare.stats == sampled.stats) << DescribeStatsMismatch(bare.stats, sampled.stats);
   // TLB behavior identical too.
   EXPECT_EQ(bare.tlb.hits, sampled.tlb.hits);
   EXPECT_EQ(bare.tlb.misses, sampled.tlb.misses);
@@ -294,9 +297,9 @@ Counters OneDelta(int counter, long long value) {
 }
 
 TEST(LiveValidator, AcceptsAWellFormedSegment) {
-  std::string feed = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLcFetchLocal, 2)) +
-                     SampleLine(1, 2000, 1000, OneDelta(kLcFetchLocal, 3)) +
-                     SummaryLine(2, 2000, OneDelta(kLcFetchLocal, 5));
+  std::string feed = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLc_fetch_local, 2)) +
+                     SampleLine(1, 2000, 1000, OneDelta(kLc_fetch_local, 3)) +
+                     SummaryLine(2, 2000, OneDelta(kLc_fetch_local, 5));
   LiveValidateResult v = ValidateLiveFeed(feed);
   EXPECT_TRUE(v.ok) << v.error;
   EXPECT_EQ(v.segments, 1u);
@@ -306,21 +309,21 @@ TEST(LiveValidator, AcceptsAWellFormedSegment) {
 }
 
 TEST(LiveValidator, RejectsTimestampRegression) {
-  std::string feed = MetaLine() + SampleLine(0, 2000, 2000, OneDelta(kLcFaults, 1)) +
-                     SampleLine(1, 1000, 0, OneDelta(kLcFaults, 1)) +
-                     SummaryLine(2, 1000, OneDelta(kLcFaults, 2));
+  std::string feed = MetaLine() + SampleLine(0, 2000, 2000, OneDelta(kLc_page_faults, 1)) +
+                     SampleLine(1, 1000, 0, OneDelta(kLc_page_faults, 1)) +
+                     SummaryLine(2, 1000, OneDelta(kLc_page_faults, 2));
   EXPECT_FALSE(ValidateLiveFeed(feed).ok);
 }
 
 TEST(LiveValidator, RejectsNegativeDelta) {
-  std::string feed = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLcSyncs, -1)) +
-                     SummaryLine(1, 1000, OneDelta(kLcSyncs, -1));
+  std::string feed = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLc_page_syncs, -1)) +
+                     SummaryLine(1, 1000, OneDelta(kLc_page_syncs, -1));
   EXPECT_FALSE(ValidateLiveFeed(feed).ok);
 }
 
 TEST(LiveValidator, RejectsSummaryThatDoesNotEqualTheDeltaSum) {
-  std::string feed = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLcMoves, 3)) +
-                     SummaryLine(1, 1000, OneDelta(kLcMoves, 4));
+  std::string feed = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLc_ownership_moves, 3)) +
+                     SummaryLine(1, 1000, OneDelta(kLc_ownership_moves, 4));
   EXPECT_FALSE(ValidateLiveFeed(feed).ok);
 }
 
@@ -331,8 +334,8 @@ TEST(LiveValidator, RejectsGarbageOnAnInteriorLine) {
 }
 
 TEST(LiveValidator, ToleratesATornFinalLineOnly) {
-  std::string good = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLcFaults, 1)) +
-                     SummaryLine(1, 1000, OneDelta(kLcFaults, 1));
+  std::string good = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLc_page_faults, 1)) +
+                     SummaryLine(1, 1000, OneDelta(kLc_page_faults, 1));
   // Final line unterminated (the writer died before its newline): tolerated.
   std::string unterminated = good.substr(0, good.size() - 1);
   LiveValidateResult v1 = ValidateLiveFeed(unterminated);
@@ -346,7 +349,7 @@ TEST(LiveValidator, ToleratesATornFinalLineOnly) {
 
 TEST(LiveValidator, ToleratesATrailingOpenSegment) {
   // A still-running (or killed) writer: meta + samples, summary never arrived.
-  std::string feed = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLcFaults, 1));
+  std::string feed = MetaLine() + SampleLine(0, 1000, 1000, OneDelta(kLc_page_faults, 1));
   LiveValidateResult v = ValidateLiveFeed(feed);
   EXPECT_TRUE(v.ok) << v.error;
   EXPECT_TRUE(v.open_segment);
@@ -374,8 +377,8 @@ TEST(LiveTraceRing, DropsAreVisibleInFeedAndSnapshot) {
   LiveValidateResult v = ValidateLiveFeed(run.feed);
   ASSERT_TRUE(v.ok) << v.error;
   LiveFeedState state = FoldFeed(run.feed);
-  EXPECT_EQ(state.totals[kLcTraceEmitted], run.trace_emitted);
-  EXPECT_EQ(state.totals[kLcTraceDropped], run.trace_dropped);
+  EXPECT_EQ(state.totals[kLc_trace_emitted], run.trace_emitted);
+  EXPECT_EQ(state.totals[kLc_trace_dropped], run.trace_dropped);
   EXPECT_EQ(state.trace_dropped_total, run.trace_dropped);
 
   std::string s = FormatTraceRingCounters(run.trace_emitted, run.trace_dropped);

@@ -175,12 +175,14 @@ TEST(ObsSnapshot, DiffStatsSubtractsFieldWise) {
   EXPECT_NE(line.find("pins=1"), std::string::npos);
 }
 
-// MachineStats is a flat run of uint64 counters: kMaxProcessors x 6 reference
-// counters, then 20 machine-wide counters. Adding a counter changes the size and
-// fails here, until DiffStats subtracts it and the count below is bumped.
+// MachineStats is a flat run of uint64 counters: kMaxProcessors x the reference
+// classes, then the machine-wide counters, every one of them a registry row. A field
+// declared outside the registry changes the size and fails here.
 static_assert(std::is_trivially_copyable_v<MachineStats>);
-static_assert(sizeof(MachineStats) == (kMaxProcessors * 6 + 20) * sizeof(std::uint64_t),
-              "MachineStats gained or lost a counter: update DiffStats (src/obs/snapshot.h)");
+static_assert(sizeof(MachineStats) ==
+                  (kMaxProcessors * std::size(kRefClasses) + std::size(kMachineCounters)) *
+                      sizeof(std::uint64_t),
+              "MachineStats has a field outside the counter registry (src/sim/stats.h)");
 
 TEST(ObsSnapshot, DiffStatsCoversEveryCounter) {
   // Give every counter a distinct value, without naming the fields.

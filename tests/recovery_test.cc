@@ -15,6 +15,7 @@
 #include "src/machine/machine.h"
 #include "src/machine/recovery.h"
 #include "src/numa/replica_manager.h"
+#include "src/obs/snapshot.h"
 #include "tests/machine_invariants.h"
 
 namespace ace {
@@ -347,13 +348,7 @@ TEST(RecoveryDeterminism, IdenticalSequencesLeaveIdenticalCounters) {
   MachineStats a, b;
   run(&a);
   run(&b);
-  EXPECT_EQ(a.recovered_pages, b.recovered_pages);
-  EXPECT_EQ(a.lost_pages, b.lost_pages);
-  EXPECT_EQ(a.checksum_failures, b.checksum_failures);
-  EXPECT_EQ(a.replicated_pages, b.replicated_pages);
-  EXPECT_EQ(a.journal_bytes, b.journal_bytes);
-  EXPECT_EQ(a.page_syncs, b.page_syncs);
-  EXPECT_EQ(a.page_copies, b.page_copies);
+  EXPECT_TRUE(a == b) << DescribeStatsMismatch(a, b);
 }
 
 }  // namespace

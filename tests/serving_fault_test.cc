@@ -14,6 +14,7 @@
 #include "src/inject/fault_plan.h"
 #include "src/machine/chaos.h"
 #include "src/machine/machine.h"
+#include "src/obs/snapshot.h"
 
 namespace ace {
 namespace {
@@ -73,7 +74,7 @@ bool HasMetric(const AppResult& r, const std::string& name) {
   return false;
 }
 
-// Byte-identical replay: the result rows and the protocol counters of two runs
+// Byte-identical replay: the result rows and every machine counter of two runs
 // must agree exactly — doubles compared with ==, no tolerance.
 void ExpectIdenticalRuns(const ServingRun& a, const ServingRun& b,
                          const std::string& what) {
@@ -85,20 +86,7 @@ void ExpectIdenticalRuns(const ServingRun& a, const ServingRun& b,
     EXPECT_EQ(a.result.metrics[i].second, b.result.metrics[i].second)
         << what << ": metric " << a.result.metrics[i].first;
   }
-  EXPECT_EQ(a.stats.page_faults, b.stats.page_faults) << what;
-  EXPECT_EQ(a.stats.page_copies, b.stats.page_copies) << what;
-  EXPECT_EQ(a.stats.page_syncs, b.stats.page_syncs) << what;
-  EXPECT_EQ(a.stats.ownership_moves, b.stats.ownership_moves) << what;
-  EXPECT_EQ(a.stats.local_alloc_failures, b.stats.local_alloc_failures) << what;
-  EXPECT_EQ(a.stats.degraded_global_fallbacks, b.stats.degraded_global_fallbacks) << what;
-  EXPECT_EQ(a.stats.degraded_copy_failures, b.stats.degraded_copy_failures) << what;
-  EXPECT_EQ(a.stats.chaos_events, b.stats.chaos_events) << what;
-  EXPECT_EQ(a.stats.evacuated_pages, b.stats.evacuated_pages) << what;
-  EXPECT_EQ(a.stats.replicated_pages, b.stats.replicated_pages) << what;
-  EXPECT_EQ(a.stats.journal_bytes, b.stats.journal_bytes) << what;
-  EXPECT_EQ(a.stats.recovered_pages, b.stats.recovered_pages) << what;
-  EXPECT_EQ(a.stats.lost_pages, b.stats.lost_pages) << what;
-  EXPECT_EQ(a.stats.checksum_failures, b.stats.checksum_failures) << what;
+  EXPECT_TRUE(a.stats == b.stats) << what << ": " << DescribeStatsMismatch(a.stats, b.stats);
 }
 
 // --- the seven legacy fault sites -----------------------------------------------------

@@ -278,10 +278,10 @@ TEST(ServingLive, RequestCountersReachTheLiveSample) {
   // The flat counter vocabulary carries both, in the declared slots.
   std::uint64_t flat[kNumLiveCounters];
   FlattenLiveCounters(sample, flat);
-  EXPECT_EQ(flat[kLcRequests], sample.app_requests);
-  EXPECT_EQ(flat[kLcReqLatNs], sample.app_req_lat_ns);
-  EXPECT_EQ(std::string(LiveCounterKey(kLcRequests)), "requests");
-  EXPECT_EQ(std::string(LiveCounterKey(kLcReqLatNs)), "req_lat_ns");
+  EXPECT_EQ(flat[kLc_requests], sample.app_requests);
+  EXPECT_EQ(flat[kLc_req_lat_ns], sample.app_req_lat_ns);
+  EXPECT_EQ(std::string(LiveCounterKey(kLc_requests)), "requests");
+  EXPECT_EQ(std::string(LiveCounterKey(kLc_req_lat_ns)), "req_lat_ns");
 }
 
 // --- golden file -------------------------------------------------------------------

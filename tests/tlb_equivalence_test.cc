@@ -16,8 +16,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +25,7 @@
 #include "src/metrics/experiment.h"
 #include "src/metrics/sweep/report.h"
 #include "src/metrics/sweep/runner.h"
+#include "src/obs/snapshot.h"
 
 namespace ace {
 namespace {
@@ -53,41 +52,6 @@ ExperimentOptions SmallOptions() {
   return options;
 }
 
-// Every mismatching MachineStats field, named: the reference matrix first, then the
-// scalar counters, both in declaration order. Equality itself is
-// MachineStats::operator==; these names only label a failure, and the static_assert
-// keeps them exactly as long as the struct.
-std::string StatsMismatches(const MachineStats& a, const MachineStats& b) {
-  static constexpr const char* kRefFields[] = {"fetch_local", "fetch_global",
-                                               "fetch_remote", "store_local",
-                                               "store_global", "store_remote"};
-  static constexpr const char* kCounters[] = {
-      "page_faults", "zero_fills", "page_copies", "page_syncs", "page_flushes",
-      "page_unmaps", "ownership_moves", "pages_pinned", "local_alloc_failures",
-      "degraded_global_fallbacks", "degraded_copy_failures", "degraded_pool_retries",
-      "degraded_oom_faults", "chaos_events", "evacuated_pages", "replicated_pages",
-      "journal_bytes", "recovered_pages", "lost_pages", "checksum_failures"};
-  constexpr std::size_t kRefWords = std::size(kRefFields) * kMaxProcessors;
-  constexpr std::size_t kWords = kRefWords + std::size(kCounters);
-  static_assert(sizeof(MachineStats) == kWords * sizeof(std::uint64_t),
-                "MachineStats changed shape: update the names above");
-  std::uint64_t x[kWords];
-  std::uint64_t y[kWords];
-  std::memcpy(x, &a, sizeof x);
-  std::memcpy(y, &b, sizeof y);
-  std::string out;
-  for (std::size_t i = 0; i < kWords; ++i) {
-    if (x[i] == y[i]) {
-      continue;
-    }
-    out += i < kRefWords ? "proc " + std::to_string(i / std::size(kRefFields)) + " " +
-                               kRefFields[i % std::size(kRefFields)]
-                         : kCounters[i - kRefWords];
-    out += " " + std::to_string(x[i]) + " vs " + std::to_string(y[i]) + "; ";
-  }
-  return out;
-}
-
 // Whole-run comparison with the divergent fields named in the failure message.
 void ExpectRunsIdentical(const PlacementRun& on, const PlacementRun& off,
                          const std::string& label) {
@@ -99,7 +63,7 @@ void ExpectRunsIdentical(const PlacementRun& on, const PlacementRun& off,
   EXPECT_EQ(on.system_sec, off.system_sec) << label << " system_sec";
   EXPECT_EQ(on.measured_alpha, off.measured_alpha) << label << " measured_alpha";
   EXPECT_EQ(on.pages_pinned, off.pages_pinned) << label << " pages_pinned";
-  EXPECT_TRUE(on.stats == off.stats) << label << ": " << StatsMismatches(on.stats, off.stats);
+  EXPECT_TRUE(on.stats == off.stats) << label << ": " << DescribeStatsMismatch(on.stats, off.stats);
 }
 
 // One app under one policy, both ways. TLB-on must actually have used the fast path

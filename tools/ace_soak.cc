@@ -416,8 +416,7 @@ std::string RunInProcess(const RunSpec& spec) {
     return fail("disabled TLB must stay cold", t.hits + t.misses + t.fills, 0);
   }
   if (spec.plan.empty()) {
-    std::uint64_t degraded = s.degraded_global_fallbacks + s.degraded_copy_failures +
-                             s.degraded_pool_retries + s.degraded_oom_faults;
+    std::uint64_t degraded = ace::CounterGroupTotal(s, ace::kDegradedCounters);
     if (degraded != 0 || machine.fault_injector() != nullptr) {
       return fail("clean run must not degrade (disarmed injection is zero-cost)", degraded, 0);
     }
@@ -425,17 +424,16 @@ std::string RunInProcess(const RunSpec& spec) {
   if (spec.plan.chaos.empty()) {
     // Chaos-free runs (including every plan-only seed) must never build a controller
     // or touch the chaos counters — chaos, like injection, is zero-cost when unarmed.
-    if (s.chaos_events != 0 || s.evacuated_pages != 0 || machine.chaos() != nullptr) {
-      return fail("chaos-free run must keep chaos counters zero",
-                  s.chaos_events + s.evacuated_pages, 0);
+    std::uint64_t chaos = ace::CounterGroupTotal(s, ace::kChaosCounters);
+    if (chaos != 0 || machine.chaos() != nullptr) {
+      return fail("chaos-free run must keep chaos counters zero", chaos, 0);
     }
   }
-  std::uint64_t durability = s.replicated_pages + s.journal_bytes + s.recovered_pages +
-                             s.lost_pages + s.checksum_failures;
+  std::uint64_t durability = ace::CounterGroupTotal(s, ace::kDurabilityCounters);
   if (!spec.plan.has_durable_chaos()) {
     // Plans without a permanent failure — transient chaos included — must never arm
-    // the durability subsystem: no replica or recovery manager, all five counters
-    // exactly zero. Durability, like chaos, is zero-cost when unarmed.
+    // the durability subsystem: no replica or recovery manager, every durability
+    // counter exactly zero. Durability, like chaos, is zero-cost when unarmed.
     if (durability != 0 || machine.replica_manager() != nullptr ||
         machine.recovery() != nullptr) {
       return fail("durable-chaos-free run must keep durability counters zero", durability, 0);

@@ -375,12 +375,19 @@ int TailLiveFeed(const std::string& path, bool tui, ace::LiveView view,
 
 // --- report rendering ------------------------------------------------------------------
 
+// The six reference-class counts of a "proc" or "heat" line, keyed by class name.
+void ReadRefClasses(const ace::JsonValue& v, ace::ProcRefCounts* out) {
+  for (const auto& r : ace::kRefClasses) {
+    out->*r.member = static_cast<std::uint64_t>(v.NumberOr(r.key, 0));
+  }
+}
+
 int RenderFromJsonl(const std::string& text, std::size_t top_n) {
   std::istringstream in(text);
   std::string line;
   std::size_t lineno = 0;
 
-  int procs = 0;
+  double meta_procs = 0;
   std::uint32_t pages = 0;
   std::string app;
   std::string policy;
@@ -406,20 +413,14 @@ int RenderFromJsonl(const std::string& text, std::size_t top_n) {
         std::fprintf(stderr, "ace_top: not an ace-obs JSONL dump (need --jsonl-out)\n");
         return 1;
       }
-      procs = static_cast<int>(v.NumberOr("procs", 0));
+      meta_procs = v.NumberOr("procs", 0);
       pages = static_cast<std::uint32_t>(v.NumberOr("pages", 0));
       app = v.StringOr("app", "?");
       policy = v.StringOr("policy", "?");
     } else if (type == "proc") {
       int p = static_cast<int>(v.NumberOr("proc", -1));
       if (p >= 0 && p < static_cast<int>(ace::kMaxProcessors)) {
-        ace::ProcRefCounts& c = stats.refs[static_cast<std::size_t>(p)];
-        c.fetch_local = static_cast<std::uint64_t>(v.NumberOr("fetch_local", 0));
-        c.fetch_global = static_cast<std::uint64_t>(v.NumberOr("fetch_global", 0));
-        c.fetch_remote = static_cast<std::uint64_t>(v.NumberOr("fetch_remote", 0));
-        c.store_local = static_cast<std::uint64_t>(v.NumberOr("store_local", 0));
-        c.store_global = static_cast<std::uint64_t>(v.NumberOr("store_global", 0));
-        c.store_remote = static_cast<std::uint64_t>(v.NumberOr("store_remote", 0));
+        ReadRefClasses(v, &stats.refs[static_cast<std::size_t>(p)]);
       }
     } else if (type == "decisions") {
       decisions_line = v;
@@ -428,10 +429,18 @@ int RenderFromJsonl(const std::string& text, std::size_t top_n) {
       heat_lines.push_back(std::move(v));
     }
   }
-  if (procs <= 0 || pages == 0) {
+  if (meta_procs == 0 || pages == 0) {
     std::fprintf(stderr, "ace_top: missing or incomplete meta line\n");
     return 1;
   }
+  // The per-processor tables below hold kMaxProcessors rows; a larger count would
+  // read past them.
+  if (!(meta_procs >= 1 && meta_procs <= static_cast<double>(ace::kMaxProcessors))) {
+    std::fprintf(stderr, "ace_top: meta procs %g outside [1, %d]\n", meta_procs,
+                 static_cast<int>(ace::kMaxProcessors));
+    return 1;
+  }
+  const int procs = static_cast<int>(meta_procs);
 
   ace::HeatProfile heat(procs, pages);
   if (have_decisions) {
@@ -453,12 +462,7 @@ int RenderFromJsonl(const std::string& text, std::size_t top_n) {
       continue;
     }
     ace::PageHeat& h = heat.MutablePage(lp);
-    h.fetch_local = static_cast<std::uint64_t>(v.NumberOr("fetch_local", 0));
-    h.fetch_global = static_cast<std::uint64_t>(v.NumberOr("fetch_global", 0));
-    h.fetch_remote = static_cast<std::uint64_t>(v.NumberOr("fetch_remote", 0));
-    h.store_local = static_cast<std::uint64_t>(v.NumberOr("store_local", 0));
-    h.store_global = static_cast<std::uint64_t>(v.NumberOr("store_global", 0));
-    h.store_remote = static_cast<std::uint64_t>(v.NumberOr("store_remote", 0));
+    ReadRefClasses(v, &h);
     std::string state = v.StringOr("state", "ro");
     h.state = state == "lw"   ? ace::PageState::kLocalWritable
               : state == "gw" ? ace::PageState::kGlobalWritable
