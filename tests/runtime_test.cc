@@ -1,11 +1,15 @@
 // Unit tests for the fiber runtime: deterministic scheduling, affinity, migration,
-// timeslicing, and the SimSpan accessors.
+// timeslicing, the pinned dispatch order, and the SimSpan accessors.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "src/inject/fault_plan.h"
 #include "src/machine/machine.h"
+#include "src/machine/recovery.h"
 #include "src/threads/runtime.h"
 #include "src/threads/sim_span.h"
 
@@ -181,6 +185,155 @@ TEST(Runtime, ContextSwitchesAreCounted) {
     }
   });
   EXPECT_GE(rt.context_switches(), 2u);  // at least each thread dispatched once
+}
+
+// --- pinned dispatch order ----------------------------------------------------------
+//
+// Each configuration records every Env op, in the global order the single host thread
+// runs them, as (tid, processor clock right after the op) and hashes the sequence with
+// FNV-1a. The hash, the dispatch count and the final processor clocks are pinned: any
+// change to which fiber the scheduler picks, or to when it preempts, moves them.
+
+struct DispatchOrder {
+  std::uint64_t hash = 14695981039346656037ull;  // FNV-1a offset basis
+  std::uint64_t dispatches = 0;
+  std::uint64_t migrations = 0;
+  std::uint64_t chaos_events = 0;
+  std::vector<TimeNs> clocks;
+
+  void Mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (v >> (8 * i)) & 0xff;
+      hash *= 1099511628211ull;
+    }
+  }
+};
+
+struct OrderCase {
+  int procs = 7;
+  int threads = 7;
+  Runtime::Options options;
+  std::string plan;          // fault plan text; empty = no chaos
+  bool migrate_to = false;   // two fibers call Env::MigrateTo mid-run
+};
+
+DispatchOrder RunOrderCase(const OrderCase& c) {
+  Machine::Options mo = SmallMachine(c.procs);
+  if (!c.plan.empty()) {
+    std::string error;
+    EXPECT_TRUE(FaultPlan::Parse(c.plan, &mo.fault_plan, &error)) << error;
+  }
+  Machine m(mo);
+  Task* t = m.CreateTask("t");
+  const VirtAddr shared = t->MapAnonymous("shared", 8 * m.page_size());
+  DispatchOrder order;
+  Runtime rt(&m, t, c.options);
+  rt.Run(c.threads, [&](int tid, Env& env) {
+    auto record = [&] {
+      order.Mix(static_cast<std::uint64_t>(tid));
+      order.Mix(static_cast<std::uint64_t>(m.clocks().now(env.proc())));
+    };
+    const int iters = 300 + 37 * tid;
+    for (int i = 0; i < iters; ++i) {
+      env.Compute(50 + 13 * ((tid * 7 + i) % 11));
+      record();
+      if (i % 5 == 0) {
+        const auto page = static_cast<VirtAddr>((tid + i) % 8);
+        env.Store(shared + page * m.page_size() + static_cast<VirtAddr>(tid % 16) * 4,
+                  static_cast<std::uint32_t>(i));
+        record();
+      }
+      if (i % 3 == 0) {
+        env.Load(shared + static_cast<VirtAddr>((3 * i + tid) % 8) * m.page_size());
+        record();
+      }
+      if (i % 17 == 0) {
+        env.Yield();
+        record();
+      }
+      if (c.migrate_to && tid == 2 && i == iters / 2) {
+        env.MigrateTo((env.proc() + 3) % c.procs, /*move_pages=*/true);
+        record();
+      }
+      if (c.migrate_to && tid == 5 && i == iters / 3) {
+        env.MigrateTo(0, /*move_pages=*/false);
+        record();
+      }
+    }
+  });
+  order.dispatches = rt.context_switches();
+  order.migrations = rt.migrations();
+  order.chaos_events = m.stats().chaos_events;
+  for (int p = 0; p < c.procs; ++p) {
+    order.clocks.push_back(m.clocks().now(static_cast<ProcId>(p)));
+  }
+  return order;
+}
+
+void ExpectOrder(const DispatchOrder& got, std::uint64_t hash, std::uint64_t dispatches,
+                 const std::vector<TimeNs>& clocks) {
+  EXPECT_EQ(got.hash, hash);
+  EXPECT_EQ(got.dispatches, dispatches);
+  EXPECT_EQ(got.clocks, clocks);
+}
+
+TEST(DispatchOrder, SevenFibersOnSevenProcessors) {
+  OrderCase c;
+  const DispatchOrder got = RunOrderCase(c);
+  EXPECT_EQ(got.migrations, 0u);
+  ExpectOrder(got, 4262820187080138673ull, 1490, {29377924, 25818801, 27869650, 24608104, 25922879, 28341016, 25562381});
+}
+
+TEST(DispatchOrder, SixteenFibersShareSevenProcessors) {
+  OrderCase c;
+  c.threads = 16;
+  c.options.timeslice_ns = 100'000;
+  const DispatchOrder got = RunOrderCase(c);
+  ExpectOrder(got, 17191797237645396074ull, 4805, {31570777, 33202714, 29956045, 27638530, 31397178, 33843402, 31501746});
+}
+
+TEST(DispatchOrder, MigratingScheduler) {
+  OrderCase c;
+  c.procs = 4;
+  c.threads = 5;
+  c.options.scheduler = SchedulerKind::kMigrating;
+  c.options.migrate_quantum_ns = 1'000'000;
+  const DispatchOrder got = RunOrderCase(c);
+  EXPECT_GT(got.migrations, 0u);
+  ExpectOrder(got, 7955199047735173077ull, 372, {98825102, 105010249, 106011749, 106288077});
+}
+
+TEST(DispatchOrder, MigrateToMidRun) {
+  OrderCase c;
+  c.procs = 4;
+  c.threads = 6;
+  c.migrate_to = true;
+  const DispatchOrder got = RunOrderCase(c);
+  EXPECT_EQ(got.migrations, 2u);
+  ExpectOrder(got, 15234585296151555811ull, 534, {50525227, 48678410, 48512194, 46541374});
+}
+
+TEST(DispatchOrder, ChaosStallRunsTheHooks) {
+  // A stall pads processor 1's clock; the drain charges evacuation time to the
+  // dispatching processor. Both move clocks inside the dispatch hooks.
+  OrderCase c;
+  c.procs = 4;
+  c.threads = 6;
+  c.plan = "stall-proc@1:10000000:25000000;drain-mem@3:15000000:30000000:0";
+  const DispatchOrder got = RunOrderCase(c);
+  EXPECT_EQ(got.chaos_events, 3u);  // the one-shot stall, the drain and its recovery
+  ExpectOrder(got, 3785844775754113683ull, 450, {62314553, 64989585, 59474480, 61583674});
+}
+
+TEST(DispatchOrder, KillNodeRehomesFibers) {
+  OrderCase c;
+  c.procs = 4;
+  c.threads = 6;
+  c.plan = "kill-node@2:20000000";
+  const DispatchOrder got = RunOrderCase(c);
+  EXPECT_EQ(got.chaos_events, 1u);
+  EXPECT_GT(got.migrations, 0u);  // the dead node's fibers moved
+  ExpectOrder(got, 6894223846143925848ull, 462, {73492723, 71744057, 25152586, 67949916});
 }
 
 }  // namespace
