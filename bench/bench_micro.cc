@@ -3,11 +3,15 @@
 // The paper reports the mechanism cost only in aggregate (Table 4); these micros break
 // out the host-side cost of the individual operations so regressions in the simulator
 // hot paths are visible: the translated fast path, the fault/replication path, page
-// copies, policy decisions, and full protocol transitions.
+// copies, policy decisions, full protocol transitions, and the runtime's dispatch.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <cstdint>
+
 #include "src/machine/machine.h"
+#include "src/threads/runtime.h"
 
 namespace {
 
@@ -123,6 +127,64 @@ void BM_PolicyDecision(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PolicyDecision);
+
+// --- runtime dispatch -------------------------------------------------------------------
+//
+// Env::Compute(1) on lockstep fibers: each op moves the running fiber's clock past the
+// others', so nearly every op dispatches (pick, deadline, fiber switch). The
+// BM_EnvOpNoDispatch ns_per_op is the same op on a fiber that never dispatches; the
+// difference between the two ns_per_op, divided by dispatches_per_op, is the host cost
+// of one dispatch. layerbench's threads.dispatch_ns probe measures the same quantity.
+
+// `total_ops` Env::Compute(1) calls split evenly over `fibers` lockstep fibers; with
+// `fibers` == 1, a second fiber sleeps far ahead in virtual time so the runner's
+// deadline stays open and it never dispatches (a lone fiber would dispatch to itself
+// on every op). Returns the dispatch count.
+std::uint64_t ComputeRun(ace::Machine& m, ace::Task* task, int fibers, int total_ops) {
+  ace::Runtime rt(&m, task);
+  const bool solo = fibers == 1;
+  const int per_fiber = total_ops / fibers;
+  rt.Run(solo ? 2 : fibers, [per_fiber, solo](int tid, ace::Env& env) {
+    if (solo && tid == 1) {
+      env.Compute(ace::TimeNs{1} << 50);
+      return;
+    }
+    for (int i = 0; i < per_fiber; ++i) {
+      env.Compute(1);
+    }
+  });
+  return rt.context_switches();
+}
+
+// Runs ComputeRun once per iteration on a 7-processor machine (the layerbench shape)
+// and reports ns_per_op and dispatches_per_op.
+void RunComputeOps(benchmark::State& state, int fibers, int total_ops) {
+  ace::Machine::Options mo;
+  mo.config.num_processors = 7;
+  ace::Machine m(mo);
+  ace::Task* task = m.CreateTask("t");
+  std::uint64_t dispatches = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    dispatches = ComputeRun(m, task, fibers, total_ops);
+  }
+  const std::chrono::duration<double, std::nano> elapsed = std::chrono::steady_clock::now() - t0;
+  state.counters["ns_per_op"] =
+      elapsed.count() / (static_cast<double>(state.iterations()) * total_ops);
+  state.counters["dispatches_per_op"] =
+      static_cast<double>(dispatches) / static_cast<double>(total_ops);
+}
+
+// Lockstep fibers; 64 of them share the 7 processors, so the timeslice rule is live.
+void BM_Dispatch(benchmark::State& state) {
+  const int fibers = static_cast<int>(state.range(0));
+  RunComputeOps(state, fibers, fibers * (fibers > 7 ? 2'000 : 20'000));
+}
+BENCHMARK(BM_Dispatch)->Arg(7)->Arg(64);
+
+// The Env op alone: the solo fiber's deadline never closes.
+void BM_EnvOpNoDispatch(benchmark::State& state) { RunComputeOps(state, 1, 140'000); }
+BENCHMARK(BM_EnvOpNoDispatch);
 
 }  // namespace
 

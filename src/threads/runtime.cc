@@ -1,6 +1,8 @@
 #include "src/threads/runtime.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "src/machine/chaos.h"
 #include "src/machine/recovery.h"
@@ -74,7 +76,7 @@ void Env::MigrateTo(ProcId new_proc, bool move_pages) {
   ProcId old_proc = proc_;
   // Keep causality: pad the destination with idle time if it is behind (it may have
   // been sitting empty while this thread worked).
-  TimeNs skew = runtime_->ProcNow(old_proc) - runtime_->ProcNow(new_proc);
+  TimeNs skew = runtime_->now_[old_proc] - runtime_->now_[new_proc];
   if (skew > 0) {
     runtime_->machine_->clocks().ChargeIdle(new_proc, skew);
   }
@@ -83,7 +85,7 @@ void Env::MigrateTo(ProcId new_proc, bool move_pages) {
   }
   proc_ = new_proc;
   Runtime::Fiber& fiber = *runtime_->fibers_[static_cast<std::size_t>(tid_)];
-  fiber.migrate_epoch_ns = runtime_->ProcNow(new_proc);
+  fiber.migrate_epoch_ns = runtime_->now_[new_proc];
   runtime_->migrations_++;
   runtime_->MaybeYield(*this, /*voluntary=*/true);
 }
@@ -94,6 +96,7 @@ Runtime::Runtime(Machine* machine, Task* task, Options options)
     : machine_(machine), task_(task), options_(options) {
   ACE_CHECK(machine_ != nullptr && task_ != nullptr);
   ACE_CHECK(options_.stack_bytes >= 16 * 1024);
+  ACE_CHECK(options_.timeslice_ns >= 0);
 }
 
 Runtime::~Runtime() = default;
@@ -126,59 +129,55 @@ void Runtime::FiberTrampoline() {
   ACE_CHECK_MSG(false, "finished fiber was resumed");
 }
 
-int Runtime::PickNext() const {
+int Runtime::PickWithDeadline(TimeNs* deadline) const {
+  // One pass keeps the running minimum (clock, seq) and, alongside it, that minimum's
+  // deadline: the smallest contribution of every other runnable fiber, where a fiber
+  // on the best fiber's processor contributes best_clock + timeslice and any other
+  // fiber its own clock. Fibers on one processor share its clock, so when a new
+  // minimum on processor p displaces the old best on q the deadline updates exactly:
+  //  - p != q: every fiber seen so far has a clock >= the old best's, and the old best
+  //    now contributes exactly that clock, so the old best's clock is the deadline;
+  //  - p == q: every other fiber's contribution is unchanged and the old best adds
+  //    clock + timeslice.
+  // The "no fiber yet" sentinels need no special case: the first runnable fiber
+  // displaces them and, as p != kNoProc, leaves the deadline at kNone.
+  constexpr TimeNs kNone = std::numeric_limits<TimeNs>::max();
+  const TimeNs slice = options_.timeslice_ns;
   int best = -1;
-  TimeNs best_clock = 0;
+  ProcId best_proc = kNoProc;
+  TimeNs best_clock = kNone;
   std::uint64_t best_seq = 0;
-  for (std::size_t i = 0; i < fibers_.size(); ++i) {
+  TimeNs dl = kNone;
+  const std::size_t n = fibers_.size();
+  for (std::size_t i = 0; i < n; ++i) {
     const Fiber& f = *fibers_[i];
     if (f.finished) {
       continue;
     }
-    TimeNs clock = ProcNow(f.env.proc_);
-    if (best < 0 || clock < best_clock || (clock == best_clock && f.seq < best_seq)) {
+    const ProcId proc = f.env.proc_;
+    const TimeNs clock = now_[proc];
+    if (clock < best_clock || (clock == best_clock && f.seq < best_seq)) {
+      dl = proc != best_proc ? best_clock : std::min(dl, clock + slice);
       best = static_cast<int>(i);
+      best_proc = proc;
       best_clock = clock;
       best_seq = f.seq;
-    }
-  }
-  return best;
-}
-
-TimeNs Runtime::DeadlineFor(int chosen) const {
-  const Fiber& me = *fibers_[static_cast<std::size_t>(chosen)];
-  TimeNs deadline = -1;
-  for (std::size_t i = 0; i < fibers_.size(); ++i) {
-    if (static_cast<int>(i) == chosen) {
-      continue;
-    }
-    const Fiber& f = *fibers_[i];
-    if (f.finished) {
-      continue;
-    }
-    TimeNs t;
-    if (f.env.proc_ == me.env.proc_) {
-      // Sharing our processor: the peer's notional time advances with ours; bound our
-      // run by a timeslice so it is not starved.
-      t = ProcNow(me.env.proc_) + options_.timeslice_ns;
     } else {
-      t = ProcNow(f.env.proc_);
-    }
-    if (deadline < 0 || t < deadline) {
-      deadline = t;
+      dl = std::min(dl, proc == best_proc ? best_clock + slice : clock);
     }
   }
-  return deadline;
+  // No other runnable fiber: -1 makes the lone fiber re-dispatch at its next op.
+  *deadline = dl == kNone ? -1 : dl;
+  return best;
 }
 
 void Runtime::MaybeYield(Env& env, bool voluntary) {
   if (killing_) {
     throw FiberKill{};
   }
-  Fiber& fiber = *fibers_[static_cast<std::size_t>(env.tid_)];
-
   if (options_.scheduler == SchedulerKind::kMigrating) {
-    TimeNs ran = ProcNow(env.proc_) - fiber.migrate_epoch_ns;
+    Fiber& fiber = *fibers_[static_cast<std::size_t>(env.tid_)];
+    TimeNs ran = now_[env.proc_] - fiber.migrate_epoch_ns;
     if (ran >= options_.migrate_quantum_ns) {
       // Move to the next processor, modeling the original Mach single-queue scheduler
       // under which "processes mov[ed] between processors far too often" (sec. 4.7).
@@ -193,20 +192,21 @@ void Runtime::MaybeYield(Env& env, bool voluntary) {
       }
       // Keep causality: the destination may be behind; pad with idle time so the
       // thread cannot observe state "before" it was produced.
-      TimeNs skew = ProcNow(old_proc) - ProcNow(new_proc);
+      TimeNs skew = now_[old_proc] - now_[new_proc];
       if (skew > 0) {
         machine_->clocks().ChargeIdle(new_proc, skew);
       }
       env.proc_ = new_proc;
-      fiber.migrate_epoch_ns = ProcNow(new_proc);
+      fiber.migrate_epoch_ns = now_[new_proc];
       migrations_++;
       voluntary = true;  // force a pass through the scheduler to recompute deadlines
     }
   }
 
-  if (!voluntary && ProcNow(env.proc_) <= current_deadline_) {
+  if (!voluntary && now_[env.proc_] <= current_deadline_) {
     return;  // still the earliest runnable thread: keep running without a switch
   }
+  Fiber& fiber = *fibers_[static_cast<std::size_t>(env.tid_)];
   fiber.seq = next_seq_++;
   DispatchNextFrom(&fiber.ctx, env.tid_);
   if (killing_) {
@@ -217,13 +217,19 @@ void Runtime::MaybeYield(Env& env, bool voluntary) {
 }
 
 void Runtime::DispatchNextFrom(FiberContext* from, int self) {
-  int next = PickNext();
+  TimeNs deadline = 0;
+  int next = PickWithDeadline(&deadline);
   ACE_CHECK_MSG(next >= 0, "no runnable thread but work remains");
   if (hooks_armed_) {
+    // Chaos or a rehome may have moved clocks since the pick: pick again for a
+    // deadline that reflects them. The hooks already re-picked after every change,
+    // so the choice itself stands.
     next = RunDispatchHooks(next);
+    const int repicked = PickWithDeadline(&deadline);
+    ACE_CHECK(repicked == next);
   }
   current_ = next;
-  current_deadline_ = DeadlineFor(next);
+  current_deadline_ = deadline;
   context_switches_++;
   if (next == self) {
     return;  // the yielding fiber won the dispatch again: no stack switch needed
@@ -239,7 +245,7 @@ int Runtime::RunDispatchHooks(int next) {
     // chosen fiber's processor, so re-pick until no further transition applies;
     // each event transitions at most twice, so the loop is bounded.
     while (machine_->chaos()->Advance(
-        ProcNow(fibers_[static_cast<std::size_t>(next)]->env.proc_),
+        now_[fibers_[static_cast<std::size_t>(next)]->env.proc_],
         fibers_[static_cast<std::size_t>(next)]->env.proc_)) {
       next = PickNext();
     }
@@ -256,7 +262,7 @@ int Runtime::RunDispatchHooks(int next) {
     // nondecreasing across dispatches, so it is a valid sample timestamp. Ticked
     // before the watchdog check: a livelock budget evaluated from the sample stream
     // sees the capture that crossed the budget, not a stale one.
-    options_.sampler->Tick(ProcNow(fibers_[static_cast<std::size_t>(next)]->env.proc_));
+    options_.sampler->Tick(now_[fibers_[static_cast<std::size_t>(next)]->env.proc_]);
   }
   CheckWatchdog(next);
   return next;
@@ -279,7 +285,7 @@ bool Runtime::RehomeDeadNodeFibers() {
       if (recovery->node_dead(cand)) {
         continue;
       }
-      if (best == kNoProc || ProcNow(cand) < ProcNow(best)) {
+      if (best == kNoProc || now_[cand] < now_[best]) {
         best = cand;
       }
     }
@@ -288,12 +294,12 @@ bool Runtime::RehomeDeadNodeFibers() {
     // Keep causality exactly like Env::MigrateTo: pad the destination with idle time
     // if it is behind the orphaned fiber's clock. The dead node's pages were already
     // re-homed to global memory by the recovery manager, so there is nothing to move.
-    TimeNs skew = ProcNow(old_proc) - ProcNow(best);
+    TimeNs skew = now_[old_proc] - now_[best];
     if (skew > 0) {
       machine_->clocks().ChargeIdle(best, skew);
     }
     fiber.env.proc_ = best;
-    fiber.migrate_epoch_ns = ProcNow(best);
+    fiber.migrate_epoch_ns = now_[best];
     migrations_++;
     moved = true;
   }
@@ -306,7 +312,7 @@ void Runtime::CheckWatchdog(int next) {
     return;
   }
   const Fiber& fiber = *fibers_[static_cast<std::size_t>(next)];
-  TimeNs clock = ProcNow(fiber.env.proc_);
+  TimeNs clock = now_[fiber.env.proc_];
   char summary[160];
   if (wd.deadline_ns > 0 && clock > wd.deadline_ns) {
     std::snprintf(summary, sizeof summary,
@@ -361,6 +367,7 @@ void Runtime::Run(int num_threads, const Body& body) {
   active_ = this;
   body_ = &body;
   fibers_.clear();
+  now_ = machine_->clocks().now_data();
   live_count_ = num_threads;
   killing_ = false;
   kill_reason_.clear();
@@ -376,7 +383,7 @@ void Runtime::Run(int num_threads, const Body& body) {
     fiber->env.proc_ = static_cast<ProcId>(i % machine_->num_processors());
     fiber->stack = std::make_unique<char[]>(options_.stack_bytes);
     fiber->seq = next_seq_++;
-    fiber->migrate_epoch_ns = ProcNow(fiber->env.proc_);
+    fiber->migrate_epoch_ns = now_[fiber->env.proc_];
     fiber->ctx.Seed(fiber->stack.get(), options_.stack_bytes, &Runtime::FiberTrampoline);
     fibers_.push_back(std::move(fiber));
   }

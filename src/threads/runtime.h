@@ -3,9 +3,10 @@
 // The paper's applications are Mach C-Threads (or EPEX FORTRAN) programs; here they
 // are C++ functions executed on fibers, one fiber per simulated thread. A single host
 // thread runs everything: the scheduler always resumes the fiber whose processor has
-// the smallest virtual clock (ties broken by thread id), so every run is
-// bit-reproducible. A fiber keeps running without a context switch while its processor
-// clock remains the minimum — the common case for page-local streaks.
+// the smallest virtual clock (ties broken by dispatch sequence: the fiber that yielded
+// least recently wins), so every run is bit-reproducible. A fiber keeps running without
+// a context switch while its processor clock remains the minimum — the common case for
+// page-local streaks.
 //
 // Scheduling policy mirrors paper section 4.7: the default binds each thread to a
 // processor for its lifetime ("we modified the Mach scheduler to bind each newly
@@ -113,7 +114,8 @@ class Runtime {
   Machine& machine() { return *machine_; }
   Task& task() { return *task_; }
 
-  // Total context switches performed (scheduling fidelity metric).
+  // Dispatches performed (scheduling fidelity metric), including a fiber re-dispatched
+  // to itself with no stack switch.
   std::uint64_t context_switches() const { return context_switches_; }
   std::uint64_t migrations() const { return migrations_; }
 
@@ -153,23 +155,30 @@ class Runtime {
   // this thread's processor clock is no longer the minimum.
   void MaybeYield(Env& env, bool voluntary);
 
-  // Pick the next fiber to dispatch; -1 if none runnable.
-  int PickNext() const;
+  // One pass over the fibers: return the next fiber to dispatch (-1 if none runnable)
+  // and store its deadline — the smallest clock among the *other* runnable fibers,
+  // where a fiber sharing the chosen fiber's processor counts as that clock plus a
+  // timeslice — or -1 when no other fiber is runnable.
+  int PickWithDeadline(TimeNs* deadline) const;
+  // The pick alone, for the dispatch hooks' re-picks after a clock moved.
+  int PickNext() const {
+    TimeNs unused;
+    return PickWithDeadline(&unused);
+  }
   // Move every unfinished fiber whose processor died (kill-node chaos) to the
   // surviving processor with the smallest clock, idle-padding causality exactly like
   // MigrateTo. Returns true when any fiber moved (the caller re-picks). Only ever
   // called when the machine's recovery manager reports dead nodes.
   bool RehomeDeadNodeFibers();
-  // Deadline for the chosen fiber: smallest clock among *other* runnable fibers.
-  TimeNs DeadlineFor(int chosen) const;
-
-  TimeNs ProcNow(ProcId proc) const { return machine_->clocks().now(proc); }
 
   Machine* machine_;
   Task* task_;
   Options options_;
 
   std::vector<std::unique_ptr<Fiber>> fibers_;
+  // The machine's per-processor clocks (ProcClocks::now_data), taken once per Run():
+  // every clock read in the runtime is one indexed load through it.
+  const TimeNs* now_ = nullptr;
   FiberContext main_ctx_;  // Run()'s own context; resumed when the last fiber exits
   int current_ = -1;
   TimeNs current_deadline_ = 0;
