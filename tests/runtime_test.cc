@@ -1,9 +1,12 @@
 // Unit tests for the fiber runtime: deterministic scheduling, affinity, migration,
-// timeslicing, the pinned dispatch order, and the SimSpan accessors.
+// timeslicing, per-fiber FP control state, unwinding on an app exception, the pinned
+// dispatch order, and the SimSpan accessors.
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -185,6 +188,91 @@ TEST(Runtime, ContextSwitchesAreCounted) {
     }
   });
   EXPECT_GE(rt.context_switches(), 2u);  // at least each thread dispatched once
+}
+
+// The fiber switch saves and restores the SSE and x87 control words per context: a
+// rounding mode one fiber sets survives every switch away and back, and never leaks
+// into a sibling or into Run()'s caller.
+TEST(Runtime, RoundingModeIsPerFiber) {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+  const double third_up = one / three;
+  ASSERT_EQ(std::fesetround(FE_TONEAREST), 0);
+  const double third_nearest = one / three;
+  ASSERT_NE(third_up, third_nearest);
+
+  Machine m(SmallMachine(2));
+  Task* t = m.CreateTask("t");
+  Runtime rt(&m, t);
+  std::vector<int> wrong_mode(3, 0);
+  std::vector<int> wrong_quotient(3, 0);
+  rt.Run(3, [&](int tid, Env& env) {
+    const int want = tid == 0 ? FE_UPWARD : FE_TONEAREST;
+    const double want_third = tid == 0 ? third_up : third_nearest;
+    if (tid == 0) {
+      std::fesetround(FE_UPWARD);
+    }
+    for (int i = 0; i < 200; ++i) {
+      env.Compute(100 + 10 * tid);
+      wrong_mode[static_cast<std::size_t>(tid)] += std::fegetround() != want;
+      wrong_quotient[static_cast<std::size_t>(tid)] += one / three != want_third;
+    }
+  });
+  EXPECT_GT(rt.context_switches(), 200u);  // the fibers really did interleave
+  EXPECT_EQ(wrong_mode, (std::vector<int>{0, 0, 0}));
+  EXPECT_EQ(wrong_quotient, (std::vector<int>{0, 0, 0}));
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+// An exception escaping one fiber's body ends the run: Run() rethrows it once every
+// sibling has unwound, and no sibling gets past the Env op it is parked in or, for a
+// fiber not yet started, its first one. Fiber 0 throws after 40 ops.
+struct KilledRun {
+  std::vector<int> ops_before;  // Env ops each fiber completed before the throw
+  std::vector<int> ops_after;   // ... and after it
+};
+
+KilledRun RunUntilAppThrows(int procs, int threads) {
+  Machine m(SmallMachine(procs));
+  Task* t = m.CreateTask("t");
+  Runtime rt(&m, t);
+  bool thrown = false;
+  KilledRun run{std::vector<int>(static_cast<std::size_t>(threads), 0),
+                std::vector<int>(static_cast<std::size_t>(threads), 0)};
+  try {
+    rt.Run(threads, [&](int tid, Env& env) {
+      for (int i = 0; i < 1000; ++i) {
+        if (tid == 0 && i == 40) {
+          thrown = true;
+          throw std::runtime_error("app failure");
+        }
+        env.Compute(100);
+        (thrown ? run.ops_after : run.ops_before)[static_cast<std::size_t>(tid)]++;
+      }
+    });
+    ADD_FAILURE() << "Run returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "app failure");
+  }
+  EXPECT_TRUE(thrown);
+  return run;
+}
+
+TEST(Runtime, AppExceptionStopsSiblingsAtTheirNextOp) {
+  // Siblings on other processors are mid-streak: parked with clocks within the
+  // deadline they will be dispatched under.
+  KilledRun mid = RunUntilAppThrows(/*procs=*/2, /*threads=*/3);
+  EXPECT_EQ(mid.ops_before[0], 40);
+  EXPECT_GT(mid.ops_before[1], 0);
+  EXPECT_GT(mid.ops_before[2], 0);
+  EXPECT_EQ(mid.ops_after, (std::vector<int>{0, 0, 0}));
+
+  // One processor and a 1 ms timeslice: fiber 0 runs its 40 ops in one streak, so
+  // its siblings first run after the throw, each under a deadline a timeslice ahead.
+  KilledRun fresh = RunUntilAppThrows(/*procs=*/1, /*threads=*/3);
+  EXPECT_EQ(fresh.ops_before, (std::vector<int>{40, 0, 0}));
+  EXPECT_EQ(fresh.ops_after, (std::vector<int>{0, 0, 0}));
 }
 
 // --- pinned dispatch order ----------------------------------------------------------
