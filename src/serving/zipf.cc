@@ -19,22 +19,22 @@ ZipfSampler::ZipfSampler(std::uint32_t num_keys, double skew) {
     cdf_[r] /= total;
   }
   cdf_.back() = 1.0;  // guard against rounding at the tail
-}
 
-std::uint32_t ZipfSampler::Sample(ServingRng& rng) const {
-  const double u = rng.Unit();
-  // First rank whose CDF strictly exceeds u.
-  std::uint32_t lo = 0;
-  std::uint32_t hi = static_cast<std::uint32_t>(cdf_.size()) - 1;
-  while (lo < hi) {
-    const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (cdf_[mid] > u) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
+  std::size_t buckets = 1;
+  while (buckets < num_keys) {
+    buckets *= 2;
   }
-  return lo;
+  guide_.resize(buckets);
+  buckets_ = static_cast<double>(buckets);
+  const double bucket_width = 1.0 / buckets_;  // a power of two: k * width is exact
+  std::uint32_t r = 0;
+  for (std::size_t k = 0; k < buckets; ++k) {
+    const double edge = static_cast<double>(k) * bucket_width;
+    while (cdf_[r] <= edge) {
+      ++r;
+    }
+    guide_[k] = r;
+  }
 }
 
 }  // namespace ace

@@ -1,9 +1,11 @@
-// Tests for the serving workload (src/serving): Zipfian client model shape and
-// determinism, open-loop arrival reproducibility, latency histogram/reservoir
-// mechanics, byte-identical serving sweeps across worker counts and TLB settings,
-// live-feed request counters, and the committed serving baseline's structure.
+// Tests for the serving workload (src/serving): Zipfian client model shape,
+// determinism and exactness against a binary-search oracle, open-loop arrival
+// reproducibility, latency histogram/reservoir mechanics, byte-identical serving
+// sweeps across worker counts and TLB settings, live-feed request counters, and the
+// committed serving baseline's structure.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <set>
@@ -66,6 +68,70 @@ TEST(ZipfSampler, DrawsCoverTheFullRangeAndAreDeterministic) {
   }
   // Even the tail ranks of a mildly skewed 64-key space appear in 8000 draws.
   EXPECT_EQ(seen.size(), 64u);
+}
+
+// The reference the guide table must match exactly: a binary search for the first
+// rank whose CDF exceeds u.
+std::uint32_t BinarySearchRank(const std::vector<double>& cdf, double u) {
+  std::uint32_t lo = 0;
+  std::uint32_t hi = static_cast<std::uint32_t>(cdf.size()) - 1;
+  while (lo < hi) {
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    if (cdf[mid] > u) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+TEST(ZipfSampler, GuideTableMatchesBinarySearchAtEveryBoundary) {
+  for (const std::uint32_t keys : {1u, 3u, 64u, 1000u, 4096u}) {
+    for (const double skew : {0.0, 0.9, 4.0}) {
+      SCOPED_TRACE(testing::Message() << "keys " << keys << " skew " << skew);
+      const ZipfSampler sampler(keys, skew);
+      const std::vector<double>& cdf = sampler.cdf();
+      ASSERT_EQ(cdf.size(), keys);
+      ASSERT_EQ(cdf.back(), 1.0);
+      int mismatches = 0;
+      auto check = [&](double u) {
+        if (u >= 0.0 && u < 1.0 && sampler.Rank(u) != BinarySearchRank(cdf, u)) {
+          ADD_FAILURE() << "u = " << std::hexfloat << u;
+          ++mismatches;
+        }
+      };
+      // Every CDF step, and the doubles on either side of it.
+      for (const double c : cdf) {
+        check(c);
+        check(std::nextafter(c, 0.0));
+        check(std::nextafter(c, 1.0));
+      }
+      // Every guide bucket edge k / M, and the double just below it.
+      std::uint32_t buckets = 1;
+      while (buckets < keys) {
+        buckets *= 2;
+      }
+      for (std::uint32_t k = 0; k < buckets; ++k) {
+        const double edge = static_cast<double>(k) / buckets;
+        check(edge);
+        check(std::nextafter(edge, 0.0));
+      }
+      check(std::nextafter(1.0, 0.0));
+      // Seeded draws through Sample() itself.
+      ServingRng draws(keys * 31 + static_cast<std::uint64_t>(skew * 10));
+      ServingRng units(keys * 31 + static_cast<std::uint64_t>(skew * 10));
+      for (int i = 0; i < 1'000'000 && mismatches < 10; ++i) {
+        const std::uint32_t got = sampler.Sample(draws);
+        const double u = units.Unit();
+        if (got != BinarySearchRank(cdf, u)) {
+          ADD_FAILURE() << "draw " << i << ": u = " << std::hexfloat << u;
+          ++mismatches;
+        }
+      }
+      EXPECT_EQ(mismatches, 0);
+    }
+  }
 }
 
 TEST(ServingWorkload, SameSeedReproducesByteIdenticalTraces) {
