@@ -197,7 +197,8 @@ AccessStatus Machine::Access(Task& task, ProcId proc, VirtAddr va, AccessKind ki
       if (tlb_on_) {
         // Cache the translation with the *full* mapping protection, so a read-then-
         // write page needs only one refill; subsequent hits skip the resolve above.
-        tlb_.Fill(proc, vpage, t.frame, t.prot, lp, options_.config.latency);
+        tlb_.Fill(proc, vpage, t.frame, phys_.FrameData(t.frame), t.prot, lp,
+                  options_.config.latency);
       }
       return AccessStatus::kOk;
     }
@@ -251,6 +252,8 @@ void Machine::VerifyTlbEntry(ProcId proc, VirtPage vpage, const Tlb::Entry& entr
   TranslateResult t = pmap_->Translate(proc, vpage, AccessKind::kFetch);
   ACE_CHECK_MSG(t.ok(), "poisoned TLB entry: MMU no longer maps this page");
   ACE_CHECK_MSG(t.frame == entry.frame, "poisoned TLB entry: frame changed");
+  ACE_CHECK_MSG(entry.data == phys_.FrameData(entry.frame),
+                "poisoned TLB entry: host pointer does not match the frame");
   ACE_CHECK_MSG(t.prot == entry.prot, "poisoned TLB entry: protection changed");
   ACE_CHECK_MSG(t.frame.ClassFor(proc) == entry.cls,
                 "poisoned TLB entry: memory class changed");

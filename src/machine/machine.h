@@ -19,6 +19,7 @@
 #define SRC_MACHINE_MACHINE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -353,10 +354,11 @@ class Machine {
       bus_.RecordTransfer(kWordBytes, clocks_.now(proc));
     }
     const std::uint32_t offset = static_cast<std::uint32_t>(va & page_mask_);
+    ACE_DCHECK(offset % kWordBytes == 0);
     if (kind == AccessKind::kFetch) {
-      *value = phys_.ReadWord(e->frame, offset);
+      std::memcpy(value, e->data + offset, kWordBytes);
     } else {
-      phys_.WriteWord(e->frame, offset, *value);
+      std::memcpy(e->data + offset, value, kWordBytes);
       if (replica_ != nullptr && e->lp != kNoLogicalPage) {
         pmap_->manager().NoteStore(e->lp, offset, *value, proc, /*charge=*/true);
       }
