@@ -3,14 +3,18 @@
 // The paper reports the mechanism cost only in aggregate (Table 4); these micros break
 // out the host-side cost of the individual operations so regressions in the simulator
 // hot paths are visible: the translated fast path, the fault/replication path, page
-// copies, policy decisions, full protocol transitions, and the runtime's dispatch.
+// copies, policy decisions, full protocol transitions, the runtime's dispatch and
+// fiber switch, and the serving clients' Zipf draw.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdint>
+#include <vector>
 
 #include "src/machine/machine.h"
+#include "src/serving/zipf.h"
+#include "src/threads/fiber_context.h"
 #include "src/threads/runtime.h"
 
 namespace {
@@ -136,37 +140,47 @@ BENCHMARK(BM_PolicyDecision);
 // difference between the two ns_per_op, divided by dispatches_per_op, is the host cost
 // of one dispatch. layerbench's threads.dispatch_ns probe measures the same quantity.
 
-// `total_ops` Env::Compute(1) calls split evenly over `fibers` lockstep fibers; with
-// `fibers` == 1, a second fiber sleeps far ahead in virtual time so the runner's
-// deadline stays open and it never dispatches (a lone fiber would dispatch to itself
-// on every op). Returns the dispatch count.
-std::uint64_t ComputeRun(ace::Machine& m, ace::Task* task, int fibers, int total_ops) {
+// `total_ops` Env ops split evenly over `fibers` lockstep fibers: Env::Compute(1), or
+// with `loads` an Env::Load of a word on the fiber's own page, which after its first
+// touch is a local TLB hit. With `fibers` == 1, a second fiber sleeps far ahead in
+// virtual time so the runner's deadline stays open and it never dispatches (a lone
+// fiber would dispatch to itself on every op). Returns the dispatch count.
+std::uint64_t EnvOpRun(ace::Machine& m, ace::Task* task, ace::VirtAddr pages, int fibers,
+                       int total_ops, bool loads) {
   ace::Runtime rt(&m, task);
   const bool solo = fibers == 1;
   const int per_fiber = total_ops / fibers;
-  rt.Run(solo ? 2 : fibers, [per_fiber, solo](int tid, ace::Env& env) {
+  const ace::VirtAddr page_size = m.page_size();
+  rt.Run(solo ? 2 : fibers, [=](int tid, ace::Env& env) {
     if (solo && tid == 1) {
       env.Compute(ace::TimeNs{1} << 50);
       return;
     }
+    const ace::VirtAddr va = pages + static_cast<ace::VirtAddr>(tid) * page_size;
     for (int i = 0; i < per_fiber; ++i) {
-      env.Compute(1);
+      if (loads) {
+        benchmark::DoNotOptimize(env.Load(va));
+      } else {
+        env.Compute(1);
+      }
     }
   });
   return rt.context_switches();
 }
 
-// Runs ComputeRun once per iteration on a 7-processor machine (the layerbench shape)
+// Runs EnvOpRun once per iteration on a 7-processor machine (the layerbench shape)
 // and reports ns_per_op and dispatches_per_op.
-void RunComputeOps(benchmark::State& state, int fibers, int total_ops) {
+void RunEnvOps(benchmark::State& state, int fibers, int total_ops, bool loads = false) {
   ace::Machine::Options mo;
   mo.config.num_processors = 7;
   ace::Machine m(mo);
   ace::Task* task = m.CreateTask("t");
+  const ace::VirtAddr pages =
+      task->MapAnonymous("pages", static_cast<std::uint64_t>(fibers) * m.page_size());
   std::uint64_t dispatches = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    dispatches = ComputeRun(m, task, fibers, total_ops);
+    dispatches = EnvOpRun(m, task, pages, fibers, total_ops, loads);
   }
   const std::chrono::duration<double, std::nano> elapsed = std::chrono::steady_clock::now() - t0;
   state.counters["ns_per_op"] =
@@ -178,13 +192,56 @@ void RunComputeOps(benchmark::State& state, int fibers, int total_ops) {
 // Lockstep fibers; 64 of them share the 7 processors, so the timeslice rule is live.
 void BM_Dispatch(benchmark::State& state) {
   const int fibers = static_cast<int>(state.range(0));
-  RunComputeOps(state, fibers, fibers * (fibers > 7 ? 2'000 : 20'000));
+  RunEnvOps(state, fibers, fibers * (fibers > 7 ? 2'000 : 20'000));
 }
 BENCHMARK(BM_Dispatch)->Arg(7)->Arg(64);
 
 // The Env op alone: the solo fiber's deadline never closes.
-void BM_EnvOpNoDispatch(benchmark::State& state) { RunComputeOps(state, 1, 140'000); }
+void BM_EnvOpNoDispatch(benchmark::State& state) { RunEnvOps(state, 1, 140'000); }
 BENCHMARK(BM_EnvOpNoDispatch);
+
+// The reference path end to end: Env::Load on seven lockstep fibers, each a local
+// TLB hit followed by a dispatch.
+void BM_EnvLoadWithDispatch(benchmark::State& state) {
+  RunEnvOps(state, 7, 140'000, /*loads=*/true);
+}
+BENCHMARK(BM_EnvLoadWithDispatch);
+
+// A bare ping-pong through FiberContext, no scheduler: one iteration is two stack
+// switches (main -> fiber -> main).
+struct PingPong {
+  ace::FiberContext main_ctx;
+  ace::FiberContext fiber_ctx;
+};
+PingPong* g_ping_pong = nullptr;
+
+void PingPongEntry() {
+  for (;;) {
+    ace::FiberContext::Switch(&g_ping_pong->fiber_ctx, &g_ping_pong->main_ctx);
+  }
+}
+
+void BM_FiberSwitch(benchmark::State& state) {
+  PingPong pp;
+  std::vector<char> stack(64 * 1024);
+  pp.fiber_ctx.Seed(stack.data(), stack.size(), &PingPongEntry);
+  g_ping_pong = &pp;
+  for (auto _ : state) {
+    ace::FiberContext::Switch(&pp.main_ctx, &pp.fiber_ctx);
+  }
+  g_ping_pong = nullptr;  // the fiber stays parked in its loop and is never resumed
+}
+BENCHMARK(BM_FiberSwitch);
+
+// One serving-client key draw (skew 0.9, the serving default) over range(0) keys.
+void BM_ZipfSample(benchmark::State& state) {
+  const ace::ZipfSampler zipf(static_cast<std::uint32_t>(state.range(0)), 0.9);
+  ace::ServingRng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(zipf.Sample(rng));
+  }
+}
+BENCHMARK(BM_ZipfSample)->Arg(128)->Arg(1024);
 
 }  // namespace
 
