@@ -72,7 +72,8 @@ class PhysicalMemory {
   std::uint32_t LocalLimit(ProcId proc) const;
 
   // --- Data access -----------------------------------------------------------------
-  // Inline: ReadWord/WriteWord sit on the per-reference fast path (src/machine/tlb.h).
+  // Inline: ReadWord/WriteWord sit on the reference slow path. A TLB hit skips them
+  // and uses the FrameData pointer its entry cached at fill time (src/machine/tlb.h).
 
   // Raw bytes of a frame; valid until the memory object is destroyed.
   std::uint8_t* FrameData(FrameRef frame) {
