@@ -13,6 +13,7 @@
 #include "src/inject/fault_plan.h"
 #include "src/machine/machine.h"
 #include "src/machine/recovery.h"
+#include "src/obs/sampler.h"
 #include "src/threads/runtime.h"
 #include "src/threads/sim_span.h"
 
@@ -287,6 +288,7 @@ struct DispatchOrder {
   std::uint64_t dispatches = 0;
   std::uint64_t migrations = 0;
   std::uint64_t chaos_events = 0;
+  std::uint64_t samples = 0;
   std::vector<TimeNs> clocks;
 
   void Mix(std::uint64_t v) {
@@ -303,6 +305,7 @@ struct OrderCase {
   Runtime::Options options;
   std::string plan;          // fault plan text; empty = no chaos
   bool migrate_to = false;   // two fibers call Env::MigrateTo mid-run
+  bool sampled = false;      // a bare LiveSampler and a watchdog that never trips
 };
 
 DispatchOrder RunOrderCase(const OrderCase& c) {
@@ -315,7 +318,21 @@ DispatchOrder RunOrderCase(const OrderCase& c) {
   Task* t = m.CreateTask("t");
   const VirtAddr shared = t->MapAnonymous("shared", 8 * m.page_size());
   DispatchOrder order;
-  Runtime rt(&m, t, c.options);
+  Runtime::Options ro = c.options;
+  LiveSampler::Options so;
+  so.interval_ns = 1'000'000;
+  LiveSampler sampler(so, /*sink=*/nullptr);
+  if (c.sampled) {
+    sampler.SetSource(&Machine::LiveCaptureThunk, &m);
+    LiveRunMeta meta;
+    meta.procs = c.procs;
+    meta.threads = c.threads;
+    sampler.BeginRun(std::move(meta));
+    ro.sampler = &sampler;
+    ro.watchdog.deadline_ns = 1'000'000'000'000;
+    ro.watchdog.move_budget = 1'000'000'000;
+  }
+  Runtime rt(&m, t, ro);
   rt.Run(c.threads, [&](int tid, Env& env) {
     auto record = [&] {
       order.Mix(static_cast<std::uint64_t>(tid));
@@ -352,6 +369,7 @@ DispatchOrder RunOrderCase(const OrderCase& c) {
   order.dispatches = rt.context_switches();
   order.migrations = rt.migrations();
   order.chaos_events = m.stats().chaos_events;
+  order.samples = sampler.samples();
   for (int p = 0; p < c.procs; ++p) {
     order.clocks.push_back(m.clocks().now(static_cast<ProcId>(p)));
   }
@@ -422,6 +440,19 @@ TEST(DispatchOrder, KillNodeRehomesFibers) {
   EXPECT_EQ(got.chaos_events, 1u);
   EXPECT_GT(got.migrations, 0u);  // the dead node's fibers moved
   ExpectOrder(got, 6894223846143925848ull, 462, {73492723, 71744057, 25152586, 67949916});
+}
+
+TEST(DispatchOrder, SamplerAndWatchdogArmedWithoutChaos) {
+  // The sampler ticks every 1 ms of virtual time and the watchdog checks both limits
+  // on every dispatch; neither moves a clock, so only the hook order is pinned.
+  OrderCase c;
+  c.procs = 4;
+  c.threads = 6;
+  c.sampled = true;
+  const DispatchOrder got = RunOrderCase(c);
+  EXPECT_EQ(got.chaos_events, 0u);
+  EXPECT_GT(got.samples, 0u);
+  ExpectOrder(got, 11915409074880420223ull, 982, {50236573, 48781007, 48678410, 46541374});
 }
 
 }  // namespace
