@@ -3,7 +3,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <ostream>
-#include <sstream>
 
 namespace ace {
 
@@ -65,87 +64,6 @@ void WriteChromeTrace(const ExportContext& ctx, std::ostream& os) {
     }
   }
   os << "\n]}\n";
-}
-
-void WriteJsonl(const ExportContext& ctx, std::ostream& os) {
-  std::uint64_t total = ctx.tracer != nullptr ? ctx.tracer->total_emitted() : 0;
-  std::uint64_t dropped = ctx.tracer != nullptr ? ctx.tracer->dropped() : 0;
-  std::string serving_member;
-  if (ctx.serving != nullptr && ctx.serving[0] != '\0') {
-    serving_member = Sprintf("\"serving\":\"%s\",", ctx.serving);
-  }
-  os << Sprintf("{\"type\":\"meta\",\"format\":\"ace-obs\",\"version\":1,\"app\":\"%s\","
-                "\"policy\":\"%s\",\"procs\":%d,\"page_size\":%u,\"pages\":%u,"
-                "\"seed\":%llu,\"fault_plan\":\"%s\",%s"
-                "\"events_emitted\":%llu,\"events_dropped\":%llu}\n",
-                ctx.app, ctx.policy, ctx.num_processors, ctx.page_size, ctx.num_pages,
-                static_cast<unsigned long long>(ctx.seed), ctx.fault_plan,
-                serving_member.c_str(), static_cast<unsigned long long>(total),
-                static_cast<unsigned long long>(dropped));
-  if (ctx.tracer != nullptr) {
-    for (ProcId p = 0; p < ctx.tracer->num_processors(); ++p) {
-      ctx.tracer->ForEach(p, [&](const TraceEvent& e) {
-        os << Sprintf("{\"type\":\"event\",\"ev\":\"%s\",\"ts_ns\":%lld,\"proc\":%d,"
-                      "\"lp\":%u,\"aux\":%u}\n",
-                      TraceEventTypeName(e.type), static_cast<long long>(e.ts),
-                      static_cast<int>(e.proc), e.lp, e.aux);
-      });
-    }
-  }
-  if (ctx.stats != nullptr) {
-    for (ProcId p = 0; p < ctx.num_processors; ++p) {
-      const ProcRefCounts& c = ctx.stats->refs[static_cast<std::size_t>(p)];
-      os << "{\"type\":\"proc\",\"proc\":" << p;
-      for (const auto& r : kRefClasses) {
-        os << ",\"" << r.key << "\":" << c.*r.member;
-      }
-      os << "}\n";
-    }
-  }
-  if (ctx.heat != nullptr) {
-    const HeatProfile& heat = *ctx.heat;
-    os << Sprintf("{\"type\":\"decisions\",\"local\":%llu,\"global\":%llu,"
-                  "\"remote_home\":%llu}\n",
-                  (unsigned long long)heat.decisions(Placement::kLocal),
-                  (unsigned long long)heat.decisions(Placement::kGlobal),
-                  (unsigned long long)heat.decisions(Placement::kRemoteHome));
-    for (LogicalPage lp = 0; lp < heat.num_pages(); ++lp) {
-      const PageHeat& h = heat.page(lp);
-      bool any_event = false;
-      for (std::uint32_t c : h.events) {
-        any_event = any_event || c != 0;
-      }
-      if (h.Total() == 0 && !any_event) {
-        continue;
-      }
-      std::ostringstream by_proc;
-      for (int p = 0; p < heat.num_processors(); ++p) {
-        by_proc << (p == 0 ? "" : ",") << h.refs_by_proc[static_cast<std::size_t>(p)];
-      }
-      os << Sprintf(
-          "{\"type\":\"heat\",\"lp\":%u,\"state\":\"%s\",\"fetch_local\":%llu,"
-          "\"fetch_global\":%llu,\"fetch_remote\":%llu,\"store_local\":%llu,"
-          "\"store_global\":%llu,\"store_remote\":%llu,\"faults\":%u,\"zero_fills\":%u,"
-          "\"replicates\":%u,\"migrates\":%u,\"syncs\":%u,\"flushes\":%u,\"unmaps\":%u,"
-          "\"pins\":%u,\"pageouts\":%u,\"pageins\":%u,\"alloc_fails\":%u,\"frees\":%u,"
-          "\"bulk_migrates\":%u,\"degrades\":%u,\"recovers\":%u,\"t_ro_ns\":%lld,"
-          "\"t_lw_ns\":%lld,\"t_gw_ns\":%lld,\"t_rh_ns\":%lld,\"by_proc\":[%s]}\n",
-          lp, StateTag(h.state), (unsigned long long)h.fetch_local,
-          (unsigned long long)h.fetch_global, (unsigned long long)h.fetch_remote,
-          (unsigned long long)h.store_local, (unsigned long long)h.store_global,
-          (unsigned long long)h.store_remote, h.Count(TraceEventType::kPageFault),
-          h.Count(TraceEventType::kZeroFill), h.Count(TraceEventType::kReplicate),
-          h.Count(TraceEventType::kMigrate), h.Count(TraceEventType::kSync),
-          h.Count(TraceEventType::kFlush), h.Count(TraceEventType::kUnmap),
-          h.Count(TraceEventType::kPin), h.Count(TraceEventType::kPageout),
-          h.Count(TraceEventType::kPagein), h.Count(TraceEventType::kLocalAllocFail),
-          h.Count(TraceEventType::kFree), h.Count(TraceEventType::kBulkMigrate),
-          h.Count(TraceEventType::kDegrade), h.Count(TraceEventType::kRecover),
-          (long long)h.time_in_state[0], (long long)h.time_in_state[1],
-          (long long)h.time_in_state[2], (long long)h.time_in_state[3],
-          by_proc.str().c_str());
-    }
-  }
 }
 
 void WriteHeatCsv(const HeatProfile& heat, std::ostream& os) {

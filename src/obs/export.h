@@ -1,15 +1,14 @@
 // Exporters and report renderers for the observability layer.
 //
-// Three machine-readable formats plus the human-readable numatop-style reports:
+// Two machine-readable formats plus the human-readable numatop-style reports:
 //   * Chrome trace-event JSON (load in Perfetto / chrome://tracing): one instant
-//     event per trace record, one track (tid) per processor;
-//   * JSONL: one self-describing JSON object per line — a meta header, every retained
-//     trace event, per-processor reference totals, policy decision counts, and one
-//     heat record per referenced page. tools/ace_top renders reports from this file;
+//     event per trace record, one track (tid) per processor; ace_top --validate
+//     checks it;
 //   * CSV heat table: one row per referenced page, for spreadsheets/pandas.
 //
 // The renderers (RenderHotPages / RenderLocality / RenderDecisions) produce the
-// same tables ace_top shows, so ace_run --report and ace_top agree by construction.
+// tables ace_run --report prints. The per-interval view of a run is the ace-live-v1
+// feed (src/obs/live_stream.h), which ace_top renders.
 
 #ifndef SRC_OBS_EXPORT_H_
 #define SRC_OBS_EXPORT_H_
@@ -24,31 +23,15 @@
 
 namespace ace {
 
-// What an exporter may draw from; null members are simply omitted from the output.
+// What the Chrome trace exporter draws from; a null tracer writes only the metadata.
 struct ExportContext {
   const Tracer* tracer = nullptr;
-  const HeatProfile* heat = nullptr;
-  const MachineStats* stats = nullptr;
-  int num_processors = 0;
-  std::uint32_t page_size = 0;
-  std::uint32_t num_pages = 0;
   const char* policy = "";
   const char* app = "";
-  // Run seed (fault-plan probability streams and any future randomized knobs) and the
-  // armed fault plan, echoed in the JSONL meta header so a run is replayable from its
-  // dump alone. Empty plan = no injection.
-  std::uint64_t seed = 0;
-  const char* fault_plan = "";
-  // Serving-workload shape ("ten4/z0.9/ch3/req1500/seed1"), echoed in the meta
-  // header when the run drove the serving app; empty (and omitted) for batch apps.
-  const char* serving = "";
 };
 
 // Chrome trace-event JSON ({"traceEvents":[...]}); requires ctx.tracer.
 void WriteChromeTrace(const ExportContext& ctx, std::ostream& os);
-
-// JSONL event + heat dump (the ace_top input format).
-void WriteJsonl(const ExportContext& ctx, std::ostream& os);
 
 // CSV heat table, one row per referenced page.
 void WriteHeatCsv(const HeatProfile& heat, std::ostream& os);

@@ -117,15 +117,6 @@ class HeatProfile {
   // total references, then by page number. Pages with no references are omitted.
   std::vector<LogicalPage> TopPages(std::size_t n) const;
 
-  // --- import (rebuilding a profile from an exported JSONL dump; tools/ace_top) ------
-  PageHeat& MutablePage(LogicalPage lp) { return pages_[lp]; }
-  void AddDecisions(Placement p, std::uint64_t n) {
-    decisions_[static_cast<std::size_t>(p)] += n;
-  }
-  void AddMachineEvents(TraceEventType t, std::uint64_t n) {
-    machine_events_[static_cast<std::size_t>(t)] += n;
-  }
-
  private:
   // References by class summed over every page.
   ProcRefCounts Totals() const {

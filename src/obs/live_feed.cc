@@ -4,6 +4,7 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "src/common/types.h"
 #include "src/obs/snapshot.h"
 
 namespace ace {
@@ -35,6 +36,21 @@ std::uint64_t RefTotal(const std::array<std::uint64_t, kNumLiveCounters>& c) {
 
 std::uint64_t RefLocal(const std::array<std::uint64_t, kNumLiveCounters>& c) {
   return c[kLc_fetch_local] + c[kLc_store_local];
+}
+
+// A meta record's processor count. It sizes the per-processor tables, so it is
+// range-checked as a double, before any cast: a value outside [1, kMaxProcessors]
+// sets `error` and returns false.
+bool ReadMetaProcs(const JsonValue& meta, int* procs, std::string* error) {
+  const double n = meta.NumberOr("procs", 0);
+  if (!(n >= 1 && n <= static_cast<double>(kMaxProcessors))) {
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "meta procs %g outside [1, %d]", n, kMaxProcessors);
+    *error = buf;
+    return false;
+  }
+  *procs = static_cast<int>(n);
+  return true;
 }
 
 }  // namespace
@@ -75,16 +91,20 @@ bool LiveFeedParser::Feed(std::string_view bytes, std::vector<JsonValue>* out) {
 
 // --- LiveFeedState -----------------------------------------------------------------
 
-void LiveFeedState::Apply(const JsonValue& rec) {
+bool LiveFeedState::Apply(const JsonValue& rec) {
   const std::string type = rec.StringOr("type", "");
   if (type == "meta") {
+    int procs = 0;
+    if (!ReadMetaProcs(rec, &procs, &error)) {
+      return false;
+    }
     // New segment: keep segments_done, reset everything per-segment.
     have_meta = true;
     meta = LiveRunMeta{};
     meta.tool = rec.StringOr("tool", "?");
     meta.app = rec.StringOr("app", "?");
     meta.policy = rec.StringOr("policy", "?");
-    meta.procs = static_cast<int>(rec.NumberOr("procs", 0));
+    meta.procs = procs;
     meta.threads = static_cast<int>(rec.NumberOr("threads", 0));
     meta.pages = static_cast<std::uint32_t>(rec.NumberOr("pages", 0));
     meta.page_size = static_cast<std::uint32_t>(rec.NumberOr("page_size", 0));
@@ -99,12 +119,12 @@ void LiveFeedState::Apply(const JsonValue& rec) {
     last_dur_ns = 0;
     samples = 0;
     trace_dropped_total = 0;
-    proc_totals.assign(meta.procs > 0 ? static_cast<std::size_t>(meta.procs) : 0, {});
+    proc_totals.assign(static_cast<std::size_t>(procs), {});
     proc_last.assign(proc_totals.size(), {});
     hot.clear();
     finished = false;
     outcome.clear();
-    return;
+    return true;
   }
   if (type == "sample") {
     for (int i = 0; i < kNumLiveCounters; ++i) {
@@ -152,7 +172,7 @@ void LiveFeedState::Apply(const JsonValue& rec) {
         hot.push_back(r);
       }
     }
-    return;
+    return true;
   }
   if (type == "summary") {
     finished = true;
@@ -167,9 +187,10 @@ void LiveFeedState::Apply(const JsonValue& rec) {
     last_ts_ns = static_cast<std::int64_t>(rec.NumberOr("ts_ns", last_ts_ns));
     trace_dropped_total =
         static_cast<std::uint64_t>(rec.NumberOr("trace_dropped_total", trace_dropped_total));
-    return;
+    return true;
   }
   // Unknown record types: ignore (a newer writer may add some).
+  return true;
 }
 
 // --- rendering ---------------------------------------------------------------------
@@ -411,9 +432,9 @@ LiveValidateResult ValidateLiveFeed(const std::string& text) {
       }
       seg = SegState{};
       seg.open = true;
-      seg.procs = static_cast<int>(v.NumberOr("procs", 0));
-      if (seg.procs <= 0) {
-        Fail(&res, lines[li].first, "meta record without a positive procs count");
+      std::string error;
+      if (!ReadMetaProcs(v, &seg.procs, &error)) {
+        Fail(&res, lines[li].first, error);
         return res;
       }
       continue;

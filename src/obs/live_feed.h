@@ -83,10 +83,15 @@ struct LiveFeedState {
   std::string outcome;
   std::uint64_t segments_done = 0;
 
-  // Fold one parsed record in. Unknown record types are ignored (forward
-  // compatibility); malformed known types are folded best-effort — strictness is
-  // the validator's job, not the display's.
-  void Apply(const JsonValue& rec);
+  // Why Apply last returned false.
+  std::string error;
+
+  // Fold one parsed record in. Returns false, with `error` set, when a meta record's
+  // procs is outside [1, kMaxProcessors]: it sizes the per-processor tables, so the
+  // feed cannot be displayed. Unknown record types are ignored (forward
+  // compatibility); other malformed known types are folded best-effort — strictness
+  // is the validator's job, not the display's.
+  bool Apply(const JsonValue& rec);
 };
 
 // Live-display views, cycled by the TUI's number keys.
@@ -115,7 +120,8 @@ struct LiveValidateResult {
 };
 
 // Validate a whole feed file's text against the ace-live-v1 contract:
-//   - the first record of each segment is a meta with this format/version;
+//   - the first record of each segment is a meta with this format/version and a
+//     procs count in [1, kMaxProcessors];
 //   - sample records carry every counter key, indices count 0,1,2,... per segment,
 //     ts_ns is monotone nondecreasing, dur_ns and every delta are non-negative;
 //   - the summary's cumulative counters equal the field-wise sum of its segment's

@@ -101,7 +101,7 @@ inline std::string FormatTlbCounters(std::uint64_t hits, std::uint64_t misses,
 // One-line summary of trace-ring pressure, the sampling-loss counters. A nonzero
 // drop count means the per-processor rings wrapped and the oldest events were
 // overwritten — any report or live feed built from the rings is missing that many
-// events. Surfaced by ace_run (with --trace-out/--jsonl-out) and carried in every
+// events. Surfaced by ace_run (with --trace-out) and carried in every
 // ace-live-v1 sample record so the loss is visible rather than silent.
 inline std::string FormatTraceRingCounters(std::uint64_t emitted, std::uint64_t dropped) {
   char buf[128];

@@ -221,12 +221,7 @@ void Runtime::DispatchNextFrom(FiberContext* from, int self) {
   int next = PickWithDeadline(&deadline);
   ACE_CHECK_MSG(next >= 0, "no runnable thread but work remains");
   if (hooks_armed_) {
-    // Chaos or a rehome may have moved clocks since the pick: pick again for a
-    // deadline that reflects them. The hooks already re-picked after every change,
-    // so the choice itself stands.
-    next = RunDispatchHooks(next);
-    const int repicked = PickWithDeadline(&deadline);
-    ACE_CHECK(repicked == next);
+    next = RunDispatchHooks(next, &deadline);
   }
   current_ = next;
   current_deadline_ = deadline;
@@ -237,7 +232,7 @@ void Runtime::DispatchNextFrom(FiberContext* from, int self) {
   FiberContext::Switch(from, &fibers_[static_cast<std::size_t>(next)]->ctx);
 }
 
-int Runtime::RunDispatchHooks(int next) {
+int Runtime::RunDispatchHooks(int next, TimeNs* deadline) {
   if (machine_->chaos() != nullptr) {
     // Chaos transitions fire when the minimum runnable clock — monotone across
     // dispatches — crosses an event boundary. A transition can advance a clock (a
@@ -247,13 +242,13 @@ int Runtime::RunDispatchHooks(int next) {
     while (machine_->chaos()->Advance(
         now_[fibers_[static_cast<std::size_t>(next)]->env.proc_],
         fibers_[static_cast<std::size_t>(next)]->env.proc_)) {
-      next = PickNext();
+      next = PickWithDeadline(deadline);
     }
     // A kill-node transition orphans the fibers bound to the dead processor; move
     // them to live processors before dispatching (a dead node must never execute).
     if (machine_->recovery() != nullptr && machine_->recovery()->has_dead_nodes()) {
       if (RehomeDeadNodeFibers()) {
-        next = PickNext();
+        next = PickWithDeadline(deadline);
       }
     }
   }

@@ -139,9 +139,10 @@ class Runtime {
   void CheckWatchdog(int next);
 
   // Run the armed per-dispatch hooks for the picked fiber `next`: chaos transitions
-  // (which may re-pick), the live sampler tick, then the watchdog check. Returns the
-  // fiber to dispatch. Only called when hooks_armed_.
-  int RunDispatchHooks(int next);
+  // and rehomes (each change of clocks re-picks and rewrites `deadline`), the live
+  // sampler tick, then the watchdog check; neither of the last two moves a clock.
+  // Returns the fiber to dispatch. Only called when hooks_armed_.
+  int RunDispatchHooks(int next, TimeNs* deadline);
 
   // The dispatcher: pick the earliest runnable fiber, stamp the dispatch bookkeeping
   // (armed hooks, deadline, sequence counters) and switch to it directly from
@@ -161,11 +162,6 @@ class Runtime {
   // where a fiber sharing the chosen fiber's processor counts as that clock plus a
   // timeslice — or -1 when no other fiber is runnable.
   int PickWithDeadline(TimeNs* deadline) const;
-  // The pick alone, for the dispatch hooks' re-picks after a clock moved.
-  int PickNext() const {
-    TimeNs unused;
-    return PickWithDeadline(&unused);
-  }
   // Move every unfinished fiber whose processor died (kill-node chaos) to the
   // surviving processor with the smallest clock, idle-padding causality exactly like
   // MigrateTo. Returns true when any fiber moved (the caller re-picks). Only ever

@@ -135,7 +135,7 @@ LiveFeedState FoldFeed(const std::string& feed) {
   EXPECT_TRUE(parser.Feed(feed, &recs)) << parser.error();
   LiveFeedState state;
   for (const JsonValue& rec : recs) {
-    state.Apply(rec);
+    EXPECT_TRUE(state.Apply(rec)) << state.error;
   }
   return state;
 }
@@ -358,6 +358,33 @@ TEST(LiveValidator, ToleratesATrailingOpenSegment) {
 
 TEST(LiveValidator, RejectsAnEmptyFeed) {
   EXPECT_FALSE(ValidateLiveFeed("").ok);
+}
+
+// The meta procs count sizes the per-processor tables: the validator and the display
+// both reject a count outside the machine model before casting it.
+TEST(LiveValidator, RejectsMetaProcsOutsideTheMachine) {
+  const struct {
+    const char* json;
+    const char* shown;
+  } kCases[] = {{"0", "0"}, {"60", "60"}, {"2000000000", "2e+09"}, {"1e300", "1e+300"}};
+  for (const auto& c : kCases) {
+    std::string meta = MetaLine();
+    meta.replace(meta.find("\"procs\":1"), 9, std::string("\"procs\":") + c.json);
+    const std::string want = std::string("meta procs ") + c.shown + " outside [1, 16]";
+    LiveValidateResult v =
+        ValidateLiveFeed(meta + SummaryLine(0, 1000, Counters{}));
+    EXPECT_FALSE(v.ok) << c.json;
+    EXPECT_EQ(v.error, "line 1: " + want);
+
+    JsonValue rec;
+    std::string error;
+    ASSERT_TRUE(ParseJson(meta, &rec, &error)) << error;
+    LiveFeedState state;
+    EXPECT_FALSE(state.Apply(rec)) << c.json;
+    EXPECT_EQ(state.error, want);
+    EXPECT_FALSE(state.have_meta);
+    EXPECT_TRUE(state.proc_totals.empty());
+  }
 }
 
 // --- trace-ring drop visibility ------------------------------------------------------

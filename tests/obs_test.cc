@@ -115,7 +115,6 @@ TEST(ObsExport, ChromeTraceParsesWithMonotonePerProcessorTimestamps) {
 
   ExportContext ctx;
   ctx.tracer = &obs.tracer();
-  ctx.num_processors = 3;
   std::ostringstream os;
   WriteChromeTrace(ctx, os);
 

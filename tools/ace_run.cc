@@ -71,7 +71,6 @@ void Usage() {
       "  --experiment           run all three placements and print the model row\n"
       "observability (src/obs; all options also accept --opt=value):\n"
       "  --trace-out FILE       write a Chrome trace-event JSON (Perfetto-loadable)\n"
-      "  --jsonl-out FILE       write the full observability dump as JSONL\n"
       "  --heat-csv FILE        write the per-page heat table as CSV\n"
       "  --report LIST          comma-separated: hot-pages,locality,decisions\n"
       "  --top N                rows in the hot-pages report (default 10)\n"
@@ -125,7 +124,6 @@ int main(int argc, char** argv) {
   std::string plan_text;
   std::string chaos_text;
   std::string trace_out;
-  std::string jsonl_out;
   std::string heat_csv;
   std::string report_list;
   int top_n = 10;
@@ -209,8 +207,6 @@ int main(int argc, char** argv) {
       trace = true;
     } else if (arg == "--trace-out") {
       trace_out = next();
-    } else if (arg == "--jsonl-out") {
-      jsonl_out = next();
     } else if (arg == "--heat-csv") {
       heat_csv = next();
     } else if (arg == "--report") {
@@ -240,8 +236,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // The serving-workload shape, echoed in the JSONL meta header and the live-feed
-  // tag (like --seed/--plan) so a serving run is replayable from its dump alone.
+  // The serving-workload shape, echoed in the run header and the live-feed tag (like
+  // --seed/--plan) so a serving run is replayable from its feed alone.
   const bool is_serving = app_name == "Serving" || app_name == "serving";
   std::string serving_desc;
   if (is_serving || serving_flags) {
@@ -310,7 +306,7 @@ int main(int argc, char** argv) {
   mo.enable_tlb = !no_tlb;
   mo.fault_seed = seed;
   // --chaos rides the same plan grammar: chaos items simply append to --plan, so
-  // every downstream consumer (feed meta, JSONL dump, replay lines) sees one plan
+  // every downstream consumer (feed meta, run header, replay lines) sees one plan
   // string that reproduces the run exactly.
   if (!chaos_text.empty()) {
     plan_text = plan_text.empty() ? chaos_text : plan_text + ";" + chaos_text;
@@ -324,12 +320,11 @@ int main(int argc, char** argv) {
   }
   ace::Machine machine(mo);
 
-  const bool want_obs = !trace_out.empty() || !jsonl_out.empty() || !heat_csv.empty() ||
-                        !report_list.empty();
+  const bool want_obs = !trace_out.empty() || !heat_csv.empty() || !report_list.empty();
   if (want_obs) {
     ace::Observability& obs = machine.observability();
     obs.EnableHeat();
-    if ((!trace_out.empty() || !jsonl_out.empty()) && !obs.EnableTracing(trace_buffer)) {
+    if (!trace_out.empty() && !obs.EnableTracing(trace_buffer)) {
       std::fprintf(stderr,
                    "warning: event tracing compiled out (ACE_TRACE=OFF); "
                    "trace outputs will carry no events\n");
@@ -487,16 +482,8 @@ int main(int argc, char** argv) {
 
     ace::ExportContext ctx;
     ctx.tracer = obs.tracing() || obs.tracer().total_emitted() > 0 ? &obs.tracer() : nullptr;
-    ctx.heat = &heat;
-    ctx.stats = &s;
-    ctx.num_processors = threads;
-    ctx.page_size = page_size;
-    ctx.num_pages = global_pages;
     ctx.policy = policy_name.c_str();
     ctx.app = app_name.c_str();
-    ctx.seed = seed;
-    ctx.fault_plan = plan_text.c_str();
-    ctx.serving = serving_desc.c_str();
 
     auto write_file = [&](const std::string& path, const char* what, auto writer) {
       std::ofstream out(path);
@@ -509,9 +496,6 @@ int main(int argc, char** argv) {
     };
     if (!trace_out.empty()) {
       write_file(trace_out, "trace", [&](std::ostream& o) { ace::WriteChromeTrace(ctx, o); });
-    }
-    if (!jsonl_out.empty()) {
-      write_file(jsonl_out, "jsonl", [&](std::ostream& o) { ace::WriteJsonl(ctx, o); });
     }
     if (!heat_csv.empty()) {
       write_file(heat_csv, "heat-csv", [&](std::ostream& o) { ace::WriteHeatCsv(heat, o); });

@@ -1,22 +1,26 @@
-// ace_top — render numatop-style reports from an observability dump, validate
-// trace and live-telemetry files, and watch a running simulation live.
+// ace_top — validate trace and live-telemetry files, and render or watch an
+// ace-live-v1 feed from a running or finished simulation.
 //
-// Input is either a JSONL dump (ace_run --jsonl-out) for the reports, a Chrome
-// trace-event JSON (ace_run --trace-out) / JSONL for --validate, or an ace-live-v1
-// streaming feed (ace_run --live-out) for --validate / --follow / --live.
-// Validation parses the file with the in-tree JSON parser and checks the structural
-// properties the writers guarantee: known event names, per-processor timestamps
-// monotone nondecreasing, and — for live feeds — non-negative per-interval deltas
-// whose sum equals each segment's summary exactly, tolerating one torn final line.
+// Input is a Chrome trace-event JSON (ace_run --trace-out) for --validate, or an
+// ace-live-v1 streaming feed (ace_run --live-out) for --validate, a static frame,
+// --follow or --live. Validation parses the file with the in-tree JSON parser and
+// checks the structural properties the writers guarantee: known event names,
+// per-track timestamps monotone nondecreasing, and — for live feeds — non-negative
+// per-interval deltas whose sum equals each segment's summary exactly, tolerating
+// one torn final line. Every mode rejects a feed whose meta procs count lies outside
+// the machine model.
 //
 // --live tails the feed into an interactive full-screen display (keys: 1-4 switch
 // the hot-pages / locality / per-processor / decisions views, +/- resize the
 // hot-pages table, q quits); when stdout is not a terminal it degrades to --follow,
 // which prints a discrete text frame per new sample — the CI-log mode.
 //
+// The end-of-run tables come from ace_run --report, the per-page data from
+// ace_run --heat-csv.
+//
 // Examples:
-//   ace_run --app IMatMult --jsonl-out run.jsonl
-//   ace_top run.jsonl
+//   ace_run --app IMatMult --live-out live.jsonl
+//   ace_top --view procs live.jsonl
 //   ace_top --validate trace.json
 //   ace_run --app IMatMult --live-out live.jsonl &  ace_top --live live.jsonl
 //   ace_top --follow --timeout 30 live.jsonl
@@ -35,21 +39,18 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/export.h"
-#include "src/obs/heat.h"
 #include "src/obs/json_lite.h"
 #include "src/obs/live_feed.h"
-#include "src/sim/stats.h"
+#include "src/obs/trace_event.h"
 
 namespace {
 
 void Usage() {
   std::fprintf(stderr,
                "usage: ace_top [--top N] [--validate | --follow | --live] FILE\n"
-               "  FILE            JSONL dump from ace_run --jsonl-out (reports), a\n"
-               "                  Chrome trace JSON / JSONL for --validate, or an\n"
-               "                  ace-live-v1 feed (ace_run --live-out)\n"
-               "  --top N         rows in the hot-pages table (default 10)\n"
+               "  FILE            an ace-live-v1 feed (ace_run --live-out), or a\n"
+               "                  Chrome trace JSON (ace_run --trace-out) for --validate\n"
+               "  --top N         rows in the hot-pages view (default 10)\n"
                "  --validate      parse FILE and check its format's invariants\n"
                "  --live          tail an ace-live-v1 feed interactively (TUI);\n"
                "                  falls back to --follow when stdout is not a tty\n"
@@ -129,61 +130,6 @@ bool ValidateChromeTrace(const std::string& text) {
   return true;
 }
 
-bool ValidateJsonl(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  std::map<int, long long> last_ts;  // per proc
-  std::size_t lineno = 0;
-  std::size_t events = 0;
-  bool saw_meta = false;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) {
-      continue;
-    }
-    ace::JsonValue v;
-    std::string error;
-    if (!ace::ParseJson(line, &v, &error)) {
-      std::fprintf(stderr, "ace_top: line %zu: %s\n", lineno, error.c_str());
-      return false;
-    }
-    std::string type = v.StringOr("type", "");
-    if (type == "meta") {
-      if (v.StringOr("format", "") != "ace-obs") {
-        std::fprintf(stderr, "ace_top: line %zu: not an ace-obs dump\n", lineno);
-        return false;
-      }
-      saw_meta = true;
-    } else if (type == "event") {
-      if (EventTypeByName(v.StringOr("ev", "")) < 0) {
-        std::fprintf(stderr, "ace_top: line %zu: unknown event type\n", lineno);
-        return false;
-      }
-      int proc = static_cast<int>(v.NumberOr("proc", -1));
-      long long ts = static_cast<long long>(v.NumberOr("ts_ns", -1));
-      if (proc < 0 || ts < 0) {
-        std::fprintf(stderr, "ace_top: line %zu: event without proc/ts_ns\n", lineno);
-        return false;
-      }
-      auto it = last_ts.find(proc);
-      if (it != last_ts.end() && ts < it->second) {
-        std::fprintf(stderr, "ace_top: line %zu: timestamps regress on proc %d\n", lineno,
-                     proc);
-        return false;
-      }
-      last_ts[proc] = ts;
-      ++events;
-    }
-  }
-  if (!saw_meta) {
-    std::fprintf(stderr, "ace_top: missing meta line\n");
-    return false;
-  }
-  std::printf("valid ace-obs JSONL: %zu events on %zu processors, timestamps monotone\n",
-              events, last_ts.size());
-  return true;
-}
-
 // --- ace-live-v1 feeds -----------------------------------------------------------------
 
 double MonotoneNow() {
@@ -208,6 +154,18 @@ bool ValidateLiveFile(const std::string& text) {
       "deltas non-negative, summaries equal their delta sums%s%s\n",
       r.segments, r.samples, r.torn_tail ? "; torn final line tolerated" : "",
       r.open_segment ? "; unterminated segment tolerated" : "");
+  return true;
+}
+
+// Fold `records` into `state`; false, after reporting why, on a record the display
+// cannot take.
+bool ApplyAll(const std::vector<ace::JsonValue>& records, ace::LiveFeedState* state) {
+  for (const ace::JsonValue& r : records) {
+    if (!state->Apply(r)) {
+      std::fprintf(stderr, "ace_top: %s\n", state->error.c_str());
+      return false;
+    }
+  }
   return true;
 }
 
@@ -278,19 +236,18 @@ int TailLiveFeed(const std::string& path, bool tui, ace::LiveView view,
     std::size_t n = std::fread(buf, 1, sizeof buf, f);
     if (n > 0) {
       records.clear();
-      if (!parser.Feed(std::string_view(buf, n), &records)) {
-        // Only a *complete* malformed line lands here; a torn tail stays pending in
-        // the parser and is retried when its newline arrives.
-        for (const ace::JsonValue& r : records) {
-          state.Apply(r);
-        }
+      // Only a *complete* malformed line fails the parse; a torn tail stays pending in
+      // the parser and is retried when its newline arrives.
+      const bool parsed = parser.Feed(std::string_view(buf, n), &records);
+      if (!ApplyAll(records, &state)) {
+        ret = 1;
+        break;
+      }
+      if (!parsed) {
         std::fprintf(stderr, "ace_top: malformed feed line: %s\n",
                      parser.error().c_str());
         ret = 1;
         break;
-      }
-      for (const ace::JsonValue& r : records) {
-        state.Apply(r);
       }
       if (!records.empty()) {
         dirty = true;
@@ -371,126 +328,6 @@ int TailLiveFeed(const std::string& path, bool tui, ace::LiveView view,
     delete raw;
   }
   return ret;
-}
-
-// --- report rendering ------------------------------------------------------------------
-
-// The six reference-class counts of a "proc" or "heat" line, keyed by class name.
-void ReadRefClasses(const ace::JsonValue& v, ace::ProcRefCounts* out) {
-  for (const auto& r : ace::kRefClasses) {
-    out->*r.member = static_cast<std::uint64_t>(v.NumberOr(r.key, 0));
-  }
-}
-
-int RenderFromJsonl(const std::string& text, std::size_t top_n) {
-  std::istringstream in(text);
-  std::string line;
-  std::size_t lineno = 0;
-
-  double meta_procs = 0;
-  std::uint32_t pages = 0;
-  std::string app;
-  std::string policy;
-  ace::MachineStats stats;
-  std::vector<ace::JsonValue> heat_lines;
-  ace::JsonValue decisions_line;
-  bool have_decisions = false;
-
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) {
-      continue;
-    }
-    ace::JsonValue v;
-    std::string error;
-    if (!ace::ParseJson(line, &v, &error)) {
-      std::fprintf(stderr, "ace_top: line %zu: %s\n", lineno, error.c_str());
-      return 1;
-    }
-    std::string type = v.StringOr("type", "");
-    if (type == "meta") {
-      if (v.StringOr("format", "") != "ace-obs") {
-        std::fprintf(stderr, "ace_top: not an ace-obs JSONL dump (need --jsonl-out)\n");
-        return 1;
-      }
-      meta_procs = v.NumberOr("procs", 0);
-      pages = static_cast<std::uint32_t>(v.NumberOr("pages", 0));
-      app = v.StringOr("app", "?");
-      policy = v.StringOr("policy", "?");
-    } else if (type == "proc") {
-      int p = static_cast<int>(v.NumberOr("proc", -1));
-      if (p >= 0 && p < static_cast<int>(ace::kMaxProcessors)) {
-        ReadRefClasses(v, &stats.refs[static_cast<std::size_t>(p)]);
-      }
-    } else if (type == "decisions") {
-      decisions_line = v;
-      have_decisions = true;
-    } else if (type == "heat") {
-      heat_lines.push_back(std::move(v));
-    }
-  }
-  if (meta_procs == 0 || pages == 0) {
-    std::fprintf(stderr, "ace_top: missing or incomplete meta line\n");
-    return 1;
-  }
-  // The per-processor tables below hold kMaxProcessors rows; a larger count would
-  // read past them.
-  if (!(meta_procs >= 1 && meta_procs <= static_cast<double>(ace::kMaxProcessors))) {
-    std::fprintf(stderr, "ace_top: meta procs %g outside [1, %d]\n", meta_procs,
-                 static_cast<int>(ace::kMaxProcessors));
-    return 1;
-  }
-  const int procs = static_cast<int>(meta_procs);
-
-  ace::HeatProfile heat(procs, pages);
-  if (have_decisions) {
-    heat.AddDecisions(ace::Placement::kLocal,
-                      static_cast<std::uint64_t>(decisions_line.NumberOr("local", 0)));
-    heat.AddDecisions(ace::Placement::kGlobal,
-                      static_cast<std::uint64_t>(decisions_line.NumberOr("global", 0)));
-    heat.AddDecisions(ace::Placement::kRemoteHome,
-                      static_cast<std::uint64_t>(decisions_line.NumberOr("remote_home", 0)));
-  }
-  // Per-event-type JSONL keys, in TraceEventType order.
-  static const char* const kEventKeys[ace::kNumTraceEventTypes] = {
-      "faults",  "zero_fills", "replicates", "migrates",    "syncs",
-      "flushes", "unmaps",     "pins",       "pageouts",    "pageins",
-      "alloc_fails", "frees",  "bulk_migrates", "degrades", "recovers"};
-  for (const ace::JsonValue& v : heat_lines) {
-    std::uint32_t lp = static_cast<std::uint32_t>(v.NumberOr("lp", pages));
-    if (lp >= pages) {
-      continue;
-    }
-    ace::PageHeat& h = heat.MutablePage(lp);
-    ReadRefClasses(v, &h);
-    std::string state = v.StringOr("state", "ro");
-    h.state = state == "lw"   ? ace::PageState::kLocalWritable
-              : state == "gw" ? ace::PageState::kGlobalWritable
-              : state == "rh" ? ace::PageState::kRemoteHomed
-                              : ace::PageState::kReadOnly;
-    for (int t = 0; t < ace::kNumTraceEventTypes; ++t) {
-      std::uint32_t n = static_cast<std::uint32_t>(v.NumberOr(kEventKeys[t], 0));
-      h.events[static_cast<std::size_t>(t)] = n;
-      heat.AddMachineEvents(static_cast<ace::TraceEventType>(t), n);
-    }
-    h.time_in_state[0] = static_cast<ace::TimeNs>(v.NumberOr("t_ro_ns", 0));
-    h.time_in_state[1] = static_cast<ace::TimeNs>(v.NumberOr("t_lw_ns", 0));
-    h.time_in_state[2] = static_cast<ace::TimeNs>(v.NumberOr("t_gw_ns", 0));
-    h.time_in_state[3] = static_cast<ace::TimeNs>(v.NumberOr("t_rh_ns", 0));
-    const ace::JsonValue* by_proc = v.Find("by_proc");
-    if (by_proc != nullptr && by_proc->is_array()) {
-      for (std::size_t p = 0; p < by_proc->items.size() && p < ace::kMaxProcessors; ++p) {
-        h.refs_by_proc[p] = static_cast<std::uint64_t>(by_proc->items[p].number);
-      }
-    }
-  }
-
-  std::printf("ace_top — %s under %s (%d processors, %u pages)\n\n", app.c_str(),
-              policy.c_str(), procs, pages);
-  std::printf("%s\n", ace::RenderHotPages(heat, top_n).c_str());
-  std::printf("%s\n", ace::RenderLocality(stats, procs).c_str());
-  std::printf("%s", ace::RenderDecisions(heat).c_str());
-  return 0;
 }
 
 }  // namespace
@@ -575,40 +412,30 @@ int main(int argc, char** argv) {
   }
 
   std::string text = ReadFile(file);
-  // A Chrome trace is one JSON object; the JSONL dumps start with a meta line (the
-  // live feed's meta names its format). Sniff by content.
-  auto pos = text.find_first_not_of(" \t\r\n");
-  bool looks_live = text.find("\"format\":\"ace-live-v1\"") != std::string::npos;
-  bool looks_jsonl = text.find("\"type\":\"meta\"") != std::string::npos &&
-                     text.find("\"traceEvents\"") == std::string::npos;
-  if (pos == std::string::npos) {
+  if (text.find_first_not_of(" \t\r\n") == std::string::npos) {
     std::fprintf(stderr, "ace_top: %s is empty\n", file.c_str());
     return 1;
   }
-
+  // A Chrome trace is one JSON object; a live feed's meta line names its format.
+  const bool live_feed = text.find("\"format\":\"ace-live-v1\"") != std::string::npos;
   if (validate) {
-    bool ok = looks_live    ? ValidateLiveFile(text)
-              : looks_jsonl ? ValidateJsonl(text)
-                            : ValidateChromeTrace(text);
-    return ok ? 0 : 1;
+    return (live_feed ? ValidateLiveFile(text) : ValidateChromeTrace(text)) ? 0 : 1;
   }
-  if (looks_live) {
-    // Static render of a finished feed: fold the whole file and print one frame.
-    ace::LiveFeedParser parser;
-    ace::LiveFeedState state;
-    std::vector<ace::JsonValue> records;
-    parser.Feed(text, &records);
-    for (const ace::JsonValue& r : records) {
-      state.Apply(r);
-    }
-    std::printf("%s", ace::RenderLiveFrame(state, view, top_n).c_str());
-    return 0;
-  }
-  if (!looks_jsonl) {
+  if (!live_feed) {
     std::fprintf(stderr,
-                 "ace_top: reports need the JSONL dump (ace_run --jsonl-out); Chrome "
-                 "traces only support --validate\n");
+                 "ace_top: %s is not an ace-live-v1 feed (ace_run --live-out); Chrome "
+                 "traces only support --validate\n",
+                 file.c_str());
     return 2;
   }
-  return RenderFromJsonl(text, top_n);
+  // Static render of a finished feed: fold the whole file and print one frame.
+  ace::LiveFeedParser parser;
+  ace::LiveFeedState state;
+  std::vector<ace::JsonValue> records;
+  parser.Feed(text, &records);
+  if (!ApplyAll(records, &state)) {
+    return 1;
+  }
+  std::printf("%s", ace::RenderLiveFrame(state, view, top_n).c_str());
+  return 0;
 }
