@@ -455,5 +455,22 @@ TEST(DispatchOrder, SamplerAndWatchdogArmedWithoutChaos) {
   ExpectOrder(got, 11915409074880420223ull, 982, {50236573, 48781007, 48678410, 46541374});
 }
 
+TEST(DispatchOrder, MigratingAndMigrateToSkipADeadNode) {
+  // Every way a fiber changes processor at once: the kMigrating rotation, explicit
+  // MigrateTo calls and the kill-node rehome. After the kill, the rotation and
+  // MigrateTo both have to step over the dead node.
+  OrderCase c;
+  c.procs = 4;
+  c.threads = 6;
+  c.options.scheduler = SchedulerKind::kMigrating;
+  c.options.migrate_quantum_ns = 1'000'000;
+  c.migrate_to = true;
+  c.plan = "kill-node@2:20000000";
+  const DispatchOrder got = RunOrderCase(c);
+  EXPECT_EQ(got.chaos_events, 1u);
+  EXPECT_EQ(got.migrations, 166u);
+  ExpectOrder(got, 9023638249039397376ull, 1156, {196375197, 190522631, 24300119, 196016752});
+}
+
 }  // namespace
 }  // namespace ace
