@@ -159,46 +159,20 @@ AccessStatus Machine::Access(Task& task, ProcId proc, VirtAddr va, AccessKind ki
   for (int attempt = 0; attempt < kMaxFaultRetries; ++attempt) {
     TranslateResult t = pmap_->Translate(proc, vpage, kind);
     if (t.ok()) {
-      MemoryClass cls = t.frame.ClassFor(proc);
-      TimeNs cost = options_.config.latency.Cost(cls, kind);
-      if (cls != MemoryClass::kLocal) {
-        cost = DilateOffNode(proc, cost);
-      }
-      clocks_.ChargeUser(proc, cost);
-      stats_.RecordRef(proc, cls, kind);
+      const MemoryClass cls = t.frame.ClassFor(proc);
+      std::uint8_t* data = phys_.FrameData(t.frame);
       LogicalPage lp = kNoLogicalPage;
       if (tlb_on_ || obs_.heat_on() || replica_ != nullptr) {
         // The durability subsystem needs the logical page for its store hook even
         // when both the TLB and heat profiling are off (ACE_TLB=0 equivalence).
         lp = pmap_->LookupLogicalPage(proc, vpage);
       }
-      if (obs_.heat_on() && lp != kNoLogicalPage) {
-        // Recorded at the same point as RecordRef, so the heat profile's aggregate
-        // locality fraction agrees with MeasuredAlpha() exactly.
-        obs_.OnRef(lp, proc, cls, kind);
-      }
-      if (cls != MemoryClass::kLocal) {
-        bus_.RecordTransfer(kWordBytes, clocks_.now(proc));
-      }
-      std::uint32_t offset = static_cast<std::uint32_t>(va & (options_.config.page_size - 1));
-      if (kind == AccessKind::kFetch) {
-        *value = phys_.ReadWord(t.frame, offset);
-      } else {
-        phys_.WriteWord(t.frame, offset, *value);
-        if (replica_ != nullptr && lp != kNoLogicalPage) {
-          // Journal write-through for owned pages (no-op for global-writable ones;
-          // their checksum was invalidated when they entered that state).
-          pmap_->manager().NoteStore(lp, offset, *value, proc, /*charge=*/true);
-        }
-      }
-      if (ref_observer_ != nullptr) {
-        ref_observer_(ref_observer_ctx_, proc, va, kind, cls);
-      }
+      CompleteAccess(proc, va, kind, value, cls, options_.config.latency.Cost(cls, kind),
+                     data, lp);
       if (tlb_on_) {
         // Cache the translation with the *full* mapping protection, so a read-then-
         // write page needs only one refill; subsequent hits skip the resolve above.
-        tlb_.Fill(proc, vpage, t.frame, phys_.FrameData(t.frame), t.prot, lp,
-                  options_.config.latency);
+        tlb_.Fill(proc, vpage, t.frame, data, t.prot, lp, options_.config.latency);
       }
       return AccessStatus::kOk;
     }

@@ -319,13 +319,12 @@ class Machine {
   // Poison mode: cross-check a hitting entry against the MMU and mapping directory;
   // ACE_CHECK-aborts if the entry is stale in any field.
   void VerifyTlbEntry(ProcId proc, VirtPage vpage, const Tlb::Entry& entry);
-  // Off-node cost dilation shared by both halves of the reference path: bus
+  // Off-node cost dilation, out of line behind CompleteAccess's one branch: bus
   // contention (when modeled) and an active slow-link chaos window on `proc`.
   TimeNs DilateOffNode(ProcId proc, TimeNs cost) const;
 
   // The reference fast path: probe the TLB and, on a hit, complete the access without
-  // entering the pmap/NUMA machinery, using field for field the accounting sequence of
-  // the slow path's hit block in Access, fed from the cached entry. Returns false on
+  // entering the pmap/NUMA machinery, fed from the cached entry. Returns false on
   // TLB-off, miss, or insufficient cached protection — the caller then takes the slow
   // path, which faults (or upgrades) exactly as it would have without a TLB.
   bool FastAccess(ProcId proc, VirtAddr va, AccessKind kind, std::uint32_t* value) {
@@ -340,33 +339,48 @@ class Machine {
     if (tlb_verify_on_) {
       VerifyTlbEntry(proc, vpage, *e);
     }
-    TimeNs cost = kind == AccessKind::kFetch ? e->cost_fetch : e->cost_store;
-    if (e->cls != MemoryClass::kLocal &&
+    CompleteAccess(proc, va, kind, value, e->cls,
+                   kind == AccessKind::kFetch ? e->cost_fetch : e->cost_store, e->data,
+                   e->lp);
+    return true;
+  }
+
+  // The one accounting step of a reference whose translation is known, shared by the
+  // TLB hit and the slow path: off-node dilation, the user-time charge, the reference
+  // counters, the heat profile, the bus transfer, the word copy through the frame's
+  // host pointer `data` (a store also journals for the durability subsystem), then
+  // the ref observer. `lp` may be kNoLogicalPage when no consumer needs it.
+  void CompleteAccess(ProcId proc, VirtAddr va, AccessKind kind, std::uint32_t* value,
+                      MemoryClass cls, TimeNs cost, std::uint8_t* data, LogicalPage lp) {
+    if (cls != MemoryClass::kLocal &&
         (bus_.options().model_contention || chaos_ != nullptr)) {
       cost = DilateOffNode(proc, cost);
     }
     clocks_.ChargeUser(proc, cost);
-    stats_.RecordRef(proc, e->cls, kind);
-    if (obs_.heat_on() && e->lp != kNoLogicalPage) {
-      obs_.OnRef(e->lp, proc, e->cls, kind);
+    stats_.RecordRef(proc, cls, kind);
+    if (obs_.heat_on() && lp != kNoLogicalPage) {
+      // Recorded at the same point as RecordRef, so the heat profile's aggregate
+      // locality fraction agrees with MeasuredAlpha() exactly.
+      obs_.OnRef(lp, proc, cls, kind);
     }
-    if (e->cls != MemoryClass::kLocal) {
+    if (cls != MemoryClass::kLocal) {
       bus_.RecordTransfer(kWordBytes, clocks_.now(proc));
     }
     const std::uint32_t offset = static_cast<std::uint32_t>(va & page_mask_);
     ACE_DCHECK(offset % kWordBytes == 0);
     if (kind == AccessKind::kFetch) {
-      std::memcpy(value, e->data + offset, kWordBytes);
+      std::memcpy(value, data + offset, kWordBytes);
     } else {
-      std::memcpy(e->data + offset, value, kWordBytes);
-      if (replica_ != nullptr && e->lp != kNoLogicalPage) {
-        pmap_->manager().NoteStore(e->lp, offset, *value, proc, /*charge=*/true);
+      std::memcpy(data + offset, value, kWordBytes);
+      if (replica_ != nullptr && lp != kNoLogicalPage) {
+        // Journal write-through for owned pages (no-op for global-writable ones;
+        // their checksum was invalidated when they entered that state).
+        pmap_->manager().NoteStore(lp, offset, *value, proc, /*charge=*/true);
       }
     }
     if (ref_observer_ != nullptr) {
-      ref_observer_(ref_observer_ctx_, proc, va, kind, e->cls);
+      ref_observer_(ref_observer_ctx_, proc, va, kind, cls);
     }
-    return true;
   }
 
   Options options_;

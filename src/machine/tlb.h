@@ -14,7 +14,8 @@
 // A hit carries everything the accounting fast path needs — frame, its host bytes,
 // protection, logical page, memory class, and the per-kind reference cost — so a
 // hitting access neither consults the pmap nor recomputes latencies or frame
-// addresses; the machine then accounts the reference exactly as the slow path would.
+// addresses. The machine hands those fields to the same accounting step the slow
+// path uses (Machine::CompleteAccess), so a hit is accounted exactly like a miss.
 // Invalidation and run counters live here (the machine exposes them as the `tlb`
 // counter group); they are deliberately *not* part of MachineStats, whose contents
 // must be byte-identical with the TLB on or off.

@@ -307,6 +307,8 @@ void NumaManager::BecomeOwner(LogicalPage lp, ProcId proc) {
 
 Resolution NumaManager::HandleRequest(LogicalPage lp, AccessKind kind, ProcId proc,
                                       Protection max_prot) {
+  ACE_CHECK_MSG(kind == AccessKind::kFetch || max_prot == Protection::kReadWrite,
+                "write request needs writable region");
   NumaPageInfo& info = Info(lp);
   // Pin detection: the policy pins internally (bumping stats_->pages_pinned) when the
   // move limit is hit, so the pin event is recovered from the counter delta.
@@ -358,11 +360,17 @@ Resolution NumaManager::HandleRequest(LogicalPage lp, AccessKind kind, ProcId pr
   }
 
   Resolution r;
-  if (decision == Placement::kRemoteHome) {
-    r = ResolveRemote(lp, proc, max_prot, kind);
-  } else {
-    r = kind == AccessKind::kFetch ? ResolveRead(lp, proc, max_prot, decision)
-                                   : ResolveWrite(lp, proc, max_prot, decision);
+  switch (decision) {
+    case Placement::kRemoteHome:
+      r = ResolveRemote(lp, proc, max_prot);
+      break;
+    case Placement::kGlobal:
+      r = ResolveGlobal(lp, proc, max_prot);
+      break;
+    case Placement::kLocal:
+      r = kind == AccessKind::kFetch ? ResolveRead(lp, proc, max_prot)
+                                     : ResolveWrite(lp, proc, max_prot);
+      break;
   }
 
   if (trace_actions_) {
@@ -376,100 +384,167 @@ Resolution NumaManager::HandleRequest(LogicalPage lp, AccessKind kind, ProcId pr
   return r;
 }
 
-Resolution NumaManager::ResolveRead(LogicalPage lp, ProcId proc, Protection max_prot,
-                                    Placement decision) {
+Resolution NumaManager::ResolveRead(LogicalPage lp, ProcId proc, Protection max_prot) {
   NumaPageInfo& info = Info(lp);
-  if (decision == Placement::kLocal) {
-    switch (info.state) {
-      case PageState::kReadOnly: {
-        // Table 1 [LOCAL x Read-Only]: copy to local; stays Read-Only.
-        if (!EnsureLocalCopy(lp, proc)) {
-          return DegradeToGlobal(lp, AccessKind::kFetch, proc, max_prot);
-        }
-        break;
+  switch (info.state) {
+    case PageState::kReadOnly: {
+      // Table 1 [LOCAL x Read-Only]: copy to local; stays Read-Only.
+      if (!EnsureLocalCopy(lp, proc)) {
+        return DegradeToGlobal(lp, proc, max_prot);
       }
-      case PageState::kGlobalWritable: {
-        // Table 1 [LOCAL x Global-Writable]: unmap all; copy to local; Read-Only.
-        TraceCleanup("unmap all");
-        UnmapAll(lp, proc);
-        if (!EnsureLocalCopy(lp, proc)) {
-          return DegradeToGlobal(lp, AccessKind::kFetch, proc, max_prot);
-        }
-        info.state = PageState::kReadOnly;
-        info.owner = kNoProc;
-        break;
+      break;
+    }
+    case PageState::kGlobalWritable: {
+      // Table 1 [LOCAL x Global-Writable]: unmap all; copy to local; Read-Only.
+      TraceCleanup("unmap all");
+      UnmapAll(lp, proc);
+      if (!EnsureLocalCopy(lp, proc)) {
+        return DegradeToGlobal(lp, proc, max_prot);
       }
-      case PageState::kRemoteHomed: {
-        // Section 4.4 extension: leaving the remote-homed state. All processors may
-        // hold (remote) mappings to the home frame, so drop every mapping first.
-        TraceCleanup("unmap all");
-        UnmapAll(lp, proc);
-        if (info.owner == proc) {
-          // The home reclaims the page as plain local-writable.
-          info.state = PageState::kLocalWritable;
-          std::uint32_t frame_idx = info.local_frame[static_cast<std::size_t>(proc)];
-          return Resolution{FrameRef::Local(proc, frame_idx),
-                            max_prot == Protection::kReadWrite ? Protection::kReadWrite
-                                                               : Protection::kRead};
-        }
+      info.state = PageState::kReadOnly;
+      info.owner = kNoProc;
+      break;
+    }
+    case PageState::kRemoteHomed: {
+      // Section 4.4 extension: leaving the remote-homed state. All processors may
+      // hold (remote) mappings to the home frame, so drop every mapping first.
+      TraceCleanup("unmap all");
+      UnmapAll(lp, proc);
+      if (info.owner == proc) {
+        // The home reclaims the page as plain local-writable.
+        info.state = PageState::kLocalWritable;
+        std::uint32_t frame_idx = info.local_frame[static_cast<std::size_t>(proc)];
+        return Resolution{FrameRef::Local(proc, frame_idx),
+                          max_prot == Protection::kReadWrite ? Protection::kReadWrite
+                                                             : Protection::kRead};
+      }
+      TraceCleanup("sync&flush home");
+      SyncOwner(lp, proc);
+      FlushCopy(lp, info.owner, proc);
+      info.state = PageState::kReadOnly;
+      info.owner = kNoProc;
+      CountOwnershipMove(lp, proc);
+      if (!EnsureLocalCopy(lp, proc)) {
+        return DegradeToGlobal(lp, proc, max_prot);
+      }
+      break;
+    }
+    case PageState::kLocalWritable: {
+      if (info.owner == proc) {
+        // Table 1 [LOCAL x Local-Writable on own node]: no action.
+        std::uint32_t frame_idx = info.local_frame[static_cast<std::size_t>(proc)];
+        return Resolution{FrameRef::Local(proc, frame_idx),
+                          max_prot == Protection::kReadWrite ? Protection::kReadWrite
+                                                             : Protection::kRead};
+      }
+      // Table 1 [LOCAL x Local-Writable on other node]: sync&flush other; copy to
+      // local; Read-Only. This transfers the page between local memories, so it
+      // counts as a "move" for the policy (in Li's ownership protocol a read
+      // request takes ownership too). Without this, a page with one writer and
+      // several readers thrashes between local memories indefinitely and is never
+      // pinned. last_owner is kept, so a subsequent write by the original owner
+      // starts another countable cycle.
+      TraceCleanup("sync&flush other");
+      SyncOwner(lp, proc);
+      FlushCopy(lp, info.owner, proc);
+      info.state = PageState::kReadOnly;
+      info.owner = kNoProc;
+      CountOwnershipMove(lp, proc);
+      if (!EnsureLocalCopy(lp, proc)) {
+        return DegradeToGlobal(lp, proc, max_prot);
+      }
+      break;
+    }
+  }
+  // New state Read-Only: the mapping must be read-only even if the user may write,
+  // so that replication is preserved until an actual write fault (pmap extension 2).
+  std::uint32_t frame_idx = info.local_frame[static_cast<std::size_t>(proc)];
+  return Resolution{FrameRef::Local(proc, frame_idx), Protection::kRead};
+}
+
+Resolution NumaManager::ResolveWrite(LogicalPage lp, ProcId proc, Protection max_prot) {
+  NumaPageInfo& info = Info(lp);
+  switch (info.state) {
+    case PageState::kReadOnly: {
+      // Table 2 [LOCAL x Read-Only]: flush other; copy to local; Local-Writable.
+      bool had_others = info.copies.Count() > (info.copies.Contains(proc) ? 1 : 0);
+      if (had_others) {
+        TraceCleanup("flush other");
+      }
+      FlushCopiesExcept(lp, proc, proc);
+      if (!EnsureLocalCopy(lp, proc)) {
+        return DegradeToGlobal(lp, proc, max_prot);
+      }
+      BecomeOwner(lp, proc);
+      break;
+    }
+    case PageState::kGlobalWritable: {
+      // Table 2 [LOCAL x Global-Writable]: unmap all; copy to local; Local-Writable.
+      TraceCleanup("unmap all");
+      UnmapAll(lp, proc);
+      if (!EnsureLocalCopy(lp, proc)) {
+        return DegradeToGlobal(lp, proc, max_prot);
+      }
+      BecomeOwner(lp, proc);
+      break;
+    }
+    case PageState::kRemoteHomed: {
+      TraceCleanup("unmap all");
+      UnmapAll(lp, proc);
+      if (info.owner != proc) {
         TraceCleanup("sync&flush home");
         SyncOwner(lp, proc);
         FlushCopy(lp, info.owner, proc);
-        info.state = PageState::kReadOnly;
+        info.state = PageState::kReadOnly;  // transiently, until we take ownership
         info.owner = kNoProc;
-        CountOwnershipMove(lp, proc);
         if (!EnsureLocalCopy(lp, proc)) {
-          return DegradeToGlobal(lp, AccessKind::kFetch, proc, max_prot);
+          return DegradeToGlobal(lp, proc, max_prot);
         }
-        break;
+        BecomeOwner(lp, proc);
+      } else {
+        info.state = PageState::kLocalWritable;
       }
-      case PageState::kLocalWritable: {
-        if (info.owner == proc) {
-          // Table 1 [LOCAL x Local-Writable on own node]: no action.
-          std::uint32_t frame_idx = info.local_frame[static_cast<std::size_t>(proc)];
-          return Resolution{FrameRef::Local(proc, frame_idx),
-                            max_prot == Protection::kReadWrite ? Protection::kReadWrite
-                                                               : Protection::kRead};
-        }
-        // Table 1 [LOCAL x Local-Writable on other node]: sync&flush other; copy to
-        // local; Read-Only. This transfers the page between local memories, so it
-        // counts as a "move" for the policy (in Li's ownership protocol a read
-        // request takes ownership too). Without this, a page with one writer and
-        // several readers thrashes between local memories indefinitely and is never
-        // pinned. last_owner is kept, so a subsequent write by the original owner
-        // starts another countable cycle.
+      break;
+    }
+    case PageState::kLocalWritable: {
+      if (info.owner != proc) {
+        // Table 2 [LOCAL x Local-Writable on other node]: sync&flush other; copy to
+        // local; Local-Writable.
         TraceCleanup("sync&flush other");
         SyncOwner(lp, proc);
         FlushCopy(lp, info.owner, proc);
-        info.state = PageState::kReadOnly;
+        info.state = PageState::kReadOnly;  // transiently, until we take ownership
         info.owner = kNoProc;
-        CountOwnershipMove(lp, proc);
         if (!EnsureLocalCopy(lp, proc)) {
-          return DegradeToGlobal(lp, AccessKind::kFetch, proc, max_prot);
+          return DegradeToGlobal(lp, proc, max_prot);
         }
-        break;
+        BecomeOwner(lp, proc);
       }
+      // else Table 2 [LOCAL x Local-Writable on own node]: no action.
+      break;
     }
-    // New state Read-Only: the mapping must be read-only even if the user may write,
-    // so that replication is preserved until an actual write fault (pmap extension 2).
-    std::uint32_t frame_idx = info.local_frame[static_cast<std::size_t>(proc)];
-    return Resolution{FrameRef::Local(proc, frame_idx), Protection::kRead};
   }
+  std::uint32_t frame_idx = info.local_frame[static_cast<std::size_t>(proc)];
+  return Resolution{FrameRef::Local(proc, frame_idx), Protection::kReadWrite};
+}
 
-  // decision == kGlobal
+// Tables 1 and 2 share the GLOBAL row: the same cleanup whether the request is a read
+// or a write, ending Global-Writable.
+Resolution NumaManager::ResolveGlobal(LogicalPage lp, ProcId proc, Protection max_prot) {
+  NumaPageInfo& info = Info(lp);
   switch (info.state) {
     case PageState::kReadOnly:
-      // Table 1 [GLOBAL x Read-Only]: flush all; Global-Writable.
+      // [GLOBAL x Read-Only]: flush all; Global-Writable.
       if (!info.copies.Empty()) {
         TraceCleanup("flush all");
       }
       FlushAllCopies(lp, proc);
       break;
     case PageState::kGlobalWritable:
-      // Table 1 [GLOBAL x Global-Writable]: no action.
+      // [GLOBAL x Global-Writable]: no action.
       break;
     case PageState::kLocalWritable:
-      // Table 1 [GLOBAL x Local-Writable]: sync&flush own/other; Global-Writable.
+      // [GLOBAL x Local-Writable]: sync&flush own/other; Global-Writable.
       TraceCleanup(info.owner == proc ? "sync&flush own" : "sync&flush other");
       SyncOwner(lp, proc);
       FlushCopy(lp, info.owner, proc);
@@ -498,110 +573,7 @@ Resolution NumaManager::ResolveRead(LogicalPage lp, ProcId proc, Protection max_
   return Resolution{FrameRef::Global(lp), max_prot};
 }
 
-Resolution NumaManager::ResolveWrite(LogicalPage lp, ProcId proc, Protection max_prot,
-                                     Placement decision) {
-  ACE_CHECK_MSG(max_prot == Protection::kReadWrite, "write request needs writable region");
-  NumaPageInfo& info = Info(lp);
-  if (decision == Placement::kLocal) {
-    switch (info.state) {
-      case PageState::kReadOnly: {
-        // Table 2 [LOCAL x Read-Only]: flush other; copy to local; Local-Writable.
-        bool had_others = info.copies.Count() > (info.copies.Contains(proc) ? 1 : 0);
-        if (had_others) {
-          TraceCleanup("flush other");
-        }
-        FlushCopiesExcept(lp, proc, proc);
-        if (!EnsureLocalCopy(lp, proc)) {
-          return DegradeToGlobal(lp, AccessKind::kStore, proc, max_prot);
-        }
-        BecomeOwner(lp, proc);
-        break;
-      }
-      case PageState::kGlobalWritable: {
-        // Table 2 [LOCAL x Global-Writable]: unmap all; copy to local; Local-Writable.
-        TraceCleanup("unmap all");
-        UnmapAll(lp, proc);
-        if (!EnsureLocalCopy(lp, proc)) {
-          return DegradeToGlobal(lp, AccessKind::kStore, proc, max_prot);
-        }
-        BecomeOwner(lp, proc);
-        break;
-      }
-      case PageState::kRemoteHomed: {
-        TraceCleanup("unmap all");
-        UnmapAll(lp, proc);
-        if (info.owner != proc) {
-          TraceCleanup("sync&flush home");
-          SyncOwner(lp, proc);
-          FlushCopy(lp, info.owner, proc);
-          info.state = PageState::kReadOnly;  // transiently, until we take ownership
-          info.owner = kNoProc;
-          if (!EnsureLocalCopy(lp, proc)) {
-            return DegradeToGlobal(lp, AccessKind::kStore, proc, max_prot);
-          }
-          BecomeOwner(lp, proc);
-        } else {
-          info.state = PageState::kLocalWritable;
-        }
-        break;
-      }
-      case PageState::kLocalWritable: {
-        if (info.owner != proc) {
-          // Table 2 [LOCAL x Local-Writable on other node]: sync&flush other; copy to
-          // local; Local-Writable.
-          TraceCleanup("sync&flush other");
-          SyncOwner(lp, proc);
-          FlushCopy(lp, info.owner, proc);
-          info.state = PageState::kReadOnly;  // transiently, until we take ownership
-          info.owner = kNoProc;
-          if (!EnsureLocalCopy(lp, proc)) {
-            return DegradeToGlobal(lp, AccessKind::kStore, proc, max_prot);
-          }
-          BecomeOwner(lp, proc);
-        }
-        // else Table 2 [LOCAL x Local-Writable on own node]: no action.
-        break;
-      }
-    }
-    std::uint32_t frame_idx = info.local_frame[static_cast<std::size_t>(proc)];
-    return Resolution{FrameRef::Local(proc, frame_idx), Protection::kReadWrite};
-  }
-
-  // decision == kGlobal — identical cleanup to the read case (Table 2 GLOBAL row).
-  switch (info.state) {
-    case PageState::kReadOnly:
-      if (!info.copies.Empty()) {
-        TraceCleanup("flush all");
-      }
-      FlushAllCopies(lp, proc);
-      break;
-    case PageState::kGlobalWritable:
-      break;
-    case PageState::kLocalWritable:
-      TraceCleanup(info.owner == proc ? "sync&flush own" : "sync&flush other");
-      SyncOwner(lp, proc);
-      FlushCopy(lp, info.owner, proc);
-      info.owner = kNoProc;
-      break;
-    case PageState::kRemoteHomed:
-      TraceCleanup("unmap all; sync&flush home");
-      UnmapAll(lp, proc);
-      SyncOwner(lp, proc);
-      FlushCopy(lp, info.owner, proc);
-      info.owner = kNoProc;
-      break;
-  }
-  info.state = PageState::kGlobalWritable;
-  info.owner = kNoProc;
-  if (replica_ != nullptr) {
-    replica_->InvalidateChecksum(lp);  // direct user stores follow; see ResolveRead
-  }
-  MaterializeGlobalZero(lp, proc);
-  return Resolution{FrameRef::Global(lp), max_prot};
-}
-
-Resolution NumaManager::ResolveRemote(LogicalPage lp, ProcId proc, Protection max_prot,
-                                      AccessKind kind) {
+Resolution NumaManager::ResolveRemote(LogicalPage lp, ProcId proc, Protection max_prot) {
   NumaPageInfo& info = Info(lp);
   switch (info.state) {
     case PageState::kReadOnly: {
@@ -613,7 +585,7 @@ Resolution NumaManager::ResolveRemote(LogicalPage lp, ProcId proc, Protection ma
       }
       FlushCopiesExcept(lp, proc, proc);
       if (!EnsureLocalCopy(lp, proc)) {
-        return DegradeToGlobal(lp, kind, proc, max_prot);
+        return DegradeToGlobal(lp, proc, max_prot);
       }
       UnmapAll(lp, proc);
       if (info.last_owner != kNoProc && info.last_owner != proc) {
@@ -630,7 +602,7 @@ Resolution NumaManager::ResolveRemote(LogicalPage lp, ProcId proc, Protection ma
       UnmapAll(lp, proc);
       MaterializeGlobalZero(lp, proc);
       if (!EnsureLocalCopy(lp, proc)) {
-        return DegradeToGlobal(lp, kind, proc, max_prot);
+        return DegradeToGlobal(lp, proc, max_prot);
       }
       if (info.last_owner != kNoProc && info.last_owner != proc) {
         CountOwnershipMove(lp, proc);
@@ -656,16 +628,12 @@ Resolution NumaManager::ResolveRemote(LogicalPage lp, ProcId proc, Protection ma
   return Resolution{FrameRef::Local(info.owner, frame_idx), max_prot};
 }
 
-Resolution NumaManager::DegradeToGlobal(LogicalPage lp, AccessKind kind, ProcId proc,
-                                        Protection max_prot) {
+Resolution NumaManager::DegradeToGlobal(LogicalPage lp, ProcId proc, Protection max_prot) {
   stats_->degraded_global_fallbacks++;
   ObsEvent(TraceEventType::kDegrade, lp, proc, ~0u);
-  // The GLOBAL rows of Tables 1/2 never need a local frame, so re-resolving from the
-  // page's current (consistent) state cannot fail again.
-  if (kind == AccessKind::kFetch) {
-    return ResolveRead(lp, proc, max_prot, Placement::kGlobal);
-  }
-  return ResolveWrite(lp, proc, max_prot, Placement::kGlobal);
+  // The GLOBAL row never needs a local frame, so re-resolving from the page's current
+  // (consistent) state cannot fail again.
+  return ResolveGlobal(lp, proc, max_prot);
 }
 
 // --- lifecycle -------------------------------------------------------------------------

@@ -225,17 +225,19 @@ class NumaManager {
   void ObsEvent(TraceEventType type, LogicalPage lp, ProcId proc, std::uint32_t aux = 0);
   void ObsNoteState(LogicalPage lp, ProcId proc);
 
-  Resolution ResolveRead(LogicalPage lp, ProcId proc, Protection max_prot, Placement decision);
-  Resolution ResolveWrite(LogicalPage lp, ProcId proc, Protection max_prot, Placement decision);
+  // The LOCAL rows of Table 1 (a read) and Table 2 (a write).
+  Resolution ResolveRead(LogicalPage lp, ProcId proc, Protection max_prot);
+  Resolution ResolveWrite(LogicalPage lp, ProcId proc, Protection max_prot);
+  // The GLOBAL row, which Tables 1 and 2 share: reads and writes clean up alike.
+  Resolution ResolveGlobal(LogicalPage lp, ProcId proc, Protection max_prot);
   // Section 4.4 extension: place/keep the page in one processor's local memory with
-  // remote mappings from everyone else. `kind` is only consulted if placement fails
-  // mid-operation and the request degrades to the global path.
-  Resolution ResolveRemote(LogicalPage lp, ProcId proc, Protection max_prot, AccessKind kind);
+  // remote mappings from everyone else.
+  Resolution ResolveRemote(LogicalPage lp, ProcId proc, Protection max_prot);
   // Graceful degradation: a local copy could not be obtained after cleanup already
   // ran (local memory lost mid-operation, or an injected allocation/copy fault).
-  // Re-resolves the request down the GLOBAL path — which never needs a local frame —
+  // Re-resolves the request down the GLOBAL row — which never needs a local frame —
   // from whatever consistent state the page is in now, and counts the fallback.
-  Resolution DegradeToGlobal(LogicalPage lp, AccessKind kind, ProcId proc, Protection max_prot);
+  Resolution DegradeToGlobal(LogicalPage lp, ProcId proc, Protection max_prot);
   // The global frame failed its integrity checksum on a remote fetch; restore it from
   // a surviving Read-Only replica (byte-identical by invariant) when one exists,
   // otherwise accept the corrupted content as lost.

@@ -2,17 +2,11 @@
 
 namespace ace {
 
-bool Observability::EnableTracing(std::size_t capacity_per_proc) {
-#ifdef ACE_TRACE_ENABLED
+void Observability::EnableTracing(std::size_t capacity_per_proc) {
   if (!tracer_.configured() || tracer_.capacity_per_proc() != capacity_per_proc) {
     tracer_.Configure(num_processors_, capacity_per_proc);
   }
   tracing_ = true;
-  return true;
-#else
-  (void)capacity_per_proc;
-  return false;
-#endif
 }
 
 void Observability::EnableHeat() {
@@ -24,14 +18,9 @@ void Observability::EnableHeat() {
 
 void Observability::OnEvent(TraceEventType type, LogicalPage lp, ProcId proc,
                             std::uint32_t aux) {
-#ifdef ACE_TRACE_ENABLED
   if (tracing_) {
     tracer_.Emit(type, lp, proc, aux, clocks_->now(proc));
   }
-#else
-  (void)proc;
-  (void)aux;
-#endif
   if (heat_on_) {
     heat_->CountEvent(type, lp);
   }

@@ -8,9 +8,7 @@
 //     within 2% of a build without the hooks at all;
 //   * attached, runtime-disabled      — one extra flag test per pointer hook;
 //   * attached, enabled               — ring-buffer stores and table increments, no
-//     allocation, no locks (the simulator is single-threaded by construction);
-//   * ACE_TRACE compiled out (CMake)  — event recording is removed entirely and
-//     EnableTracing() reports failure; heat profiling remains available.
+//     allocation, no locks (the simulator is single-threaded by construction).
 //
 // Timestamps are the acting processor's virtual clock (ProcClocks::now), so each
 // per-processor ring is monotone by construction.
@@ -41,16 +39,7 @@ class Observability {
   Observability(const Observability&) = delete;
   Observability& operator=(const Observability&) = delete;
 
-  static constexpr bool TracingCompiledIn() {
-#ifdef ACE_TRACE_ENABLED
-    return true;
-#else
-    return false;
-#endif
-  }
-
-  // Returns false (and stays disabled) when ACE_TRACE was compiled out.
-  bool EnableTracing(std::size_t capacity_per_proc = Tracer::kDefaultCapacityPerProc);
+  void EnableTracing(std::size_t capacity_per_proc = Tracer::kDefaultCapacityPerProc);
   void DisableTracing() { tracing_ = false; }
 
   void EnableHeat();

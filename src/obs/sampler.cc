@@ -72,7 +72,6 @@ void LiveSampler::BeginRun(LiveRunMeta meta) {
   FlattenLiveCounters(prev_, base_);
   last_ts_ = prev_.max_clock_ns;
   next_due_ = (last_ts_ / options_.interval_ns + 1) * options_.interval_ns;
-  last_traffic_ = prev_.stats.ownership_moves + prev_.stats.page_syncs;
   running_ = true;
 
   if (sink_ != nullptr) {
@@ -111,7 +110,6 @@ void LiveSampler::EmitSample(TimeNs ts, bool force) {
   if (ts < last_ts_) {
     ts = last_ts_;  // never regress (captures between boundaries share a stamp)
   }
-  last_traffic_ = cur.stats.ownership_moves + cur.stats.page_syncs;
 
   std::uint64_t pc[kNumLiveCounters];
   std::uint64_t cc[kNumLiveCounters];

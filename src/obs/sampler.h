@@ -9,18 +9,14 @@
 // through the durable stream writer (src/obs/live_stream.h).
 //
 // Sampling is a pure observer: the capture source reads counters through the same
-// accessors every report already uses (Machine::stats() commits open TLB runs, which
-// is idempotent and changes no MachineStats value, clock, or application result —
-// the determinism test in tests/live_sampler_test.cc proves a sampled run
-// byte-identical to an unsampled one). The layering follows the repo's
+// const accessors every report already uses and changes no MachineStats value, clock,
+// or application result — the determinism test in tests/live_sampler_test.cc proves
+// a sampled run byte-identical to an unsampled one, and the watchdog reads the
+// machine's counters directly, so a sampled run trips its livelock budget exactly
+// where an unsampled one does. The layering follows the repo's
 // function-pointer-plus-context idiom (Machine::RefObserver,
 // Observability::StateListener): obs stays independent of the machine layer; the
 // machine implements the capture and hands the sampler a thunk.
-//
-// The hung-run watchdog consumes the same stream: when a sampler is attached the
-// runtime's livelock budget is evaluated against the latest sample's consistency
-// traffic (last_traffic()) instead of a private Machine::stats() read, so the budget
-// trips at sample granularity and the operator can see the trip coming in the feed.
 
 #ifndef SRC_OBS_SAMPLER_H_
 #define SRC_OBS_SAMPLER_H_
@@ -134,10 +130,6 @@ class LiveSampler {
   // fsync the feed. `outcome` is "ok" or a failure kind (e.g. "watchdog-livelock").
   void EndRun(const std::string& outcome);
 
-  bool active() const { return running_; }
-  // Consistency traffic (ownership moves + page syncs) of the latest capture — the
-  // watchdog's livelock-budget input when a sampler is attached.
-  std::uint64_t last_traffic() const { return last_traffic_; }
   std::uint64_t samples() const { return sample_idx_; }
   // Lifetime totals across every segment this sampler wrote (a bench sweep or soak
   // run strings many segments through one sampler).
@@ -164,7 +156,6 @@ class LiveSampler {
   std::uint64_t sample_idx_ = 0;
   std::uint64_t segments_ = 0;
   std::uint64_t total_samples_ = 0;
-  std::uint64_t last_traffic_ = 0;
   LiveSample prev_;
   // Flattened counters at BeginRun. The summary reports totals relative to this,
   // so sum-of-sample-deltas == summary holds even when the machine did work (app

@@ -5,9 +5,8 @@
 // backwards). When a ring wraps, the oldest events are overwritten and counted as
 // dropped — recording never allocates and never blocks.
 //
-// The compile-time ACE_TRACE toggle (CMake option, default ON) removes event
-// recording entirely; the runtime enable keeps the disabled path to a single
-// predictable branch in the emit hooks (see src/obs/observability.h).
+// The runtime enable keeps the disabled path to a single predictable branch in the
+// emit hooks (see src/obs/observability.h).
 
 #ifndef SRC_OBS_TRACER_H_
 #define SRC_OBS_TRACER_H_

@@ -72,8 +72,9 @@ class PhysicalMemory {
   std::uint32_t LocalLimit(ProcId proc) const;
 
   // --- Data access -----------------------------------------------------------------
-  // Inline: ReadWord/WriteWord sit on the reference slow path. A TLB hit skips them
-  // and uses the FrameData pointer its entry cached at fill time (src/machine/tlb.h).
+  // A user reference copies its word through FrameData (Machine::CompleteAccess; a
+  // TLB hit uses the pointer its entry cached at fill time). ReadWord/WriteWord serve
+  // the kernel side: debug access, journals and the conformance checker.
 
   // Raw bytes of a frame; valid until the memory object is destroyed.
   std::uint8_t* FrameData(FrameRef frame) {

@@ -62,31 +62,14 @@ void Env::Yield() { runtime_->MaybeYield(*this, /*voluntary=*/true); }
 
 void Env::MigrateTo(ProcId new_proc, bool move_pages) {
   ACE_CHECK(new_proc >= 0 && new_proc < runtime_->machine_->num_processors());
-  if (runtime_->machine_->recovery() != nullptr) {
-    // A migration aimed at a node lost to kill-node chaos lands on the next live
-    // processor instead — a real OS refuses to bind to an offline CPU. Terminates:
-    // the recovery manager guarantees at least one live processor (the caller's).
-    while (runtime_->machine_->recovery()->node_dead(new_proc)) {
-      new_proc = (new_proc + 1) % runtime_->machine_->num_processors();
-    }
-  }
+  // A migration aimed at a node lost to kill-node chaos lands on the next live
+  // processor instead — a real OS refuses to bind to an offline CPU.
+  new_proc = runtime_->LiveProcFrom(new_proc);
   if (new_proc == proc_) {
     return;
   }
-  ProcId old_proc = proc_;
-  // Keep causality: pad the destination with idle time if it is behind (it may have
-  // been sitting empty while this thread worked).
-  TimeNs skew = runtime_->now_[old_proc] - runtime_->now_[new_proc];
-  if (skew > 0) {
-    runtime_->machine_->clocks().ChargeIdle(new_proc, skew);
-  }
-  if (move_pages) {
-    runtime_->machine_->numa_manager().MigrateResidentPages(old_proc, new_proc);
-  }
-  proc_ = new_proc;
-  Runtime::Fiber& fiber = *runtime_->fibers_[static_cast<std::size_t>(tid_)];
-  fiber.migrate_epoch_ns = runtime_->now_[new_proc];
-  runtime_->migrations_++;
+  runtime_->MoveFiber(*runtime_->fibers_[static_cast<std::size_t>(tid_)], new_proc,
+                      move_pages);
   runtime_->MaybeYield(*this, /*voluntary=*/true);
 }
 
@@ -181,24 +164,10 @@ void Runtime::MaybeYield(Env& env, bool voluntary) {
     if (ran >= options_.migrate_quantum_ns) {
       // Move to the next processor, modeling the original Mach single-queue scheduler
       // under which "processes mov[ed] between processors far too often" (sec. 4.7).
-      ProcId old_proc = env.proc_;
-      ProcId new_proc = (env.proc_ + 1) % machine_->num_processors();
-      if (machine_->recovery() != nullptr) {
-        // Rotation skips nodes lost to kill-node chaos; stops at old_proc (live by
-        // construction) when no other processor survives.
-        while (machine_->recovery()->node_dead(new_proc)) {
-          new_proc = (new_proc + 1) % machine_->num_processors();
-        }
-      }
-      // Keep causality: the destination may be behind; pad with idle time so the
-      // thread cannot observe state "before" it was produced.
-      TimeNs skew = now_[old_proc] - now_[new_proc];
-      if (skew > 0) {
-        machine_->clocks().ChargeIdle(new_proc, skew);
-      }
-      env.proc_ = new_proc;
-      fiber.migrate_epoch_ns = now_[new_proc];
-      migrations_++;
+      // The rotation stops at the fiber's own processor (live by construction) when no
+      // other one survives kill-node chaos.
+      MoveFiber(fiber, LiveProcFrom((env.proc_ + 1) % machine_->num_processors()),
+                /*move_pages=*/false);
       voluntary = true;  // force a pass through the scheduler to recompute deadlines
     }
   }
@@ -254,9 +223,7 @@ int Runtime::RunDispatchHooks(int next, TimeNs* deadline) {
   }
   if (options_.sampler != nullptr) {
     // The chosen fiber's clock is the minimum runnable clock — monotone
-    // nondecreasing across dispatches, so it is a valid sample timestamp. Ticked
-    // before the watchdog check: a livelock budget evaluated from the sample stream
-    // sees the capture that crossed the budget, not a stale one.
+    // nondecreasing across dispatches, so it is a valid sample timestamp.
     options_.sampler->Tick(now_[fibers_[static_cast<std::size_t>(next)]->env.proc_]);
   }
   CheckWatchdog(next);
@@ -285,20 +252,40 @@ bool Runtime::RehomeDeadNodeFibers() {
       }
     }
     ACE_CHECK_MSG(best != kNoProc, "kill-node left no surviving processor");
-    const ProcId old_proc = fiber.env.proc_;
-    // Keep causality exactly like Env::MigrateTo: pad the destination with idle time
-    // if it is behind the orphaned fiber's clock. The dead node's pages were already
-    // re-homed to global memory by the recovery manager, so there is nothing to move.
-    TimeNs skew = now_[old_proc] - now_[best];
-    if (skew > 0) {
-      machine_->clocks().ChargeIdle(best, skew);
-    }
-    fiber.env.proc_ = best;
-    fiber.migrate_epoch_ns = now_[best];
-    migrations_++;
+    // The dead node's pages were already re-homed to global memory by the recovery
+    // manager, so there is nothing to move.
+    MoveFiber(fiber, best, /*move_pages=*/false);
     moved = true;
   }
   return moved;
+}
+
+void Runtime::MoveFiber(Fiber& fiber, ProcId to, bool move_pages) {
+  const ProcId from = fiber.env.proc_;
+  // Keep causality: the destination may be behind (it may have sat empty while this
+  // thread worked); pad it with idle time so the thread cannot observe state "before"
+  // it was produced.
+  const TimeNs skew = now_[from] - now_[to];
+  if (skew > 0) {
+    machine_->clocks().ChargeIdle(to, skew);
+  }
+  if (move_pages) {
+    machine_->numa_manager().MigrateResidentPages(from, to);
+  }
+  fiber.env.proc_ = to;
+  fiber.migrate_epoch_ns = now_[to];
+  migrations_++;
+}
+
+ProcId Runtime::LiveProcFrom(ProcId proc) const {
+  const RecoveryManager* recovery = machine_->recovery();
+  if (recovery != nullptr) {
+    // Terminates: the recovery manager keeps at least one processor alive.
+    while (recovery->node_dead(proc)) {
+      proc = (proc + 1) % machine_->num_processors();
+    }
+  }
+  return proc;
 }
 
 void Runtime::CheckWatchdog(int next) {
@@ -319,26 +306,16 @@ void Runtime::CheckWatchdog(int next) {
     kill_detail_ = BuildKillReport(*machine_, wd, summary);
     return;
   }
-  // Livelock budget. With a live sampler attached, the budget is evaluated against
-  // the sample stream's latest capture — the same numbers an operator tailing the
-  // ace-live-v1 feed watches approach the budget — so trips land on sample
-  // boundaries. Without one, fall back to a direct counter read every dispatch.
-  std::uint64_t traffic;
-  const char* traffic_src;
-  if (options_.sampler != nullptr && options_.sampler->active()) {
-    traffic = options_.sampler->last_traffic();
-    traffic_src = " (from the live sample stream)";
-  } else {
-    const MachineStats& stats = machine_->stats();
-    traffic = stats.ownership_moves + stats.page_syncs;
-    traffic_src = "";
-  }
+  // Livelock budget, read straight from the machine's counters whether or not a
+  // sampler is attached, so sampling never moves the trip.
+  const MachineStats& stats = machine_->stats();
+  const std::uint64_t traffic = stats.ownership_moves + stats.page_syncs;
   if (wd.move_budget > 0 && traffic > wd.move_budget) {
     std::snprintf(summary, sizeof summary,
                   "consistency traffic (ownership_moves + page_syncs = %llu) passed "
-                  "the move budget of %llu%s",
+                  "the move budget of %llu",
                   static_cast<unsigned long long>(traffic),
-                  static_cast<unsigned long long>(wd.move_budget), traffic_src);
+                  static_cast<unsigned long long>(wd.move_budget));
     killing_ = true;
     kill_reason_ = "watchdog-livelock";
     kill_detail_ = BuildKillReport(*machine_, wd, summary);

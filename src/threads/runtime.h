@@ -92,9 +92,9 @@ class Runtime {
     WatchdogLimits watchdog;
     // Optional live-telemetry sampler (src/obs/sampler.h). Ticked once per dispatch
     // with the chosen fiber's virtual clock — the minimum runnable clock, which is
-    // monotone nondecreasing — before the watchdog check, so a budget trip is
-    // evaluated against the sample that crossed it. Not owned; one compare per
-    // dispatch when attached, untouched code path when null.
+    // monotone nondecreasing. A pure observer: the watchdog reads the machine's
+    // counters, not the samples. Not owned; one compare per dispatch when attached,
+    // untouched code path when null.
     LiveSampler* sampler = nullptr;
   };
 
@@ -163,10 +163,17 @@ class Runtime {
   // timeslice — or -1 when no other fiber is runnable.
   int PickWithDeadline(TimeNs* deadline) const;
   // Move every unfinished fiber whose processor died (kill-node chaos) to the
-  // surviving processor with the smallest clock, idle-padding causality exactly like
-  // MigrateTo. Returns true when any fiber moved (the caller re-picks). Only ever
-  // called when the machine's recovery manager reports dead nodes.
+  // surviving processor with the smallest clock. Returns true when any fiber moved
+  // (the caller re-picks). Only ever called when the machine's recovery manager
+  // reports dead nodes.
   bool RehomeDeadNodeFibers();
+  // The one fiber move, shared by Env::MigrateTo, the kMigrating rotation and the
+  // dead-node rehome: idle-pad the destination up to the fiber's clock, migrate the
+  // fiber's local-writable pages along when `move_pages`, rebind, restart the
+  // migration epoch and count the migration.
+  void MoveFiber(Fiber& fiber, ProcId to, bool move_pages);
+  // `proc`, or the next processor after it that kill-node chaos has not taken.
+  ProcId LiveProcFrom(ProcId proc) const;
 
   Machine* machine_;
   Task* task_;

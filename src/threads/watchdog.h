@@ -41,10 +41,8 @@ struct WatchdogLimits {
   // Livelock budget: trip when ownership_moves + page_syncs exceeds this. Bounded
   // for any terminating run under a finite move threshold; a ping-ponging page
   // crosses any budget in proportion to its reference stream. 0 = unlimited.
-  // When a live sampler is attached (Runtime::Options::sampler), the traffic is
-  // read from the sampler's latest capture instead of a private Machine::stats()
-  // read — the watchdog then trips at sample granularity, against exactly the
-  // numbers an operator tailing the ace-live-v1 feed is watching.
+  // Read from Machine::stats() on every check, so an attached live sampler never
+  // moves the trip.
   std::uint64_t move_budget = 0;
   // Trace events included in the kill report (per run, newest last), when the
   // machine has tracing enabled.

@@ -90,7 +90,6 @@ TEST(ObsTracer, RingKeepsNewestEventsAndCountsDrops) {
   }
 }
 
-#ifdef ACE_TRACE_ENABLED
 TEST(ObsExport, ChromeTraceParsesWithMonotonePerProcessorTimestamps) {
   Machine::Options mo;
   mo.config.num_processors = 3;
@@ -98,7 +97,8 @@ TEST(ObsExport, ChromeTraceParsesWithMonotonePerProcessorTimestamps) {
   mo.config.local_pages_per_proc = 4;
   Machine machine(mo);
   Observability& obs = machine.observability();
-  ASSERT_TRUE(obs.EnableTracing(256));
+  obs.EnableTracing(256);
+  ASSERT_TRUE(obs.tracing());
   obs.EnableHeat();
 
   Task* task = machine.CreateTask("trace");
@@ -146,7 +146,6 @@ TEST(ObsExport, ChromeTraceParsesWithMonotonePerProcessorTimestamps) {
   }
   EXPECT_EQ(instants, obs.tracer().total_emitted());
 }
-#endif  // ACE_TRACE_ENABLED
 
 TEST(ObsSnapshot, DiffStatsSubtractsFieldWise) {
   MachineStats a;
@@ -200,11 +199,12 @@ TEST(ObsFacade, TracingRespectsCompileTimeToggle) {
   ProcClocks clocks(2);
   Observability obs(2, 8, &clocks);
   EXPECT_FALSE(obs.active());
-  EXPECT_EQ(obs.EnableTracing(16), Observability::TracingCompiledIn());
+  obs.EnableTracing(16);
+  EXPECT_TRUE(obs.tracing());
   obs.EnableHeat();
   EXPECT_TRUE(obs.heat_on());
   EXPECT_TRUE(obs.active());
-  // Heat profiling works regardless of the trace compile toggle.
+  // Heat profiling records alongside tracing.
   obs.OnRef(3, 1, MemoryClass::kRemote, AccessKind::kStore);
   EXPECT_EQ(obs.heat().page(3).store_remote, 1u);
   EXPECT_EQ(obs.heat().TotalRefs(), 1u);

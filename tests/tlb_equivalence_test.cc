@@ -10,12 +10,16 @@
 // divergence — one reference misclassified, one cost charged differently, one
 // counter recorded in a different order — fails here with the field named. The same
 // holds under chaos: a slow-link window and a kill-node plan (with its durability
-// write-through on every store) run through the very same hit path.
+// write-through on every store) run through the very same hit path. And every
+// per-reference observer — the heat profile, the policy decision counts and the
+// RefTracer — sees the same stream either way.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,7 +29,9 @@
 #include "src/metrics/experiment.h"
 #include "src/metrics/sweep/report.h"
 #include "src/metrics/sweep/runner.h"
+#include "src/obs/observability.h"
 #include "src/obs/snapshot.h"
+#include "src/trace/ref_trace.h"
 
 namespace ace {
 namespace {
@@ -163,6 +169,85 @@ TEST(TlbEquivalenceChaos, KillNodePlanIdenticalWithTlbOnAndOff) {
   // The canonical permanent-failure plan: journal write-through on every owned store
   // (TLB hits included), a corruption scrub, then node 2 dies and is recovered.
   RunChaosDifferential("corrupt-page@1:2000000:4000000:1000;kill-node@2:5000000");
+}
+
+// --- per-reference observers ---------------------------------------------------------
+
+// Everything the per-reference observers recorded in one run. Both halves of the
+// reference path feed them from one accounting step, so TLB on and off must agree.
+struct ObservedStream {
+  std::vector<ProcRefCounts> heat_by_class;  // per logical page
+  std::vector<std::array<std::uint64_t, kMaxProcessors>> heat_by_proc;
+  std::array<std::uint64_t, 3> decisions{};  // indexed by Placement
+  // RefTracer, per virtual page: fetches, stores, local, non-local, readers, writers.
+  std::map<VirtPage, std::array<std::uint64_t, 6>> traced;
+  std::uint64_t tlb_hits = 0;
+};
+
+ObservedStream ObserveRun(const std::string& app_name, bool tlb, const char* plan) {
+  Machine::Options mo;
+  mo.config.num_processors = 4;
+  mo.enable_tlb = tlb;
+  mo.policy = PolicySpec::MoveLimit(4);
+  if (plan != nullptr) {
+    std::string error;
+    EXPECT_TRUE(FaultPlan::Parse(plan, &mo.fault_plan, &error)) << error;
+    mo.policy = PolicySpec::MoveLimit(1);
+    mo.fault_seed = 1;
+  }
+  Machine machine(mo);
+  machine.observability().EnableHeat();
+  RefTracer tracer(&machine);
+
+  std::unique_ptr<App> app = CreateAppByName(app_name);
+  EXPECT_NE(app, nullptr);
+  AppConfig cfg;
+  cfg.num_threads = 4;
+  cfg.scale = 0.25;
+  AppResult result = app->Run(machine, cfg);
+  EXPECT_TRUE(result.ok) << app_name << ": " << result.detail;
+
+  ObservedStream out;
+  const HeatProfile& heat = machine.observability().heat();
+  for (LogicalPage lp = 0; lp < heat.num_pages(); ++lp) {
+    out.heat_by_class.push_back(heat.page(lp));
+    out.heat_by_proc.push_back(heat.page(lp).refs_by_proc);
+  }
+  out.decisions = {heat.decisions(Placement::kLocal), heat.decisions(Placement::kGlobal),
+                   heat.decisions(Placement::kRemoteHome)};
+  for (const auto& [page, c] : tracer.pages()) {
+    out.traced[page] = {c.fetches, c.stores, c.local_refs, c.nonlocal_refs,
+                        c.readers.bits(), c.writers.bits()};
+  }
+  out.tlb_hits = machine.tlb_stats().hits;
+  return out;
+}
+
+void ExpectObserversIdentical(const std::string& app_name, const char* plan) {
+  const ObservedStream on = ObserveRun(app_name, /*tlb=*/true, plan);
+  const ObservedStream off = ObserveRun(app_name, /*tlb=*/false, plan);
+  EXPECT_GT(on.tlb_hits, 0u) << app_name << ": fast path never engaged";
+  EXPECT_EQ(off.tlb_hits, 0u) << app_name;
+  ASSERT_EQ(on.heat_by_class.size(), off.heat_by_class.size());
+  for (std::size_t lp = 0; lp < on.heat_by_class.size(); ++lp) {
+    EXPECT_TRUE(on.heat_by_class[lp] == off.heat_by_class[lp])
+        << app_name << ": heat refs by class differ on logical page " << lp;
+    EXPECT_EQ(on.heat_by_proc[lp], off.heat_by_proc[lp])
+        << app_name << ": heat refs by processor differ on logical page " << lp;
+  }
+  EXPECT_EQ(on.decisions, off.decisions) << app_name;
+  EXPECT_FALSE(on.traced.empty()) << app_name << ": RefTracer saw nothing";
+  EXPECT_EQ(on.traced, off.traced) << app_name << ": RefTracer per-page counts differ";
+}
+
+TEST(TlbEquivalenceObservers, BatchAppStreamIdenticalWithTlbOnAndOff) {
+  ExpectObserversIdentical("IMatMult", nullptr);
+}
+
+TEST(TlbEquivalenceObservers, ServingKillNodeStreamIdenticalWithTlbOnAndOff) {
+  // The durability plan makes the shared step journal every owned store through the
+  // logical page each half of the path hands it.
+  ExpectObserversIdentical("Serving", "corrupt-page@1:2000000:4000000:1000;kill-node@2:5000000");
 }
 
 // --- serialized ace-bench-v1 cell JSON, via the ACE_TLB environment toggle ----------

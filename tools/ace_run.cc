@@ -324,10 +324,8 @@ int main(int argc, char** argv) {
   if (want_obs) {
     ace::Observability& obs = machine.observability();
     obs.EnableHeat();
-    if (!trace_out.empty() && !obs.EnableTracing(trace_buffer)) {
-      std::fprintf(stderr,
-                   "warning: event tracing compiled out (ACE_TRACE=OFF); "
-                   "trace outputs will carry no events\n");
+    if (!trace_out.empty()) {
+      obs.EnableTracing(trace_buffer);
     }
   }
 
