@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "src/common/check.h"
+#include "src/common/splitmix64.h"
 #include "src/numa/policies.h"
 #include "src/numa/replica_manager.h"
 #include "src/obs/observability.h"
@@ -105,24 +106,6 @@ class TlbMirror : public MappingControl {
   }
 
   std::unordered_map<std::uint64_t, Entry> entries_;
-};
-
-// SplitMix64: tiny, seedable, and good enough for operation streams.
-class Rng {
- public:
-  explicit Rng(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t Next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
-  std::uint32_t Below(std::uint32_t n) { return static_cast<std::uint32_t>(Next() % n); }
-
- private:
-  std::uint64_t state_;
 };
 
 MachineConfig BuildMachineConfig(const ConformConfig& cc) {
@@ -462,7 +445,7 @@ std::optional<std::string> Differ::Step(const ConformOp& op) {
 
 std::vector<ConformOp> GenerateOps(const ConformConfig& config, std::uint64_t seed,
                                    std::size_t count) {
-  Rng rng(seed);
+  SplitMix64 rng(seed);
   std::vector<ConformOp> ops;
   ops.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {

@@ -1,7 +1,7 @@
 #include "src/conformance/ref_model.h"
 
 #include "src/common/check.h"
-#include "src/numa/replica_manager.h"  // DurabilitySplitMix64 (shared corrupt-page walk)
+#include "src/common/splitmix64.h"
 
 namespace ace {
 
@@ -488,7 +488,7 @@ std::uint32_t RefModel::CorruptAndScrub(ProcId node, std::uint64_t seed,
       continue;
     }
     // One draw per resident frame, same order and recurrence as the real walk.
-    const std::uint64_t draw = DurabilitySplitMix64(&rng);
+    const std::uint64_t draw = SplitMix64Next(&rng);
     if (draw % 1000 >= permille) {
       continue;
     }

@@ -140,7 +140,7 @@ class RefModel {
   // Returns the number of released pages.
   std::uint32_t KillNode(ProcId node);
 
-  // NumaManager::CorruptAndScrubNode: one DurabilitySplitMix64 draw per page resident
+  // NumaManager::CorruptAndScrubNode: one SplitMix64Next draw per page resident
   // at `node` in ascending order decides corruption (draw % 1000 < permille). Every
   // corrupted frame is detected and repaired in place — checksum_failures and
   // recovered_pages each advance by one; no state, content, or frame level changes.

@@ -11,15 +11,6 @@ namespace ace {
 
 namespace {
 
-// SplitMix64, the same generator the conformance differ uses for op streams: tiny,
-// seedable, and statistically fine for fire/no-fire draws.
-std::uint64_t SplitMix64(std::uint64_t* state) {
-  std::uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 struct SiteName {
   FaultSite site;
   const char* name;
@@ -374,7 +365,7 @@ FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed)
   for (std::size_t i = 0; i < plan_.schedules.size(); ++i) {
     // Distinct streams per schedule even when neither seed was given: fold in the
     // schedule's position so two p-triggers on one site do not fire in lockstep.
-    rng_.push_back(seed_ ^ plan_.schedules[i].seed ^ (0x5851f42d4c957f2dULL * (i + 1)));
+    rng_.emplace_back(seed_ ^ plan_.schedules[i].seed ^ (0x5851f42d4c957f2dULL * (i + 1)));
   }
 }
 
@@ -407,13 +398,11 @@ bool FaultInjector::ShouldInject(FaultSite site, ProcId proc) {
       case FaultSchedule::Kind::kEveryK:
         fire = fire || occ % s.n == 0;
         break;
-      case FaultSchedule::Kind::kProbability: {
+      case FaultSchedule::Kind::kProbability:
         // Always draw, even if another schedule already fired: the stream must not
         // depend on which other schedules are in the plan being evaluated first.
-        double u = static_cast<double>(SplitMix64(&rng_[i]) >> 11) * 0x1.0p-53;
-        fire = fire || u < s.probability;
+        fire = rng_[i].Unit() < s.probability || fire;
         break;
-      }
       case FaultSchedule::Kind::kWindow: {
         TimeNs now = Now(proc);
         fire = fire || (now >= s.t_begin && now < s.t_end);

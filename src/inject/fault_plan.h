@@ -53,6 +53,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/splitmix64.h"
 #include "src/common/types.h"
 #include "src/sim/clocks.h"
 
@@ -188,7 +189,7 @@ class FaultInjector {
   const ProcClocks* clocks_ = nullptr;
   std::array<std::uint64_t, kNumFaultSites> occurrences_{};
   std::array<std::uint64_t, kNumFaultSites> fires_{};
-  std::vector<std::uint64_t> rng_;  // per-schedule SplitMix64 state (probability kind)
+  std::vector<SplitMix64> rng_;  // per-schedule stream (probability kind)
 };
 
 }  // namespace ace

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 
+#include "src/common/splitmix64.h"
 #include "src/common/types.h"
 #include "src/inject/fault_plan.h"
 
@@ -64,9 +65,9 @@ class RecoveryManager {
   // independent subsets while (plan, seed) still replays byte-identically.
   static std::uint64_t CorruptionSeed(std::uint64_t fault_seed, const ChaosEvent& event) {
     std::uint64_t s = fault_seed ^ 0x05ec07e5a11d5eedULL;
-    s ^= (static_cast<std::uint64_t>(event.node) + 1) * 0x9e3779b97f4a7c15ULL;
-    s ^= (static_cast<std::uint64_t>(event.t_begin) + 1) * 0xbf58476d1ce4e5b9ULL;
-    s ^= (static_cast<std::uint64_t>(event.permille) + 1) * 0x94d049bb133111ebULL;
+    s ^= (static_cast<std::uint64_t>(event.node) + 1) * kSplitMix64Gamma;
+    s ^= (static_cast<std::uint64_t>(event.t_begin) + 1) * kSplitMix64Mul1;
+    s ^= (static_cast<std::uint64_t>(event.permille) + 1) * kSplitMix64Mul2;
     return s;
   }
 

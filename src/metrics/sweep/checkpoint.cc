@@ -11,42 +11,13 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/common/splitmix64.h"
 #include "src/metrics/sweep/report.h"
 #include "src/obs/json_lite.h"
 
 namespace ace {
 
 namespace {
-
-std::uint64_t Fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-void AppendEscapedJson(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 bool ReadWholeFile(const std::string& path, std::string* out, std::string* error) {
   std::ifstream in(path, std::ios::binary);
@@ -186,9 +157,9 @@ bool SweepCheckpoint::LoadCompleted(std::map<std::string, CellResult>* out,
 std::string SerializeFailures(const std::string& suite,
                               const std::vector<CellFailure>& failures) {
   std::string out = "{\"schema\":";
-  AppendEscapedJson(out, kFailuresSchemaName);
+  AppendJsonString(&out, kFailuresSchemaName);
   out += ",\"suite\":";
-  AppendEscapedJson(out, suite);
+  AppendJsonString(&out, suite);
   out += ",\"failures\":[";
   for (std::size_t i = 0; i < failures.size(); ++i) {
     const CellFailure& f = failures[i];
@@ -196,14 +167,14 @@ std::string SerializeFailures(const std::string& suite,
       out += ",";
     }
     out += "\n{\"key\":";
-    AppendEscapedJson(out, f.key);
+    AppendJsonString(&out, f.key);
     out += ",\"kind\":";
-    AppendEscapedJson(out, f.kind);
+    AppendJsonString(&out, f.kind);
     out += ",\"attempts\":" + std::to_string(f.attempts);
     out += ",\"detail\":";
-    AppendEscapedJson(out, f.detail);
+    AppendJsonString(&out, f.detail);
     out += ",\"replay\":";
-    AppendEscapedJson(out, f.replay);
+    AppendJsonString(&out, f.replay);
     out += "}";
   }
   out += failures.empty() ? "]}\n" : "\n]}\n";

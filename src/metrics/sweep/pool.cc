@@ -1,104 +1,32 @@
 #include "src/metrics/sweep/pool.h"
 
 #include <atomic>
-#include <deque>
-#include <mutex>
 #include <thread>
-
-#include "src/common/check.h"
+#include <vector>
 
 namespace ace {
 
-namespace {
-
-struct WorkerDeque {
-  std::mutex mu;
-  std::deque<std::size_t> tasks;
-
-  bool PopBack(std::size_t* out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (tasks.empty()) {
-      return false;
-    }
-    *out = tasks.back();
-    tasks.pop_back();
-    return true;
+int ResolveWorkers(int workers) {
+  if (workers <= 0) {
+    workers = static_cast<int>(std::thread::hardware_concurrency());
   }
-
-  bool PopFront(std::size_t* out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (tasks.empty()) {
-      return false;
-    }
-    *out = tasks.front();
-    tasks.pop_front();
-    return true;
-  }
-};
-
-}  // namespace
-
-WorkStealingPool::WorkStealingPool(int num_workers) {
-  if (num_workers <= 0) {
-    num_workers = static_cast<int>(std::thread::hardware_concurrency());
-    if (num_workers <= 0) {
-      num_workers = 1;
-    }
-  }
-  num_workers_ = num_workers;
+  return workers > 0 ? workers : 1;
 }
 
-WorkStealingPool::RunStats WorkStealingPool::Run(
-    std::size_t num_tasks, const std::function<void(std::size_t)>& fn) {
-  const int n = num_workers_;
-  std::vector<WorkerDeque> deques(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < num_tasks; ++i) {
-    deques[i % static_cast<std::size_t>(n)].tasks.push_back(i);
-  }
-
-  RunStats stats;
-  stats.executed.assign(static_cast<std::size_t>(n), 0);
-  std::atomic<std::uint64_t> steals{0};
-  std::vector<std::uint64_t> executed(static_cast<std::size_t>(n), 0);
-
-  auto worker = [&](int self) {
-    for (;;) {
-      std::size_t task;
-      if (deques[static_cast<std::size_t>(self)].PopBack(&task)) {
-        fn(task);
-        executed[static_cast<std::size_t>(self)]++;
-        continue;
-      }
-      // Own deque drained: steal the oldest task from the first non-empty victim.
-      bool stole = false;
-      for (int hop = 1; hop < n; ++hop) {
-        int victim = (self + hop) % n;
-        if (deques[static_cast<std::size_t>(victim)].PopFront(&task)) {
-          steals.fetch_add(1, std::memory_order_relaxed);
-          fn(task);
-          executed[static_cast<std::size_t>(self)]++;
-          stole = true;
-          break;
-        }
-      }
-      if (!stole) {
-        return;  // every deque empty; no task can appear, so this worker is done
-      }
+void ParallelFor(int workers, std::size_t n, const std::function<void(std::size_t)>& fn) {
+  std::atomic<std::size_t> next{0};
+  auto worker = [&] {
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      fn(i);
     }
   };
-
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    threads.emplace_back(worker, i);
+  for (int w = ResolveWorkers(workers); w > 0; --w) {
+    threads.emplace_back(worker);
   }
   for (std::thread& t : threads) {
     t.join();
   }
-
-  stats.steals = steals.load();
-  stats.executed = executed;
-  return stats;
 }
 
 }  // namespace ace

@@ -1,47 +1,27 @@
-// A work-stealing host-thread pool for embarrassingly parallel simulation runs.
+// A host-thread pool for embarrassingly parallel simulation runs.
 //
 // Sweep cells are independent deterministic simulations with wildly uneven costs
 // (Primes1 at full scale runs ~40x longer than ParMult), so static partitioning
-// leaves workers idle behind the long cells. Each worker owns a deque seeded
-// round-robin; it pops work from the back of its own deque and, when empty, steals
-// from the *front* of a victim's — the classic owner-LIFO/thief-FIFO discipline that
-// keeps contention on opposite deque ends. Deques are tiny (hundreds of cells, each
-// milliseconds-to-seconds of work), so a per-deque mutex costs nothing measurable
-// and keeps the implementation obviously correct.
-//
-// Tasks may not spawn tasks: the task set is fixed at Run() time, so a worker that
-// finds every deque empty can exit — no termination detection needed.
+// leaves workers idle behind the long cells. The task list is fixed at call time, so
+// one shared atomic cursor balances it: each worker claims the next unclaimed index
+// until none is left. Cells start in index order, and no worker idles while work
+// remains unclaimed.
 
 #ifndef SRC_METRICS_SWEEP_POOL_H_
 #define SRC_METRICS_SWEEP_POOL_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <vector>
 
 namespace ace {
 
-class WorkStealingPool {
- public:
-  struct RunStats {
-    std::uint64_t steals = 0;               // tasks obtained from another worker's deque
-    std::vector<std::uint64_t> executed;    // tasks run, per worker
-  };
+// `workers` <= 0 selects std::thread::hardware_concurrency() (at least 1).
+int ResolveWorkers(int workers);
 
-  // `num_workers` <= 0 selects std::thread::hardware_concurrency().
-  explicit WorkStealingPool(int num_workers);
-
-  int num_workers() const { return num_workers_; }
-
-  // Invoke `fn(index)` for every index in [0, num_tasks), distributing across the
-  // workers; returns when all tasks have completed. `fn` must be safe to call
-  // concurrently for distinct indices. With one worker everything runs on a single
-  // spawned thread in deque order.
-  RunStats Run(std::size_t num_tasks, const std::function<void(std::size_t)>& fn);
-
- private:
-  int num_workers_;
-};
+// Invoke `fn(index)` for every index in [0, n) on ResolveWorkers(workers) spawned
+// threads; returns when every call has completed. `fn` must be safe to call
+// concurrently for distinct indices. With one worker the calls run in index order.
+void ParallelFor(int workers, std::size_t n, const std::function<void(std::size_t)>& fn);
 
 }  // namespace ace
 

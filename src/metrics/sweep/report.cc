@@ -11,35 +11,6 @@ namespace ace {
 
 namespace {
 
-void AppendEscaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void AppendNumber(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";
@@ -55,7 +26,7 @@ void AppendField(std::string& out, const char* key, double v, bool* first) {
     out += ",";
   }
   *first = false;
-  AppendEscaped(out, key);
+  AppendJsonString(&out, key);
   out += ":";
   AppendNumber(out, v);
 }
@@ -65,9 +36,9 @@ void AppendStringField(std::string& out, const char* key, std::string_view v, bo
     out += ",";
   }
   *first = false;
-  AppendEscaped(out, key);
+  AppendJsonString(&out, key);
   out += ":";
-  AppendEscaped(out, v);
+  AppendJsonString(&out, v);
 }
 
 void AppendCellObject(std::string& out, const CellResult& cell) {
@@ -148,7 +119,6 @@ std::string SerializeSweep(const SweepResult& result, bool include_host) {
     AppendField(out, "workers", result.host.workers, &hfirst);
     AppendField(out, "wall_seconds", result.host.wall_seconds, &hfirst);
     AppendField(out, "runs_per_second", result.host.runs_per_second, &hfirst);
-    AppendField(out, "steals", static_cast<double>(result.host.steals), &hfirst);
     AppendField(out, "simulated_seconds", result.host.simulated_seconds, &hfirst);
     out += "}";
   }

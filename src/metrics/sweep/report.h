@@ -6,7 +6,7 @@
 //     "suite": "<name>",
 //     "machine": { "processors", "page_size", "global_pages",
 //                  "local_pages_per_proc", "gl_fetch_ratio" },
-//     "host":    { "workers", "wall_seconds", "runs_per_second", "steals",
+//     "host":    { "workers", "wall_seconds", "runs_per_second",
 //                  "simulated_seconds" },           -- omitted when include_host=false
 //     "cells": [ { "key", "app", "threads", "scale", "move_threshold", "gl_ratio",
 //                  "mode", "ok", "metrics": { "<name>": <number|null>, ... } } ]

@@ -14,6 +14,7 @@
 
 #include "src/apps/app.h"
 #include "src/common/check.h"
+#include "src/common/splitmix64.h"
 #include "src/metrics/experiment.h"
 #include "src/metrics/sweep/pool.h"
 #include "src/metrics/sweep/report.h"
@@ -226,23 +227,6 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
   return result;
 }
 
-// SplitMix64 (same generator the fault injector uses): deterministic backoff jitter.
-std::uint64_t SplitMix64Next(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t Fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 CellResult DiedResult(const SweepCell& cell, std::string kind, std::string detail) {
   CellResult result;
   result.cell = cell;
@@ -275,82 +259,90 @@ CellResult RunCell(const SweepCell& cell, const MachineConfig& base_config,
   }
 }
 
-CellResult RunCellForked(const SweepCell& cell, const MachineConfig& base_config,
-                         const WatchdogLimits& watchdog) {
-  int pipefd[2];
-  if (pipe(pipefd) != 0) {
-    return DiedResult(cell, "fork-failed", "pipe() failed");
+ChildOutcome RunInChild(const std::function<int(std::string*)>& body, unsigned timeout_s) {
+  ChildOutcome outcome;
+  int fds[2];
+  if (pipe(fds) != 0) {
+    return outcome;
   }
   pid_t pid = fork();
   if (pid < 0) {
-    close(pipefd[0]);
-    close(pipefd[1]);
-    return DiedResult(cell, "fork-failed", "fork() failed");
+    close(fds[0]);
+    close(fds[1]);
+    return outcome;
   }
   if (pid == 0) {
-    // Child: run the cell and ship { "cell": <cell object>, "detail": "..." } up the
-    // pipe. An abort anywhere below never reaches the parent's state.
-    close(pipefd[0]);
-    CellResult result = RunCell(cell, base_config, watchdog);
-    std::string payload = "{\"cell\":";
-    payload += SerializeCellObject(result);
-    payload += ",\"detail\":";
-    payload += '"';
-    for (char c : result.detail) {
-      switch (c) {
-        case '"': payload += "\\\""; break;
-        case '\\': payload += "\\\\"; break;
-        case '\n': payload += "\\n"; break;
-        case '\t': payload += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            payload += buf;
-          } else {
-            payload += c;
-          }
-      }
+    // Child: an abort anywhere below never reaches the parent's state.
+    close(fds[0]);
+    if (timeout_s > 0) {
+      alarm(timeout_s);
     }
-    payload += "\"}";
-    std::size_t off = 0;
-    while (off < payload.size()) {
-      ssize_t n = write(pipefd[1], payload.data() + off, payload.size() - off);
-      if (n <= 0) {
+    std::string payload;
+    int exit_code = body(&payload);
+    for (std::size_t off = 0; off < payload.size();) {
+      ssize_t n = write(fds[1], payload.data() + off, payload.size() - off);
+      if (n > 0) {
+        off += static_cast<std::size_t>(n);
+      } else if (n == 0 || errno != EINTR) {
         break;
       }
-      off += static_cast<std::size_t>(n);
     }
-    close(pipefd[1]);
-    _exit(0);
+    _exit(exit_code);
   }
   // Parent: drain the pipe, then reap.
-  close(pipefd[1]);
-  std::string payload;
+  outcome.started = true;
+  close(fds[1]);
   char buf[4096];
-  ssize_t n;
-  while ((n = read(pipefd[0], buf, sizeof buf)) > 0) {
-    payload.append(buf, static_cast<std::size_t>(n));
+  for (;;) {
+    ssize_t n = read(fds[0], buf, sizeof buf);
+    if (n > 0) {
+      outcome.payload.append(buf, static_cast<std::size_t>(n));
+    } else if (n == 0 || errno != EINTR) {
+      break;
+    }
   }
-  close(pipefd[0]);
+  close(fds[0]);
   int status = 0;
   while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
   }
   if (WIFSIGNALED(status)) {
-    int sig = WTERMSIG(status);
-    return DiedResult(cell, "signal:" + std::to_string(sig),
-                      std::string("forked cell child killed by signal ") +
-                          std::to_string(sig) + " (" + strsignal(sig) + ")");
+    outcome.signal = WTERMSIG(status);
+  } else {
+    outcome.exit_code = WEXITSTATUS(status);
   }
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    return DiedResult(cell, "child-exit:" + std::to_string(WEXITSTATUS(status)),
+  return outcome;
+}
+
+CellResult RunCellForked(const SweepCell& cell, const MachineConfig& base_config,
+                         const WatchdogLimits& watchdog) {
+  // The child ships { "cell": <cell object>, "detail": "..." } up the pipe.
+  ChildOutcome child = RunInChild(
+      [&](std::string* payload) {
+        CellResult result = RunCell(cell, base_config, watchdog);
+        *payload = "{\"cell\":" + SerializeCellObject(result) + ",\"detail\":";
+        AppendJsonString(payload, result.detail);
+        *payload += '}';
+        return 0;
+      },
+      /*timeout_s=*/0);
+  if (!child.started) {
+    return DiedResult(cell, "fork-failed",
+                      std::string("pipe() or fork() failed: ") + std::strerror(errno));
+  }
+  if (child.signal != 0) {
+    return DiedResult(cell, "signal:" + std::to_string(child.signal),
+                      std::string("forked cell child killed by signal ") +
+                          std::to_string(child.signal) + " (" + strsignal(child.signal) + ")");
+  }
+  if (child.exit_code != 0) {
+    return DiedResult(cell, "child-exit:" + std::to_string(child.exit_code),
                       "forked cell child exited abnormally");
   }
   JsonValue doc;
   std::string error;
   CellResult result;
   const JsonValue* cell_obj = nullptr;
-  if (!ParseJson(payload, &doc, &error) || !doc.is_object() ||
+  if (!ParseJson(child.payload, &doc, &error) || !doc.is_object() ||
       (cell_obj = doc.Find("cell")) == nullptr) {
     return DiedResult(cell, "bad-child-payload",
                       "forked cell child returned an unparseable payload: " + error);
@@ -372,14 +364,14 @@ SweepResult RunSweep(const std::string& suite_name, const std::vector<SweepCell>
 
   // A live sampler writes one sequential stream, so sampled sweeps serialize onto a
   // single worker regardless of the requested width (the tool warns about this).
-  WorkStealingPool pool(options.sampler != nullptr ? 1 : options.workers);
+  const int workers = ResolveWorkers(options.sampler != nullptr ? 1 : options.workers);
   std::atomic<std::size_t> done{0};
   std::atomic<bool> quarantined_any{false};
   const ResilienceOptions& res = options.resilience;
   int max_attempts = res.max_attempts > 0 ? res.max_attempts : 1;
 
   auto start = std::chrono::steady_clock::now();
-  WorkStealingPool::RunStats pool_stats = pool.Run(cells.size(), [&](std::size_t i) {
+  ParallelFor(workers, cells.size(), [&](std::size_t i) {
     const SweepCell& cell = cells[i];
     CellResult& slot = result.cells[i];
     std::string key = cell.Key();
@@ -402,7 +394,7 @@ SweepResult RunSweep(const std::string& suite_name, const std::vector<SweepCell>
       slot.detail = slot.failure_kind;
     } else {
       WatchdogLimits limits = ScaledWatchdog(res.watchdog, cell);
-      std::uint64_t jitter_state = Fnv1a64(key);
+      SplitMix64 jitter(Fnv1a64(key));
       int attempt = 1;
       for (;; ++attempt) {
         slot = res.isolate ? RunCellForked(cell, options.base_config, limits)
@@ -413,9 +405,7 @@ SweepResult RunSweep(const std::string& suite_name, const std::vector<SweepCell>
         if (res.backoff_ms > 0) {
           // Linear backoff with deterministic +-50% jitter per (cell, attempt).
           double base = static_cast<double>(res.backoff_ms) * attempt;
-          double frac = static_cast<double>(SplitMix64Next(jitter_state) >> 11) *
-                        (1.0 / 9007199254740992.0);  // [0,1)
-          auto sleep_ms = static_cast<std::int64_t>(base * (0.5 + frac));
+          auto sleep_ms = static_cast<std::int64_t>(base * (0.5 + jitter.Unit()));
           std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
         }
       }
@@ -444,12 +434,11 @@ SweepResult RunSweep(const std::string& suite_name, const std::vector<SweepCell>
     }
   }
 
-  result.host.workers = pool.num_workers();
+  result.host.workers = workers;
   result.host.wall_seconds = std::chrono::duration<double>(end - start).count();
   result.host.runs_per_second = result.host.wall_seconds > 0.0
                                     ? static_cast<double>(cells.size()) / result.host.wall_seconds
                                     : 0.0;
-  result.host.steals = pool_stats.steals;
   for (const CellResult& cell : result.cells) {
     // Every placement's user+system time contributes to the serial simulated cost.
     result.host.simulated_seconds += cell.MetricOr("t_numa", 0.0) +

@@ -1,4 +1,4 @@
-// The sweep engine: execute a list of cells on the work-stealing pool.
+// The sweep engine: execute a list of cells on the host-thread pool (pool.h).
 //
 // Every cell runs against its own freshly constructed Machine and Runtime (per-run
 // isolation; the simulator keeps no cross-machine state), so results depend only on
@@ -11,6 +11,7 @@
 #define SRC_METRICS_SWEEP_RUNNER_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -83,7 +84,6 @@ struct HostStats {
   int workers = 0;
   double wall_seconds = 0.0;
   double runs_per_second = 0.0;
-  std::uint64_t steals = 0;
   // Sum of simulated user+system seconds across all runs of all cells: the serial
   // simulated cost the pool parallelized over.
   double simulated_seconds = 0.0;
@@ -115,8 +115,24 @@ CellResult RunCell(const SweepCell& cell, const MachineConfig& base_config,
                    const WatchdogLimits& watchdog = WatchdogLimits{},
                    LiveSampler* sampler = nullptr);
 
-// RunCell in a forked child: any signal (ACE_CHECK abort included) is confined to
-// the child and reported as failure_kind "signal:<n>".
+// How a forked child ended. `started` is false when pipe() or fork() failed and the
+// body never ran. Otherwise `signal` is the signal that killed the child (0 if it
+// exited), `exit_code` its exit status, and `payload` every byte the body handed back.
+struct ChildOutcome {
+  bool started = false;
+  int signal = 0;
+  int exit_code = 0;
+  std::string payload;
+};
+
+// Run `body` in a forked child, so that an abort or any other signal is confined to
+// the child. The child calls `body(&payload)`, writes the payload up a pipe and
+// exits with body's return value. A nonzero `timeout_s` arms alarm() in the child,
+// so a hung body dies with SIGALRM.
+ChildOutcome RunInChild(const std::function<int(std::string*)>& body, unsigned timeout_s);
+
+// RunCell in a forked child (RunInChild): any signal (ACE_CHECK abort included) is
+// confined to the child and reported as failure_kind "signal:<n>".
 CellResult RunCellForked(const SweepCell& cell, const MachineConfig& base_config,
                          const WatchdogLimits& watchdog = WatchdogLimits{});
 

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "src/common/check.h"
+#include "src/common/splitmix64.h"
 #include "src/inject/fault_plan.h"
 #include "src/numa/replica_manager.h"
 #include "src/obs/observability.h"
@@ -878,7 +879,7 @@ std::uint32_t NumaManager::CorruptAndScrubNode(ProcId node, std::uint64_t seed,
     }
     // One draw per resident frame keeps the walk deterministic and independent of
     // which frames end up corrupted (replays are byte-identical by construction).
-    const std::uint64_t draw = DurabilitySplitMix64(&rng);
+    const std::uint64_t draw = SplitMix64Next(&rng);
     if (draw % 1000 >= permille) {
       continue;
     }

@@ -43,17 +43,6 @@
 
 namespace ace {
 
-// SplitMix64 step, shared by the deterministic corrupt-page frame selection in the
-// NumaManager and its mirror in the conformance ref model (both must draw the exact
-// same sequence from the same seed for the differential check to hold). Same
-// recurrence as the fault injector's probability schedules (src/inject).
-inline std::uint64_t DurabilitySplitMix64(std::uint64_t* state) {
-  std::uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 // FNV-1a over a page worth of bytes; the per-page integrity checksum.
 inline std::uint64_t PageChecksum(const std::uint8_t* bytes, std::uint32_t size) {
   std::uint64_t h = 0xcbf29ce484222325ULL;

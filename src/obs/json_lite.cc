@@ -1,6 +1,8 @@
 #include "src/obs/json_lite.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 namespace ace {
@@ -242,15 +244,24 @@ class Parser {
           case 't':
             out->push_back('\t');
             break;
-          case 'u':
-            // Keep \uXXXX verbatim; the exporters never emit it.
+          case 'u': {
+            // AppendJsonString writes control bytes as \u00XX; decode any escape of
+            // an ASCII code point and keep the rest verbatim.
             if (pos_ + 4 > text_.size()) {
               return Fail("truncated \\u escape");
             }
-            out->append("\\u");
-            out->append(text_.substr(pos_, 4));
+            std::string_view hex = text_.substr(pos_, 4);
+            unsigned code = 0x80;
+            auto [end, ec] = std::from_chars(hex.data(), hex.data() + hex.size(), code, 16);
+            if (ec == std::errc() && end == hex.data() + hex.size() && code < 0x80) {
+              out->push_back(static_cast<char>(code));
+            } else {
+              out->append("\\u");
+              out->append(hex);
+            }
             pos_ += 4;
             break;
+          }
           default:
             return Fail("unknown escape");
         }
@@ -299,6 +310,38 @@ bool ParseJson(std::string_view text, JsonValue* out, std::string* error) {
   *out = JsonValue{};  // a reused out-value must not accumulate the previous parse
   Parser parser(text, error);
   return parser.Parse(out);
+}
+
+void AppendJsonString(std::string* out, std::string_view s) {
+  *out += '"';
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          *out += buf;
+        } else {
+          *out += c;
+        }
+    }
+  }
+  *out += '"';
 }
 
 }  // namespace ace

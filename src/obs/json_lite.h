@@ -5,6 +5,10 @@
 // Deliberately dependency-free — the CI trace-validation test and tools/ace_top must
 // not pull a JSON library into the image. Not a general-purpose parser: surrogate
 // pairs and \u escapes beyond ASCII are preserved verbatim rather than decoded.
+//
+// AppendJsonString is the writer side: every JSON string the repo emits (bench and
+// checkpoint JSON, forked-child payloads, the live feed's meta records) goes through
+// it, so all of them escape alike and ParseJson reads each back to the same bytes.
 
 #ifndef SRC_OBS_JSON_LITE_H_
 #define SRC_OBS_JSON_LITE_H_
@@ -45,6 +49,11 @@ struct JsonValue {
 // adversarial bytes fed to the baseline and checkpoint loaders fail closed with a
 // diagnostic instead of overflowing the stack.
 bool ParseJson(std::string_view text, JsonValue* out, std::string* error);
+
+// Append `s` to `*out` as a quoted JSON string: '"', '\\', newline, carriage return
+// and tab escaped by name, every other byte below 0x20 as \u00XX, everything else
+// (UTF-8 included) verbatim.
+void AppendJsonString(std::string* out, std::string_view s);
 
 }  // namespace ace
 

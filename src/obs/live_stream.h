@@ -133,10 +133,6 @@ class LiveStreamWriter {
   bool ok_ = true;
 };
 
-// Minimal JSON string escaping for the meta fields (quotes, backslashes, control
-// bytes); the counter records are purely numeric and need none.
-std::string JsonEscape(const std::string& s);
-
 }  // namespace ace
 
 #endif  // SRC_OBS_LIVE_STREAM_H_

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "src/common/check.h"
+#include "src/obs/json_lite.h"
 
 namespace ace {
 
@@ -24,9 +25,8 @@ void AppendI64(std::string* out, const char* key, std::int64_t v) {
 void AppendStr(std::string* out, const char* key, const std::string& v) {
   *out += ",\"";
   *out += key;
-  *out += "\":\"";
-  *out += JsonEscape(v);
-  *out += "\"";
+  *out += "\":";
+  AppendJsonString(out, v);
 }
 
 }  // namespace

@@ -15,33 +15,12 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/splitmix64.h"
 
 namespace ace {
 
-// SplitMix64: tiny, seedable, and identical everywhere. Kept independent of the
-// soak tool's copy so the client model owns its stream discipline.
-class ServingRng {
- public:
-  explicit ServingRng(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t Next() {
-    state_ += 0x9E3779B97F4A7C15ull;
-    std::uint64_t z = state_;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
-
-  // Uniform in [0, n). n must be nonzero. Modulo bias is irrelevant here (n is tiny
-  // against 2^64) and the simple form keeps the stream obvious.
-  std::uint64_t Below(std::uint64_t n) { return Next() % n; }
-
-  // Uniform double in [0, 1) with 53 random bits.
-  double Unit() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
-
- private:
-  std::uint64_t state_;
-};
+// The client population's stream: one SplitMix64 per owner (src/common/splitmix64.h).
+using ServingRng = SplitMix64;
 
 // Zipfian rank sampler over [0, num_keys): P(rank = r) proportional to
 // 1 / (r + 1)^skew. skew = 0 degenerates to uniform. A draw costs one rng call plus a

@@ -1,7 +1,8 @@
 // Hardening tests for src/obs/json_lite: the parser reads untrusted bytes (committed
 // baselines, checkpoint fragments, forked-child pipe payloads), so truncated,
 // garbage, and adversarial input must fail closed with a source-position diagnostic
-// — never crash, hang, or silently accept.
+// — never crash, hang, or silently accept. The writer, AppendJsonString, must produce
+// strings the parser reads back byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -150,6 +151,41 @@ TEST(JsonLite, StillParsesWellFormedDocuments) {
   ASSERT_NE(doc.Find("arr"), nullptr);
   EXPECT_EQ(doc.Find("arr")->items.size(), 3u);
   EXPECT_EQ(doc.Find("z")->kind, JsonValue::Kind::kNull);
+}
+
+// --- the writer ------------------------------------------------------------------------
+
+// Write `s` with AppendJsonString and read it back with ParseJson.
+std::string RoundTrip(const std::string& s) {
+  std::string json;
+  AppendJsonString(&json, s);
+  JsonValue doc;
+  std::string error;
+  EXPECT_TRUE(ParseJson(json, &doc, &error)) << error << " in " << json;
+  EXPECT_TRUE(doc.is_string()) << json;
+  return doc.str;
+}
+
+TEST(JsonLite, WriterRoundTripsEveryAsciiByte) {
+  for (int b = 0x01; b <= 0x7f; ++b) {
+    std::string s = "a";
+    s += static_cast<char>(b);
+    s += "z";
+    EXPECT_EQ(RoundTrip(s), s) << "byte 0x" << std::hex << b;
+  }
+}
+
+TEST(JsonLite, WriterRoundTripsUtf8QuotesAndBackslashes) {
+  const std::string utf8 = "caf\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x90\x9f";
+  EXPECT_EQ(RoundTrip(utf8), utf8);
+  const std::string quoted = "say \"hi\" to C:\\dir\\ and \\\"both\\\"";
+  EXPECT_EQ(RoundTrip(quoted), quoted);
+}
+
+TEST(JsonLite, WriterEscapesControlBytesExactly) {
+  std::string json;
+  AppendJsonString(&json, "\r\n\t\x01");
+  EXPECT_EQ(json, "\"\\r\\n\\t\\u0001\"");
 }
 
 }  // namespace

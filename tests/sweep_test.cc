@@ -1,13 +1,17 @@
 // Tests for the experiment-sweep engine (src/metrics/sweep): pool correctness and
-// determinism under parallel dispatch, JSON schema validity, baseline-comparator edge
-// cases, and a golden-file check of the committed smoke baseline's structure.
+// determinism under parallel dispatch, the forked-child runner, JSON schema validity,
+// baseline-comparator edge cases, and a golden-file check of the committed smoke
+// baseline's structure.
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <csignal>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,29 +53,22 @@ std::vector<SweepCell> TinyMatrix() {
   return cells;
 }
 
-TEST(WorkStealingPool, ExecutesEveryTaskExactlyOnce) {
-  WorkStealingPool pool(4);
+TEST(ParallelFor, ExecutesEveryTaskExactlyOnce) {
   constexpr std::size_t kTasks = 257;
   std::vector<std::atomic<int>> hits(kTasks);
   for (auto& h : hits) {
     h = 0;
   }
-  WorkStealingPool::RunStats stats = pool.Run(kTasks, [&](std::size_t i) { hits[i]++; });
+  ParallelFor(4, kTasks, [&](std::size_t i) { hits[i]++; });
   for (std::size_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "task " << i;
   }
-  std::uint64_t total = 0;
-  for (std::uint64_t per_worker : stats.executed) {
-    total += per_worker;
-  }
-  EXPECT_EQ(total, kTasks);
 }
 
-TEST(WorkStealingPool, UnevenTasksAllComplete) {
-  // Tasks with wildly different costs: stealing must drain the long tail.
-  WorkStealingPool pool(8);
+TEST(ParallelFor, UnevenTasksAllComplete) {
+  // Tasks with wildly different costs: the shared cursor must drain the long tail.
   std::atomic<std::uint64_t> sum{0};
-  pool.Run(64, [&](std::size_t i) {
+  ParallelFor(8, 64, [&](std::size_t i) {
     volatile std::uint64_t spin = 0;
     for (std::uint64_t k = 0; k < (i % 7) * 50000; ++k) {
       spin += k;
@@ -81,15 +78,68 @@ TEST(WorkStealingPool, UnevenTasksAllComplete) {
   EXPECT_EQ(sum.load(), 64ull * 63 / 2);
 }
 
-TEST(WorkStealingPool, SingleWorkerRunsInOrder) {
-  WorkStealingPool pool(1);
+TEST(ParallelFor, SingleWorkerRunsInIndexOrder) {
   std::vector<std::size_t> order;
-  pool.Run(10, [&](std::size_t i) { order.push_back(i); });
+  ParallelFor(1, 10, [&](std::size_t i) { order.push_back(i); });
   ASSERT_EQ(order.size(), 10u);
-  // One worker pops from the back of its own deque: reverse seeding order.
   for (std::size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(order[i], order.size() - 1 - i);
+    EXPECT_EQ(order[i], i);
   }
+}
+
+// RunInChild, the forked-child runner under both `ace_bench --isolate` and ace_soak.
+TEST(RunInChild, LargePayloadComesBackIntact) {
+  // Over 64 KiB: more than a pipe buffer holds, so the parent must drain while the
+  // child is still writing.
+  std::string expected;
+  for (std::size_t i = 0; i < 200 * 1024; ++i) {
+    expected += static_cast<char>('a' + i % 26);
+  }
+  ChildOutcome child = RunInChild(
+      [&](std::string* payload) {
+        *payload = expected;
+        return 0;
+      },
+      /*timeout_s=*/0);
+  ASSERT_TRUE(child.started);
+  EXPECT_EQ(child.signal, 0);
+  EXPECT_EQ(child.exit_code, 0);
+  EXPECT_EQ(child.payload, expected);
+}
+
+TEST(RunInChild, NonzeroExitCodePassesThrough) {
+  ChildOutcome child = RunInChild(
+      [](std::string* payload) {
+        *payload = "violation";
+        return 3;
+      },
+      /*timeout_s=*/0);
+  ASSERT_TRUE(child.started);
+  EXPECT_EQ(child.signal, 0);
+  EXPECT_EQ(child.exit_code, 3);
+  EXPECT_EQ(child.payload, "violation");
+}
+
+TEST(RunInChild, AbortReportsSigabrt) {
+  ChildOutcome child = RunInChild(
+      [](std::string*) {
+        std::raise(SIGABRT);
+        return 0;
+      },
+      /*timeout_s=*/0);
+  ASSERT_TRUE(child.started);
+  EXPECT_EQ(child.signal, SIGABRT);
+}
+
+TEST(RunInChild, TimeoutKillsHungChildWithSigalrm) {
+  ChildOutcome child = RunInChild(
+      [](std::string*) {
+        std::this_thread::sleep_for(std::chrono::seconds(5));
+        return 0;
+      },
+      /*timeout_s=*/1);
+  ASSERT_TRUE(child.started);
+  EXPECT_EQ(child.signal, SIGALRM);
 }
 
 // The acceptance property of the whole engine: the same matrix produces

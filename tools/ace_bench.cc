@@ -1,6 +1,6 @@
 // ace_bench — the experiment-sweep driver and perf-regression gate.
 //
-// Runs a named suite of the paper's evaluation matrix on the work-stealing sweep
+// Runs a named suite of the paper's evaluation matrix on the parallel sweep
 // engine (src/metrics/sweep), emits the results as BENCH_<suite>.json, and optionally
 // compares them against a committed baseline, exiting nonzero when any metric
 // breaches its tolerance. This is the single measurement substrate behind the
@@ -379,12 +379,10 @@ int main(int argc, char** argv) {
                args.workers > 0 ? std::to_string(args.workers).c_str() : "auto");
   ace::SweepResult result = ace::RunSweep(suite.name, suite.cells, options);
 
-  std::printf("suite %s: %zu cells, %d workers, %.2fs wall (%.2f runs/sec, %.1fs simulated, "
-              "%llu steals)\n",
+  std::printf("suite %s: %zu cells, %d workers, %.2fs wall (%.2f runs/sec, %.1fs simulated)\n",
               result.suite.c_str(), result.cells.size(), result.host.workers,
               result.host.wall_seconds, result.host.runs_per_second,
-              result.host.simulated_seconds,
-              static_cast<unsigned long long>(result.host.steals));
+              result.host.simulated_seconds);
 
   if (sampler != nullptr) {
     live_writer.Close();

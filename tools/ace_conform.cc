@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/splitmix64.h"
 #include "src/conformance/differ.h"
 #include "src/obs/snapshot.h"
 
@@ -45,7 +46,7 @@ struct Options {
 // discipline the Machine fast path depends on. SplitMix64-style mix so neighboring
 // seeds don't all land on the same side.
 bool DeriveTlb(std::uint64_t seed) {
-  std::uint64_t z = (seed + 0x9e3779b97f4a7c15ULL) * 0xbf58476d1ce4e5b9ULL;
+  std::uint64_t z = (seed + ace::kSplitMix64Gamma) * ace::kSplitMix64Mul1;
   return ((z ^ (z >> 31)) & 1) != 0;
 }
 
@@ -54,7 +55,7 @@ bool DeriveTlb(std::uint64_t seed) {
 // stream, so sweeps continuously exercise the recovery transitions too. A different
 // mix constant keeps the two flips uncorrelated across seeds.
 bool DeriveDurability(std::uint64_t seed) {
-  std::uint64_t z = (seed + 0xbf58476d1ce4e5b9ULL) * 0x94d049bb133111ebULL;
+  std::uint64_t z = (seed + ace::kSplitMix64Mul1) * ace::kSplitMix64Mul2;
   return ((z ^ (z >> 31)) & 1) != 0;
 }
 

@@ -40,10 +40,8 @@
 // a violation instead of wedging the harness. --failures-json writes quarantined
 // seeds in the ace-failures-v1 schema with replayable command lines.
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <cerrno>
+#include <csignal>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -59,30 +57,14 @@
 #include "src/apps/app.h"
 #include "src/inject/fault_plan.h"
 #include "src/machine/machine.h"
+#include "src/common/splitmix64.h"
 #include "src/metrics/sweep/checkpoint.h"
+#include "src/metrics/sweep/runner.h"
 #include "src/obs/live_stream.h"
 #include "src/obs/sampler.h"
 #include "src/threads/runtime.h"
 
 namespace {
-
-// SplitMix64 (same generator the differ uses for operation streams).
-class Rng {
- public:
-  explicit Rng(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t Next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
-  std::uint32_t Below(std::uint32_t n) { return static_cast<std::uint32_t>(Next() % n); }
-
- private:
-  std::uint64_t state_;
-};
 
 // Everything needed to rebuild one soak run exactly.
 struct RunSpec {
@@ -123,7 +105,7 @@ ace::PolicySpec ParsePolicy(const std::string& name, int threshold) {
   std::exit(2);
 }
 
-ace::FaultSchedule GenSchedule(Rng& rng, bool pager) {
+ace::FaultSchedule GenSchedule(ace::SplitMix64& rng, bool pager) {
   using ace::FaultSite;
   static const FaultSite kGraceful[] = {FaultSite::kLocalExhausted,
                                         FaultSite::kFrameAllocTransient,
@@ -176,7 +158,7 @@ ace::FaultSchedule GenSchedule(Rng& rng, bool pager) {
 // scale), drains never exceed half the node's pool unless the full hot-remove
 // (permille 0) is drawn, and slow links dilate at most 4x. Node ids are drawn
 // below the thread count, so every event targets a node that actually exists.
-ace::ChaosEvent GenChaosEvent(Rng& rng, int threads) {
+ace::ChaosEvent GenChaosEvent(ace::SplitMix64& rng, int threads) {
   ace::ChaosEvent e;
   e.node = rng.Below(static_cast<std::uint32_t>(threads));
   e.t_begin = 5'000'000 + static_cast<ace::TimeNs>(rng.Below(45)) * 1'000'000;
@@ -205,7 +187,7 @@ ace::ChaosEvent GenChaosEvent(Rng& rng, int threads) {
 // are still locally owned and there is actually resident state to lose. Corruption
 // bursts scrub a whole permille band of a node's resident frames; every detection
 // must end in a repair or an accounted loss, never an abort.
-ace::ChaosEvent GenDurableChaosEvent(Rng& rng, int threads, bool allow_kill) {
+ace::ChaosEvent GenDurableChaosEvent(ace::SplitMix64& rng, int threads, bool allow_kill) {
   ace::ChaosEvent e;
   e.node = rng.Below(static_cast<std::uint32_t>(threads));
   e.t_begin = 5'000'000 + static_cast<ace::TimeNs>(rng.Below(25)) * 1'000'000;
@@ -221,7 +203,7 @@ ace::ChaosEvent GenDurableChaosEvent(Rng& rng, int threads, bool allow_kill) {
 }
 
 RunSpec DeriveRun(std::uint64_t seed) {
-  Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
+  ace::SplitMix64 rng(seed * 0x9e3779b97f4a7c15ULL + 1);
   RunSpec spec;
   spec.fault_seed = seed;
   static const char* kApps[] = {"ParMult", "Gfetch",  "IMatMult", "Primes1", "Primes2",
@@ -367,7 +349,7 @@ std::string RunInProcess(const RunSpec& spec) {
     meta.page_size = mo.config.page_size;
     meta.seed = spec.fault_seed;
     meta.fault_plan = spec.plan.Format();
-    meta.tlb = spec.tlb;
+    meta.tlb = machine.tlb_enabled();
     meta.tag = "seed=" + std::to_string(spec.fault_seed);
     sampler->BeginRun(std::move(meta));
     cfg.runtime.sampler = sampler.get();
@@ -406,8 +388,10 @@ std::string RunInProcess(const RunSpec& spec) {
     std::snprintf(buf, sizeof buf, "measured alpha out of range: %f", alpha);
     return buf;
   }
+  // The machine's TLB switch, not the spec's: ACE_TLB in the environment overrides
+  // the spec at Machine construction.
   const ace::TlbStats& t = machine.tlb_stats();
-  if (spec.tlb) {
+  if (machine.tlb_enabled()) {
     // Every fill follows a miss, with or without injected faults in the resolve path.
     if (t.fills > t.misses) {
       return fail("tlb fills <= tlb misses", t.fills, t.misses);
@@ -462,54 +446,32 @@ unsigned g_run_timeout_sec = 0;
 // Run the spec in a forked child: an ACE_CHECK abort (SIGABRT) or any other crash
 // becomes a reported violation instead of taking the harness down.
 std::string RunForked(const RunSpec& spec) {
-  int fds[2];
-  if (pipe(fds) != 0) {
-    std::perror("pipe");
-    std::exit(2);
-  }
-  pid_t pid = fork();
-  if (pid < 0) {
+  ace::ChildOutcome child = ace::RunInChild(
+      [&](std::string* violation) {
+        *violation = RunInProcess(spec);
+        return violation->empty() ? 0 : 1;
+      },
+      g_run_timeout_sec);
+  if (!child.started) {
     std::perror("fork");
     std::exit(2);
   }
-  if (pid == 0) {
-    close(fds[0]);
-    if (g_run_timeout_sec > 0) {
-      alarm(g_run_timeout_sec);
-    }
-    std::string what = RunInProcess(spec);
-    if (!what.empty()) {
-      ssize_t ignored = write(fds[1], what.data(), what.size());
-      (void)ignored;
-    }
-    close(fds[1]);
-    _exit(what.empty() ? 0 : 1);
-  }
-  close(fds[1]);
-  std::string what;
-  char buf[256];
-  ssize_t n;
-  while ((n = read(fds[0], buf, sizeof buf)) > 0) {
-    what.append(buf, static_cast<std::size_t>(n));
-  }
-  close(fds[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
-  if (WIFSIGNALED(status)) {
+  if (child.signal != 0) {
     char sig[128];
-    if (WTERMSIG(status) == SIGALRM && g_run_timeout_sec > 0) {
+    if (child.signal == SIGALRM && g_run_timeout_sec > 0) {
       std::snprintf(sig, sizeof sig, "child died with signal %d (hung run killed after %us by --run-timeout)",
-                    WTERMSIG(status), g_run_timeout_sec);
+                    child.signal, g_run_timeout_sec);
     } else {
-      std::snprintf(sig, sizeof sig, "child died with signal %d (%s)", WTERMSIG(status),
-                    WTERMSIG(status) == SIGABRT ? "ACE_CHECK abort" : strsignal(WTERMSIG(status)));
+      std::snprintf(sig, sizeof sig, "child died with signal %d (%s)", child.signal,
+                    child.signal == SIGABRT ? "ACE_CHECK abort" : strsignal(child.signal));
     }
     return sig;
   }
-  if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+  if (child.exit_code == 0) {
     return "";
   }
-  return what.empty() ? "child exited with failure but reported nothing" : what;
+  return child.payload.empty() ? "child exited with failure but reported nothing"
+                               : child.payload;
 }
 
 // Greedy plan-subset minimization: drop any schedule or chaos event whose removal
