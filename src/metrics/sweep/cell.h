@@ -12,11 +12,10 @@
 #ifndef SRC_METRICS_SWEEP_CELL_H_
 #define SRC_METRICS_SWEEP_CELL_H_
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "src/threads/runtime.h"
 
 namespace ace {
 
@@ -48,7 +47,6 @@ struct SweepCell {
   // G/L latency ratio override; 0 = the machine's default latencies (~2.3 fetch).
   double gl_ratio = 0.0;
   CellMode mode = CellMode::kFullExperiment;
-  SchedulerKind scheduler = SchedulerKind::kAffinity;
   // Deterministic fault-injection plan for this cell (src/inject grammar), normally
   // empty. Non-empty plans are part of the cell's identity (Key) — the same matrix
   // with and without injection must never collide in baselines or checkpoints.

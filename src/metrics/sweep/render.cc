@@ -1,6 +1,7 @@
 #include "src/metrics/sweep/render.h"
 
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <vector>
@@ -66,7 +67,7 @@ std::string FmtMetric(const CellResult& cell, const char* name, const char* fmt)
 std::string RenderTable3(const SweepResult& result) {
   std::vector<const CellResult*> cells = DefaultExperimentCells(result);
   if (cells.empty()) {
-    return "(no full-experiment cells at default threshold/ratio in this result)\n";
+    return "";
   }
   TextTable table({"Application", "Tglobal", "Tnuma", "Tlocal", "alpha", "beta", "gamma",
                    "alpha(ref)", "| paper:", "alpha", "beta", "gamma", "verified"});
@@ -123,7 +124,7 @@ std::string RenderTable4(const SweepResult& result) {
     rows++;
   }
   if (rows == 0) {
-    return "(no Table 4 cells in this result)\n";
+    return "";
   }
   return table.ToString();
 }
@@ -152,7 +153,7 @@ std::string RenderThresholdTable(const SweepResult& result) {
     }
   }
   if (thresholds.empty()) {
-    return "(no numa-only threshold cells in this result)\n";
+    return "";
   }
 
   std::vector<std::string> headers = {"threshold"};
@@ -199,7 +200,7 @@ std::string RenderGlTable(const SweepResult& result) {
     }
   }
   if (ratios.empty()) {
-    return "(no G/L-ratio cells in this result)\n";
+    return "";
   }
 
   std::vector<std::string> headers = {"G/L ratio"};
@@ -246,9 +247,53 @@ std::string RenderServingTable(const SweepResult& result) {
     rows++;
   }
   if (rows == 0) {
-    return "(no serving cells in this result)\n";
+    return "";
   }
   return table.ToString();
+}
+
+std::string RenderViews(const SweepResult& result) {
+  std::string out;
+  auto add = [&out](const char* heading, const std::string& preamble,
+                    const std::string& table, const char* caption) {
+    if (table.empty()) {
+      return;
+    }
+    out += std::string("\n-- ") + heading + " --\n" + preamble + table + "\n" + caption;
+  };
+
+  std::string table3 = RenderTable3(result);
+  std::string machine;
+  if (!table3.empty()) {
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "machine: %d processors, page size %u, G/L fetch ratio %.2f, "
+                  "pin threshold 4\n",
+                  DefaultExperimentCells(result).front()->cell.threads,
+                  result.base_config.page_size, result.base_config.latency.FetchRatio());
+    machine = line;
+  }
+  add("Table 3 view: measured user times and model parameters", machine, table3,
+      "alpha/beta/gamma: derived from times via eqs. 4/5/1; alpha(ref) is the directly\n"
+      "counted local fraction of data references under the NUMA policy (validation).\n");
+  add("Table 4 view: system-time overhead", "", RenderTable4(result),
+      "The reproduced claim: page-movement overhead is a few percent or less for every\n"
+      "application except Primes3, whose rapidly-allocated, soon-pinned sieve pays the\n"
+      "highest relative system-time cost (paper: 24.9%).\n");
+  add("threshold view: Tnuma seconds (pages pinned) per move threshold", "",
+      RenderThresholdTable(result),
+      "threshold 0 = all data global (the Tglobal baseline); inf = never pin (pure\n"
+      "migration/replication, thrashes on writably-shared pages). The paper's default\n"
+      "of 4 sits at or near the minimum user time for the full mix.\n");
+  add("G/L view: gamma = Tnuma/Tlocal per G/L latency ratio", "", RenderGlTable(result),
+      "well-placed applications (IMatMult, Primes2) keep gamma ~ 1 at every ratio;\n"
+      "sharing-bound ones (Primes3, Gfetch by construction) degrade with the ratio —\n"
+      "the penalty automatic placement cannot remove grows with NUMA-ness.\n");
+  add("serving view: request latency, move-limit policy vs. all-global", "",
+      RenderServingTable(result),
+      "Each row runs the same request stream twice: under the cell's move threshold\n"
+      "(mt) and with every page global.\n");
+  return out.empty() ? "\n(no cells in this result match a paper-table view)\n" : out;
 }
 
 }  // namespace ace

@@ -1,15 +1,12 @@
 // Render the paper's tables from sweep results.
 //
-// The migrated bench binaries (bench_table3_placement, bench_table4_overhead,
-// bench_threshold_sweep, bench_gl_sensitivity) and `ace_bench --render` all draw
-// their human-readable tables from the same SweepResult the JSON is emitted from, so
-// a table and its BENCH_*.json can never disagree. Paper reference values (Tables 3
-// and 4, verbatim) live here with the renderers.
+// `ace_bench --render` draws every human-readable table from the same SweepResult
+// its JSON is emitted from, so a table and its BENCH_*.json can never disagree.
+// Paper reference values (Tables 3 and 4, verbatim) live here with the renderers.
 //
 // Each renderer selects the cells it knows how to display (by mode/threshold/ratio)
 // and ignores the rest, so they compose over the "full" suite as well as over their
-// dedicated suites. A renderer given zero matching cells returns a note to that
-// effect rather than an empty table.
+// dedicated suites. A renderer given zero matching cells returns an empty string.
 
 #ifndef SRC_METRICS_SWEEP_RENDER_H_
 #define SRC_METRICS_SWEEP_RENDER_H_
@@ -35,6 +32,11 @@ std::string RenderGlTable(const SweepResult& result);
 // Serving cells: per-cell request latency percentiles under the cell's move-limit
 // policy and the all-global baseline, one row per (tenants, skew, churn, threshold).
 std::string RenderServingTable(const SweepResult& result);
+
+// Every view above that has cells in `result`, each under a heading and followed by
+// the paper claim it reproduces (Table 3 also names the simulated machine); views
+// without cells are skipped.
+std::string RenderViews(const SweepResult& result);
 
 }  // namespace ace
 

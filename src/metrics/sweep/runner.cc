@@ -73,7 +73,6 @@ ExperimentOptions OptionsForCell(const SweepCell& cell, const MachineConfig& bas
   options.scale = cell.scale;
   options.move_threshold = cell.move_threshold;
   options.gl_ratio = cell.gl_ratio;
-  options.scheduler = cell.scheduler;
   options.watchdog = watchdog;
   options.sampler = sampler;
   if (sampler != nullptr) {

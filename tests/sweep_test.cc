@@ -432,5 +432,48 @@ TEST(SweepRender, TablesRenderFromSweepResults) {
   EXPECT_NE(table4.find("IMatMult"), std::string::npos);
 }
 
+// A suite's cells as a result, unexecuted: views select cells by their coordinates,
+// so the choice of views can be checked without running a placement.
+SweepResult UnrunSuite(const std::string& name) {
+  SweepResult result;
+  result.suite = name;
+  for (const SweepCell& cell : MakeSuite(name, 2, 0.25).cells) {
+    CellResult cell_result;
+    cell_result.cell = cell;
+    cell_result.ok = true;
+    result.cells.push_back(cell_result);
+  }
+  return result;
+}
+
+TEST(SweepRender, ViewsPrintOnlyTheViewsWithCellsAndTheirCaptions) {
+  std::string table4 = RenderViews(UnrunSuite("table4"));
+  EXPECT_NE(table4.find("-- Table 3 view"), std::string::npos);
+  EXPECT_NE(table4.find("machine: 2 processors"), std::string::npos);
+  EXPECT_NE(table4.find("alpha(ref) is the directly"), std::string::npos);
+  EXPECT_NE(table4.find("-- Table 4 view"), std::string::npos);
+  EXPECT_NE(table4.find("page-movement overhead is a few percent or less"),
+            std::string::npos);
+  EXPECT_NE(table4.find("Primes3"), std::string::npos);
+  EXPECT_EQ(table4.find("-- threshold view"), std::string::npos);
+  EXPECT_EQ(table4.find("-- G/L view"), std::string::npos);
+  EXPECT_EQ(table4.find("-- serving view"), std::string::npos);
+
+  std::string threshold = RenderViews(UnrunSuite("threshold"));
+  EXPECT_NE(threshold.find("-- threshold view"), std::string::npos);
+  EXPECT_NE(threshold.find("inf = never pin"), std::string::npos);
+  EXPECT_EQ(threshold.find("-- Table 3 view"), std::string::npos);
+  EXPECT_EQ(threshold.find("-- Table 4 view"), std::string::npos);
+  EXPECT_EQ(threshold.find("-- G/L view"), std::string::npos);
+  EXPECT_EQ(threshold.find("-- serving view"), std::string::npos);
+
+  std::string serving = RenderViews(UnrunSuite("serving"));
+  EXPECT_NE(serving.find("-- serving view"), std::string::npos);
+  EXPECT_EQ(serving.find("-- Table 3 view"), std::string::npos);
+  EXPECT_EQ(serving.find("-- Table 4 view"), std::string::npos);
+  EXPECT_EQ(serving.find("-- threshold view"), std::string::npos);
+  EXPECT_EQ(serving.find("-- G/L view"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace ace

@@ -3,15 +3,17 @@
 // Runs a named suite of the paper's evaluation matrix on the parallel sweep
 // engine (src/metrics/sweep), emits the results as BENCH_<suite>.json, and optionally
 // compares them against a committed baseline, exiting nonzero when any metric
-// breaches its tolerance. This is the single measurement substrate behind the
-// reproduced tables: bench_table3_placement and friends render their tables from the
-// same engine, and CI gates every change on `ace_bench --suite smoke --baseline ...`.
+// breaches its tolerance. This is the one front end for the reproduced tables:
+// --render prints the paper-table views (Tables 3 and 4, the threshold and G/L
+// sweeps, serving) of whatever the suite ran, and CI gates every change on
+// `ace_bench --suite smoke --baseline ...`.
 //
 // Examples:
 //   ace_bench --suite smoke
 //   ace_bench --suite smoke --workers 8 --out BENCH_smoke.json
 //   ace_bench --suite smoke --baseline bench/baselines/BENCH_smoke.json
 //   ace_bench --suite full --render
+//   ace_bench --suite table4 --threads 4 --scale 0.25 --render
 //   ace_bench --list
 //
 // Resilient long runs (DESIGN.md section 9): --checkpoint journals every completed
@@ -398,11 +400,7 @@ int main(int argc, char** argv) {
   }
 
   if (args.render) {
-    std::printf("\n-- Table 3 view --\n%s", ace::RenderTable3(result).c_str());
-    std::printf("\n-- Table 4 view --\n%s", ace::RenderTable4(result).c_str());
-    std::printf("\n-- threshold view --\n%s", ace::RenderThresholdTable(result).c_str());
-    std::printf("\n-- G/L view --\n%s", ace::RenderGlTable(result).c_str());
-    std::printf("\n-- serving view --\n%s", ace::RenderServingTable(result).c_str());
+    std::fputs(ace::RenderViews(result).c_str(), stdout);
   }
 
   if (!args.out.empty()) {
