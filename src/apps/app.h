@@ -96,6 +96,13 @@ std::unique_ptr<App> CreatePingPongForever();
 std::unique_ptr<App> CreateThrowOnRun();
 std::unique_ptr<App> CreateAbortOnRun();
 
+// The section 4 ablation workloads (ablation_fixtures.cc): resolvable by name for
+// the `ablations` sweep suite and ace_run, never part of AllAppFactories.
+std::unique_ptr<App> CreatePhaseChange();
+std::unique_ptr<App> CreateUnixMaster();
+std::unique_ptr<App> CreateLoadBalance();
+std::unique_ptr<App> CreateRemoteMix();
+
 // The multi-tenant KV serving workload (src/serving). Addressable by name
 // ("Serving", or "serving" on the command line) but kept out of AllAppFactories: the
 // Table 3/4 suites and golden counters cover exactly the paper's eight batch apps.

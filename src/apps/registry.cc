@@ -22,9 +22,12 @@ std::unique_ptr<App> CreateAppByName(const std::string& name) {
   if (name == "Serving" || name == "serving") {
     return CreateServing();
   }
-  // Hidden resilience fixtures: addressable by name, never enumerated into suites.
+  // Ablation workloads and hidden resilience fixtures: addressable by name, never
+  // enumerated into the paper-table suites.
   for (const AppFactory& factory :
-       {AppFactory(CreatePingPongForever), AppFactory(CreateThrowOnRun),
+       {AppFactory(CreatePhaseChange), AppFactory(CreateUnixMaster),
+        AppFactory(CreateLoadBalance), AppFactory(CreateRemoteMix),
+        AppFactory(CreatePingPongForever), AppFactory(CreateThrowOnRun),
         AppFactory(CreateAbortOnRun)}) {
     std::unique_ptr<App> app = factory();
     if (name == app->name()) {

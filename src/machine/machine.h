@@ -21,7 +21,9 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/check.h"
@@ -90,6 +92,19 @@ struct PolicySpec {
         return "remote-home";
     }
     return "?";
+  }
+
+  // The inverse of Name(): the policy called `name`, with `threshold` as its move
+  // threshold; reconsider pins expire after 50 ms. Empty for an unknown name.
+  static std::optional<PolicySpec> FromName(std::string_view name, int threshold) {
+    for (const PolicySpec& spec : {MoveLimit(threshold), AllGlobal(), AllLocal(),
+                                   Reconsider(threshold, 50'000'000),
+                                   RemoteHome(threshold)}) {
+      if (name == spec.Name()) {
+        return spec;
+      }
+    }
+    return std::nullopt;
   }
 };
 

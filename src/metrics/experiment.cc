@@ -2,6 +2,7 @@
 
 #include "src/common/check.h"
 #include "src/obs/sampler.h"
+#include "src/trace/ref_trace.h"
 #include "src/threads/watchdog.h"
 
 namespace ace {
@@ -23,7 +24,6 @@ PlacementRun RunPlacement(App& app, const ExperimentOptions& options, PolicySpec
   mo.config = EffectiveConfig(options);
   mo.config.num_processors = num_processors;
   mo.policy = policy;
-  mo.bus.model_contention = options.bus_contention;
   mo.fault_plan = options.fault_plan;
   mo.fault_seed = options.fault_seed;
   mo.enable_tlb = options.enable_tlb;
@@ -31,6 +31,11 @@ PlacementRun RunPlacement(App& app, const ExperimentOptions& options, PolicySpec
   Machine machine(mo);
   if (options.watchdog.enabled()) {
     machine.observability().EnableTracing();
+  }
+  std::unique_ptr<RefTracer> tracer;
+  if (options.estimate_optimal) {
+    tracer = std::make_unique<RefTracer>(&machine);
+    tracer->EnableEpochTracking();
   }
 
   AppConfig cfg;
@@ -89,6 +94,12 @@ PlacementRun RunPlacement(App& app, const ExperimentOptions& options, PolicySpec
   run.tlb_fills = tlb.fills;
   run.tlb_shootdown_pages = tlb.shootdown_pages;
   run.tlb_batched_refs = tlb.batched_refs;
+  if (const ReconsiderPolicy* reconsider = machine.reconsider_policy()) {
+    run.unpin_events = reconsider->unpin_events();
+  }
+  if (tracer != nullptr) {
+    run.optimal = tracer->EstimateOptimal();
+  }
   return run;
 }
 
@@ -100,15 +111,17 @@ ExperimentResult RunExperiment(const std::string& app_name, const ExperimentOpti
   result.app_name = app_name;
   result.gl_ratio = app->ModelGL(EffectiveConfig(options).latency);
 
-  // Tnuma: the automatic policy with the configured move threshold.
-  result.numa = RunPlacement(*app, options, PolicySpec::MoveLimit(options.move_threshold),
-                             options.config.num_processors, options.num_threads);
+  // Tnuma: the automatic policy (the only run traced for the optimal estimate).
+  result.numa = RunPlacement(*app, options, options.policy, options.config.num_processors,
+                             options.num_threads);
+  ExperimentOptions untraced = options;
+  untraced.estimate_optimal = false;
   // Tglobal: all data pages in global memory.
-  result.global = RunPlacement(*app, options, PolicySpec::AllGlobal(),
+  result.global = RunPlacement(*app, untraced, PolicySpec::AllGlobal(),
                                options.config.num_processors, options.num_threads);
   // Tlocal: one thread on a one-processor machine; with a single processor the
   // automatic policy never moves a page, so all data stays local.
-  result.local = RunPlacement(*app, options, PolicySpec::MoveLimit(options.move_threshold),
+  result.local = RunPlacement(*app, untraced, PolicySpec::MoveLimit(options.policy.move_threshold),
                               /*num_processors=*/1, /*num_threads=*/1);
 
   result.model = SolveModel(result.numa.user_sec, result.global.user_sec,

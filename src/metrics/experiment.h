@@ -18,6 +18,7 @@
 #include "src/apps/app.h"
 #include "src/machine/machine.h"
 #include "src/metrics/model.h"
+#include "src/trace/optimal.h"
 
 namespace ace {
 
@@ -28,9 +29,10 @@ struct ExperimentOptions {
   int num_threads = 7;          // worker threads for the numa/global runs
   double scale = 1.0;           // workload scale
   int variant = 0;              // app variant
-  int move_threshold = 4;       // MoveLimit pin threshold for the numa run
+  // The numa run's policy. The local run keeps move-limit at the same threshold
+  // (on one processor no page ever moves).
+  PolicySpec policy = PolicySpec::MoveLimit(4);
   SchedulerKind scheduler = SchedulerKind::kAffinity;
-  bool bus_contention = false;
   // When > 0, scale the global-memory latencies to this ratio over the local ones
   // (the section 4.4 G/L sensitivity knob). 0 keeps the machine's default latencies.
   double gl_ratio = 0.0;
@@ -61,6 +63,10 @@ struct ExperimentOptions {
   std::string live_tag;
   // Serving-workload knobs, forwarded into AppConfig (ignored by the batch apps).
   ServingOptions serving;
+  // Record per-page write epochs during the run and estimate the optimal placement
+  // from them (section 3.1's Toptimal; src/trace/optimal.h). RunExperiment traces
+  // only its numa run.
+  bool estimate_optimal = false;
 };
 
 // The machine config `options` actually runs with: `config` with the G/L latency
@@ -82,6 +88,10 @@ struct PlacementRun {
   std::uint64_t tlb_fills = 0;
   std::uint64_t tlb_shootdown_pages = 0;
   std::uint64_t tlb_batched_refs = 0;
+  // Pins the reconsider policy let expire (0 under every other policy).
+  std::uint64_t unpin_events = 0;
+  // The optimal-placement estimate (set only with ExperimentOptions::estimate_optimal).
+  OptimalEstimate optimal;
 };
 
 struct ExperimentResult {

@@ -1,11 +1,12 @@
 // One cell of the experiment matrix.
 //
 // The paper's whole evaluation is a matrix — application × placement × policy knobs
-// (Tables 3-5, the threshold and G/L sweeps) — and every reproduced table is a view
-// over the same cell shape. A cell names one (app, threads, scale, move-threshold,
-// G/L ratio) combination; *running* it produces either the full three-placement
-// experiment (Tnuma/Tglobal/Tlocal plus the derived model, as Tables 3/4 need) or
-// just the NUMA placement (as the threshold sweep needs). Cells are independent and
+// (Tables 3-5, the threshold and G/L sweeps, the section 4 ablations) — and every
+// reproduced table is a view over the same cell shape. A cell names one (app, threads,
+// scale, policy, G/L ratio, variant, page size, scheduler) combination; *running* it
+// produces either the full three-placement experiment (Tnuma/Tglobal/Tlocal plus the
+// derived model, as Tables 3/4 need) or just the NUMA placement (as the threshold
+// sweep needs). Cells are independent and
 // deterministic, which is what lets the sweep engine (runner.h) dispatch them onto a
 // host-thread pool without changing any measured value.
 
@@ -16,6 +17,9 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "src/machine/machine.h"
+#include "src/threads/runtime.h"
 
 namespace ace {
 
@@ -37,16 +41,29 @@ enum class CellMode {
   // unprefixed for the numa run and "g_"-prefixed for the all-global run, alongside
   // t_numa/t_global and the usual counters. All virtual-time-derived and exact.
   kServing,
+  // The full experiment with the numa run traced (RefTracer epoch tracking): adds
+  // section 3.1's Toptimal estimate as opt_* metrics (runner.h).
+  kOptimal,
 };
 
 struct SweepCell {
   std::string app;
   int threads = 7;
   double scale = 1.0;
-  int move_threshold = 4;
+  // The numa run's policy. Its move threshold is always part of the key ("/mt4");
+  // a kind other than move-limit appends "/<name>", and reconsider also its pin
+  // lifetime ("/reconsider20ms").
+  PolicySpec policy = PolicySpec::MoveLimit(4);
   // G/L latency ratio override; 0 = the machine's default latencies (~2.3 fetch).
   double gl_ratio = 0.0;
   CellMode mode = CellMode::kFullExperiment;
+  // Application variant (AppConfig::variant); nonzero appends "/v<n>".
+  int variant = 0;
+  // Page size in bytes, at constant total memory: the base config's global and
+  // per-processor local bytes. A size other than 4096 appends "/ps<bytes>".
+  std::uint32_t page_size = 4096;
+  // Thread scheduler; the migrating one appends "/migrating".
+  SchedulerKind scheduler = SchedulerKind::kAffinity;
   // Deterministic fault-injection plan for this cell (src/inject grammar), normally
   // empty. Non-empty plans are part of the cell's identity (Key) — the same matrix
   // with and without injection must never collide in baselines or checkpoints.
@@ -60,8 +77,9 @@ struct SweepCell {
   int churn = 3;
 
   // Unique, human-readable identity: "FFT/t7/s1/mt4/gl0". Baseline comparison and
-  // deduplication key cells by this string. A non-empty fault plan appends
-  // "/plan=<plan>" (and "/fs<seed>" when seeded); a serving cell appends
+  // deduplication key cells by this string. Each axis above at a non-default value
+  // appends its segment after "/gl"; a non-empty fault plan appends "/plan=<plan>"
+  // (and "/fs<seed>" when seeded); a serving cell appends
   // "/serving/ten<T>/z<skew>/ch<phases>".
   std::string Key() const;
 };

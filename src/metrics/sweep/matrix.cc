@@ -4,6 +4,7 @@
 #include <set>
 
 #include "src/common/check.h"
+#include "src/metrics/sweep/render.h"
 #include "src/metrics/table.h"
 
 namespace ace {
@@ -21,7 +22,9 @@ const std::vector<std::string> kGlApps = {"IMatMult", "Primes2", "Primes3", "Gfe
 const std::vector<int> kThresholds = {0, 1, 2, 4, 8, 16, kInfMoveThreshold};
 const std::vector<double> kGlRatios = {1.2, 1.5, 2.0, 3.0, 4.0};
 
-void Override(std::vector<SweepCell>& cells, int threads_override, double scale_override) {
+// Cells that differed only in threads or scale fold into one under an override.
+std::vector<SweepCell> Override(std::vector<SweepCell> cells, int threads_override,
+                                double scale_override) {
   for (SweepCell& cell : cells) {
     if (threads_override > 0) {
       cell.threads = threads_override;
@@ -30,6 +33,9 @@ void Override(std::vector<SweepCell>& cells, int threads_override, double scale_
       cell.scale = scale_override;
     }
   }
+  std::vector<SweepCell> unique;
+  AppendUnique(unique, cells);
+  return unique;
 }
 
 }  // namespace
@@ -38,9 +44,25 @@ std::string SweepCell::Key() const {
   std::string key = app;
   key += "/t" + std::to_string(threads);
   key += "/s" + Fmt("%g", scale);
-  key += "/mt" + (move_threshold == kInfMoveThreshold ? std::string("inf")
-                                                      : std::to_string(move_threshold));
+  key += "/mt" + (policy.move_threshold == kInfMoveThreshold
+                      ? std::string("inf")
+                      : std::to_string(policy.move_threshold));
   key += "/gl" + Fmt("%g", gl_ratio);
+  if (policy.kind == PolicySpec::Kind::kReconsider) {
+    key += "/reconsider" + Fmt("%g", static_cast<double>(policy.reconsider_after_ns) * 1e-6) +
+           "ms";
+  } else if (policy.kind != PolicySpec::Kind::kMoveLimit) {
+    key += std::string("/") + policy.Name();
+  }
+  if (variant != 0) {
+    key += "/v" + std::to_string(variant);
+  }
+  if (page_size != 4096) {
+    key += "/ps" + std::to_string(page_size);
+  }
+  if (scheduler == SchedulerKind::kMigrating) {
+    key += "/migrating";
+  }
   if (mode == CellMode::kNumaOnly) {
     key += "/numa-only";
   } else if (mode == CellMode::kRefsPerSec) {
@@ -49,6 +71,8 @@ std::string SweepCell::Key() const {
     key += "/serving/ten" + std::to_string(tenants);
     key += "/z" + Fmt("%g", zipf_skew);
     key += "/ch" + std::to_string(churn);
+  } else if (mode == CellMode::kOptimal) {
+    key += "/optimal";
   }
   if (!fault_plan.empty()) {
     key += "/plan=" + fault_plan;
@@ -72,7 +96,7 @@ std::vector<SweepCell> SweepMatrix::Enumerate() const {
             cell.app = app;
             cell.threads = t;
             cell.scale = s;
-            cell.move_threshold = mt;
+            cell.policy.move_threshold = mt;
             cell.gl_ratio = gl;
             cell.mode = mode;
             cells.push_back(std::move(cell));
@@ -100,7 +124,8 @@ const std::vector<std::string>& SuiteNames() {
   static const std::vector<std::string> kNames = {"smoke",     "full", "table3",
                                                   "table4",    "threshold", "gl",
                                                   "refs",      "serving", "serving-full",
-                                                  "serving-chaos", "serving-killnode"};
+                                                  "serving-chaos", "serving-killnode",
+                                                  "ablations"};
   return kNames;
 }
 
@@ -115,7 +140,7 @@ SweepCell ServingCell(int threads, double scale, int move_threshold, int tenants
   cell.app = "Serving";
   cell.threads = threads;
   cell.scale = scale;
-  cell.move_threshold = move_threshold;
+  cell.policy.move_threshold = move_threshold;
   cell.mode = CellMode::kServing;
   cell.tenants = tenants;
   cell.zipf_skew = skew;
@@ -258,6 +283,12 @@ Suite MakeSuite(const std::string& name, int threads_override, double scale_over
         }
       }
     }
+  } else if (name == "ablations") {
+    suite.description =
+        "Sections 3.1 and 4: false sharing, scheduling, reconsider, remote references, "
+        "Unix master, load balancing, page size, Toptimal";
+    // The cells are those the ablation views render (render.h), one source for both.
+    suite.cells = AblationCells();
   } else if (name == "full") {
     suite.description = "The full paper matrix: table3 + threshold + gl, deduplicated";
     suite.cells = MakeSuite("table3").cells;
@@ -266,7 +297,7 @@ Suite MakeSuite(const std::string& name, int threads_override, double scale_over
   } else {
     ACE_CHECK_MSG(false, "unknown suite name");
   }
-  Override(suite.cells, threads_override, scale_override);
+  suite.cells = Override(std::move(suite.cells), threads_override, scale_override);
   return suite;
 }
 

@@ -13,6 +13,7 @@
 //   full       union of table3 + threshold + gl, deduplicated by key
 //   refs       host refs/sec of the streaming apps, software TLB on vs off
 //              (the fast-path perf gate; cell.h CellMode::kRefsPerSec)
+//   ablations  the cells of the section 3.1 and 4 ablation views (render.h)
 
 #ifndef SRC_METRICS_SWEEP_MATRIX_H_
 #define SRC_METRICS_SWEEP_MATRIX_H_
@@ -42,8 +43,8 @@ struct Suite {
 };
 
 // Build a named suite. `threads_override`/`scale_override` (when nonzero) replace the
-// suite's default thread count / workload scale on every cell — the migrated bench
-// binaries use them to keep their historical positional arguments working.
+// suite's default thread count / workload scale on every cell (ace_bench --threads /
+// --scale).
 Suite MakeSuite(const std::string& name, int threads_override = 0,
                 double scale_override = 0.0);
 

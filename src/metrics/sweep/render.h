@@ -12,6 +12,7 @@
 #define SRC_METRICS_SWEEP_RENDER_H_
 
 #include <string>
+#include <vector>
 
 #include "src/metrics/sweep/runner.h"
 
@@ -34,9 +35,14 @@ std::string RenderGlTable(const SweepResult& result);
 std::string RenderServingTable(const SweepResult& result);
 
 // Every view above that has cells in `result`, each under a heading and followed by
-// the paper claim it reproduces (Table 3 also names the simulated machine); views
-// without cells are skipped.
+// the paper claim it reproduces (Table 3 also names the simulated machine), then
+// every section 3.1/4 ablation view whose cells are all in `result`; views without
+// cells are skipped. Cells an ablation view shows stay out of the views above.
 std::string RenderViews(const SweepResult& result);
+
+// The cells of the ablation views (sections 3.1 and 4, one view per section): the
+// `ablations` suite (matrix.h). The views and the suite share this one definition.
+std::vector<SweepCell> AblationCells();
 
 }  // namespace ace
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 
 #include "src/obs/json_lite.h"
 
@@ -48,7 +49,7 @@ void AppendCellObject(std::string& out, const CellResult& cell) {
   AppendStringField(out, "app", cell.cell.app, &cfirst);
   AppendField(out, "threads", cell.cell.threads, &cfirst);
   AppendField(out, "scale", cell.cell.scale, &cfirst);
-  AppendField(out, "move_threshold", cell.cell.move_threshold, &cfirst);
+  AppendField(out, "move_threshold", cell.cell.policy.move_threshold, &cfirst);
   AppendField(out, "gl_ratio", cell.cell.gl_ratio, &cfirst);
   const char* mode_name = "full";
   if (cell.cell.mode == CellMode::kNumaOnly) {
@@ -57,12 +58,32 @@ void AppendCellObject(std::string& out, const CellResult& cell) {
     mode_name = "refs";
   } else if (cell.cell.mode == CellMode::kServing) {
     mode_name = "serving";
+  } else if (cell.cell.mode == CellMode::kOptimal) {
+    mode_name = "optimal";
   }
   AppendStringField(out, "mode", mode_name, &cfirst);
   if (cell.cell.mode == CellMode::kServing) {
     AppendField(out, "tenants", cell.cell.tenants, &cfirst);
     AppendField(out, "zipf_skew", cell.cell.zipf_skew, &cfirst);
     AppendField(out, "churn", cell.cell.churn, &cfirst);
+  }
+  // The ablation axes, each only off its default (as in the key).
+  const PolicySpec& policy = cell.cell.policy;
+  if (policy.kind != PolicySpec::Kind::kMoveLimit) {
+    AppendStringField(out, "policy", policy.Name(), &cfirst);
+    if (policy.kind == PolicySpec::Kind::kReconsider) {
+      AppendField(out, "reconsider_after_ns", static_cast<double>(policy.reconsider_after_ns),
+                  &cfirst);
+    }
+  }
+  if (cell.cell.variant != 0) {
+    AppendField(out, "variant", cell.cell.variant, &cfirst);
+  }
+  if (cell.cell.page_size != 4096) {
+    AppendField(out, "page_size", cell.cell.page_size, &cfirst);
+  }
+  if (cell.cell.scheduler == SchedulerKind::kMigrating) {
+    AppendStringField(out, "scheduler", "migrating", &cfirst);
   }
   if (!cell.cell.fault_plan.empty()) {
     AppendStringField(out, "fault_plan", cell.cell.fault_plan, &cfirst);
@@ -156,8 +177,28 @@ bool ParseCellObject(const JsonValue& value, CellResult* out, std::string* error
   }
   cell.cell.threads = static_cast<int>(value.NumberOr("threads", 0));
   cell.cell.scale = value.NumberOr("scale", 0.0);
-  cell.cell.move_threshold = static_cast<int>(value.NumberOr("move_threshold", 0));
+  int move_threshold = static_cast<int>(value.NumberOr("move_threshold", 0));
   cell.cell.gl_ratio = value.NumberOr("gl_ratio", 0.0);
+  std::string policy = std::string(value.StringOr("policy", "move-limit"));
+  std::optional<PolicySpec> spec = PolicySpec::FromName(policy, move_threshold);
+  if (!spec) {
+    *error = "cell.policy '" + policy + "' is not a policy name";
+    return false;
+  }
+  cell.cell.policy = *spec;
+  if (spec->kind == PolicySpec::Kind::kReconsider) {
+    cell.cell.policy.reconsider_after_ns = static_cast<TimeNs>(
+        value.NumberOr("reconsider_after_ns", static_cast<double>(spec->reconsider_after_ns)));
+  }
+  cell.cell.variant = static_cast<int>(value.NumberOr("variant", 0));
+  cell.cell.page_size = static_cast<std::uint32_t>(value.NumberOr("page_size", 4096));
+  std::string scheduler = std::string(value.StringOr("scheduler", "affinity"));
+  if (scheduler != "affinity" && scheduler != "migrating") {
+    *error = "cell.scheduler '" + scheduler + "' is not 'affinity'/'migrating'";
+    return false;
+  }
+  cell.cell.scheduler =
+      scheduler == "migrating" ? SchedulerKind::kMigrating : SchedulerKind::kAffinity;
   std::string mode = std::string(value.StringOr("mode", ""));
   if (mode == "numa-only") {
     cell.cell.mode = CellMode::kNumaOnly;
@@ -165,6 +206,8 @@ bool ParseCellObject(const JsonValue& value, CellResult* out, std::string* error
     cell.cell.mode = CellMode::kRefsPerSec;
   } else if (mode == "full") {
     cell.cell.mode = CellMode::kFullExperiment;
+  } else if (mode == "optimal") {
+    cell.cell.mode = CellMode::kOptimal;
   } else if (mode == "serving") {
     cell.cell.mode = CellMode::kServing;
     for (const char* key : {"tenants", "zipf_skew", "churn"}) {
@@ -178,7 +221,7 @@ bool ParseCellObject(const JsonValue& value, CellResult* out, std::string* error
     cell.cell.zipf_skew = value.NumberOr("zipf_skew", 0.0);
     cell.cell.churn = static_cast<int>(value.NumberOr("churn", 0));
   } else {
-    *error = "cell.mode missing or not 'full'/'numa-only'/'refs'/'serving'";
+    *error = "cell.mode missing or not 'full'/'numa-only'/'refs'/'serving'/'optimal'";
     return false;
   }
   cell.cell.fault_plan = value.StringOr("fault_plan", "");

@@ -12,7 +12,10 @@
 //                  "mode", "ok", "metrics": { "<name>": <number|null>, ... } } ]
 //   }
 //
-// Two optional cell members extend the schema without disturbing happy-path bytes:
+// Optional cell members extend the schema without disturbing happy-path bytes:
+//   "policy", "reconsider_after_ns", "variant", "page_size", "scheduler"
+//                           -- only off their defaults (move-limit, 0, 4096,
+//                              affinity), like the cell key's segments;
 //   "fault_plan": "<plan>"  -- only when the cell ran with an injection plan
 //                              (plus "fault_seed" when seeded);
 //   "failure": { "kind", "detail" }  -- only when the cell *died* (watchdog kill,

@@ -42,6 +42,27 @@ void AppendRunCounters(const char* prefix, const PlacementRun& run,
                        static_cast<double>(s.local_alloc_failures));
 }
 
+// The numa run's counters; a reconsider cell adds the pins its policy let expire.
+void AppendNumaCounters(const SweepCell& cell, const PlacementRun& run,
+                        std::vector<std::pair<std::string, double>>& metrics) {
+  AppendRunCounters("", run, metrics);
+  if (cell.policy.kind == PolicySpec::Kind::kReconsider) {
+    metrics.emplace_back("unpin_events", static_cast<double>(run.unpin_events));
+  }
+}
+
+// Reference time actually charged during a run, from its per-class counters.
+double MemTimeSec(const MachineStats& stats, const LatencyModel& lat) {
+  ProcRefCounts t = stats.TotalRefs();
+  double ns = static_cast<double>(t.fetch_local) * lat.local_fetch_ns +
+              static_cast<double>(t.store_local) * lat.local_store_ns +
+              static_cast<double>(t.fetch_global) * lat.global_fetch_ns +
+              static_cast<double>(t.store_global) * lat.global_store_ns +
+              static_cast<double>(t.fetch_remote) * lat.remote_fetch_ns +
+              static_cast<double>(t.store_remote) * lat.remote_store_ns;
+  return ns * 1e-9;
+}
+
 // Every counter of `group` under its live key: the move-limit leg unprefixed, then
 // the all-global leg prefixed "g_".
 void AppendCounterGroup(CounterGroup group, const MachineStats& numa,
@@ -69,10 +90,22 @@ ExperimentOptions OptionsForCell(const SweepCell& cell, const MachineConfig& bas
   ExperimentOptions options;
   options.config = base_config;
   options.config.num_processors = cell.threads;
+  if (cell.page_size != base_config.page_size) {
+    // Constant total memory: the base config's global and per-processor local bytes.
+    options.config.page_size = cell.page_size;
+    options.config.global_pages = static_cast<std::uint32_t>(
+        std::uint64_t{base_config.global_pages} * base_config.page_size / cell.page_size);
+    options.config.local_pages_per_proc = static_cast<std::uint32_t>(
+        std::uint64_t{base_config.local_pages_per_proc} * base_config.page_size /
+        cell.page_size);
+  }
   options.num_threads = cell.threads;
   options.scale = cell.scale;
-  options.move_threshold = cell.move_threshold;
+  options.variant = cell.variant;
+  options.policy = cell.policy;
+  options.scheduler = cell.scheduler;
   options.gl_ratio = cell.gl_ratio;
+  options.estimate_optimal = cell.mode == CellMode::kOptimal;
   options.watchdog = watchdog;
   options.sampler = sampler;
   if (sampler != nullptr) {
@@ -106,21 +139,20 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
   if (cell.mode == CellMode::kNumaOnly) {
     std::unique_ptr<App> app = CreateAppByName(cell.app);
     ACE_CHECK_MSG(app != nullptr, "unknown application in sweep cell");
-    PlacementRun run = RunPlacement(*app, options, PolicySpec::MoveLimit(cell.move_threshold),
-                                    cell.threads, cell.threads);
+    PlacementRun run = RunPlacement(*app, options, cell.policy, cell.threads, cell.threads);
     result.ok = run.app.ok;
     result.detail = run.app.detail;
     result.metrics.emplace_back("t_numa", run.user_sec);
     result.metrics.emplace_back("s_numa", run.system_sec);
     result.metrics.emplace_back("measured_alpha", run.measured_alpha);
-    AppendRunCounters("", run, result.metrics);
+    AppendNumaCounters(cell, run, result.metrics);
     return result;
   }
 
   if (cell.mode == CellMode::kRefsPerSec) {
     std::unique_ptr<App> app = CreateAppByName(cell.app);
     ACE_CHECK_MSG(app != nullptr, "unknown application in sweep cell");
-    PolicySpec policy = PolicySpec::MoveLimit(cell.move_threshold);
+    const PolicySpec& policy = cell.policy;
     // Measure the production fast path, not the debug poison cross-check
     // (experiment.h). ACE_TLB_VERIFY=1 in the environment still wins.
     options.tlb_verify = 0;
@@ -146,7 +178,7 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
     result.metrics.emplace_back("t_numa", on.user_sec);
     result.metrics.emplace_back("s_numa", on.system_sec);
     result.metrics.emplace_back("measured_alpha", on.measured_alpha);
-    AppendRunCounters("", on, result.metrics);
+    AppendNumaCounters(cell, on, result.metrics);
     result.metrics.emplace_back("tlb_hits", static_cast<double>(on.tlb_hits));
     result.metrics.emplace_back("tlb_fills", static_cast<double>(on.tlb_fills));
     result.metrics.emplace_back("tlb_shootdown_pages",
@@ -171,9 +203,7 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
     // all-global baseline, scored per policy on the app's latency metrics. (No
     // single-threaded Tlocal leg: an open-loop latency distribution on one shard is
     // not comparable to the sharded runs, unlike batch total user time.)
-    PlacementRun numa = RunPlacement(*app, options,
-                                     PolicySpec::MoveLimit(cell.move_threshold),
-                                     cell.threads, cell.threads);
+    PlacementRun numa = RunPlacement(*app, options, cell.policy, cell.threads, cell.threads);
     PlacementRun global = RunPlacement(*app, options, PolicySpec::AllGlobal(),
                                        cell.threads, cell.threads);
     result.ok = numa.app.ok && global.app.ok;
@@ -190,7 +220,7 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
     for (const auto& [name, value] : global.app.metrics) {
       result.metrics.emplace_back("g_" + name, value);
     }
-    AppendRunCounters("", numa, result.metrics);
+    AppendNumaCounters(cell, numa, result.metrics);
     AppendRunCounters("g_", global, result.metrics);
     // Chaos accounting, emitted only for cells whose plan carries chaos events so
     // chaos-free cell JSON (and its committed baselines) is byte-identical to
@@ -222,7 +252,26 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
   result.metrics.emplace_back("gamma", r.model.gamma);
   result.metrics.emplace_back("measured_alpha", r.numa.measured_alpha);
   result.metrics.emplace_back("model_gl", r.gl_ratio);
-  AppendRunCounters("", r.numa, result.metrics);
+  AppendNumaCounters(cell, r.numa, result.metrics);
+  if (cell.mode == CellMode::kOptimal) {
+    // Section 3.1's Toptimal. The estimator prices only memory references and page
+    // movement; adding back the placement-invariant computation time (user time less
+    // the charged reference time) makes it commensurable with Tnuma. Tnuma+dS adds
+    // the NUMA-management system time, as Table 4 isolates it.
+    const OptimalEstimate& opt = r.numa.optimal;
+    double compute_sec =
+        r.numa.user_sec - MemTimeSec(r.numa.stats, EffectiveConfig(options).latency);
+    double opt_total = opt.total_sec + compute_sec;
+    double delta_s = r.numa.system_sec - r.global.system_sec;
+    double numa_total = r.numa.user_sec + (delta_s > 0 ? delta_s : 0);
+    result.metrics.emplace_back("opt_total", opt_total);
+    result.metrics.emplace_back("opt_numa_total", numa_total);
+    result.metrics.emplace_back("opt_ratio", numa_total / opt_total);
+    result.metrics.emplace_back("opt_user_ratio",
+                                r.numa.user_sec / (opt.user_sec + compute_sec));
+    result.metrics.emplace_back("opt_pages", static_cast<double>(opt.pages));
+    result.metrics.emplace_back("opt_pages_global", static_cast<double>(opt.pages_best_global));
+  }
   return result;
 }
 

@@ -75,8 +75,8 @@ class AllLocalPolicy : public NumaPolicy {
 // up its moves it is *homed* in the local memory of its last owner rather than placed
 // in global memory; other processors then reference it remotely. On machines without
 // physically global memory (Butterfly, RP3) this is the only option; on the ACE the
-// paper expected it to lose unless reference patterns are lopsided — the
-// bench_remote_refs experiment measures exactly that.
+// paper expected it to lose unless reference patterns are lopsided — the section 4.4
+// view of the `ablations` sweep suite measures exactly that.
 class RemoteHomePolicy : public NumaPolicy {
  public:
   struct Options {

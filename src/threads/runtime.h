@@ -54,7 +54,8 @@ class Env {
   // Move this thread to another processor (paper section 4.7's load-balancing future
   // work). With `move_pages`, the thread's local-writable pages are bulk-migrated to
   // the new home ("move their local pages with them"); without it they stay behind
-  // and trickle over through faults — the comparison bench_load_balance measures.
+  // and trickle over through faults — the comparison the LoadBalance ablation app
+  // measures.
   void MigrateTo(ProcId new_proc, bool move_pages);
 
   int tid() const { return tid_; }

@@ -421,7 +421,7 @@ TEST(LiveWatchdog, LivelockTripIsTheSameWithAndWithoutASampler) {
   cell.threads = 3;
   cell.scale = 0.1;
   cell.mode = CellMode::kNumaOnly;
-  cell.move_threshold = kInfMoveThreshold;  // never pin: unbounded ping-pong
+  cell.policy.move_threshold = kInfMoveThreshold;  // never pin: unbounded ping-pong
   WatchdogLimits limits;
   limits.move_budget = 5000;
   LiveSampler::Options so;

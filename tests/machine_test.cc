@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/machine/machine.h"
 #include "tests/machine_invariants.h"
 
@@ -28,6 +30,27 @@ TEST(Machine, UserTimeChargedPerReferenceClass) {
   before = m.clocks().user_ns(0);
   m.StoreWord(*t, 0, va, 2);
   EXPECT_EQ(m.clocks().user_ns(0) - before, 840);
+}
+
+// Figure 1 / section 2.2: "The corresponding times for global memory are 1.5us and
+// 1.4us." A page ping-ponged past the pin threshold lives in global memory, and the
+// reference path charges every processor the global latencies for it.
+TEST(Machine, GlobalReferencesChargePaperLatencies) {
+  Machine m(SmallMachine(4));
+  Task* t = m.CreateTask("t");
+  VirtAddr va = t->MapAnonymous("p", 4096);
+  for (int i = 0; i < 12; ++i) {
+    m.StoreWord(*t, i % 2, va, static_cast<std::uint32_t>(i));
+  }
+  ASSERT_EQ(m.PageInfoFor(*t, va).state, PageState::kGlobalWritable);
+  for (ProcId proc : {0, 3}) {
+    TimeNs before = m.clocks().user_ns(proc);
+    (void)m.LoadWord(*t, proc, va + 8);
+    EXPECT_EQ(m.clocks().user_ns(proc) - before, 1500) << "fetch on " << proc;
+    before = m.clocks().user_ns(proc);
+    m.StoreWord(*t, proc, va + 8, 7);
+    EXPECT_EQ(m.clocks().user_ns(proc) - before, 1400) << "store on " << proc;
+  }
 }
 
 TEST(Machine, SystemTimeChargedOnFaults) {
@@ -138,6 +161,25 @@ TEST(Machine, PolicyAccessors) {
   Machine m2(mo);
   EXPECT_EQ(m2.move_limit_policy(), nullptr);
   EXPECT_NE(m2.reconsider_policy(), nullptr);
+}
+
+TEST(PolicySpec, NameRoundTripsThroughFromName) {
+  for (const PolicySpec& spec :
+       {PolicySpec::MoveLimit(3), PolicySpec::AllGlobal(), PolicySpec::AllLocal(),
+        PolicySpec::Reconsider(3, 50'000'000), PolicySpec::RemoteHome(3)}) {
+    std::optional<PolicySpec> parsed = PolicySpec::FromName(spec.Name(), 3);
+    ASSERT_TRUE(parsed.has_value()) << spec.Name();
+    EXPECT_EQ(parsed->kind, spec.kind) << spec.Name();
+    EXPECT_STREQ(parsed->Name(), spec.Name());
+    if (spec.kind != PolicySpec::Kind::kAllGlobal && spec.kind != PolicySpec::Kind::kAllLocal) {
+      EXPECT_EQ(parsed->move_threshold, 3) << spec.Name();
+    }
+    if (spec.kind == PolicySpec::Kind::kReconsider) {
+      EXPECT_EQ(parsed->reconsider_after_ns, 50'000'000);
+    }
+  }
+  EXPECT_FALSE(PolicySpec::FromName("movelimit", 4).has_value());
+  EXPECT_FALSE(PolicySpec::FromName("", 4).has_value());
 }
 
 TEST(Machine, CustomPolicyIsUsed) {

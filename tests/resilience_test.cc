@@ -67,7 +67,7 @@ TEST(Watchdog, DeadlineKillsRunawayCell) {
 // watchdog arms event tracing — the kill report must name the ping-pong page.
 TEST(Watchdog, LivelockDetectedKilledAndReported) {
   SweepCell cell = FixtureCell("PingPongForever");
-  cell.move_threshold = kInfMoveThreshold;  // never pin: unbounded ping-pong
+  cell.policy.move_threshold = kInfMoveThreshold;  // never pin: unbounded ping-pong
   WatchdogLimits limits;
   limits.move_budget = 5000;
   CellResult result = RunCell(cell, MachineConfig{}, limits);

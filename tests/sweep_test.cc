@@ -202,9 +202,43 @@ TEST(SweepCellKey, EncodesEveryAxisAndIsUniqueAcrossSuites) {
   cell.app = "FFT";
   cell.threads = 7;
   cell.scale = 0.25;
-  cell.move_threshold = kInfMoveThreshold;
+  cell.policy.move_threshold = kInfMoveThreshold;
   cell.gl_ratio = 1.5;
   EXPECT_EQ(cell.Key(), "FFT/t7/s0.25/mtinf/gl1.5");
+
+  // The ablation axes at their defaults add nothing; each one off its default
+  // appends its own segment.
+  SweepCell defaults = cell;
+  defaults.policy = PolicySpec::MoveLimit(kInfMoveThreshold);
+  defaults.variant = 0;
+  defaults.page_size = 4096;
+  defaults.scheduler = SchedulerKind::kAffinity;
+  EXPECT_EQ(defaults.Key(), cell.Key());
+  const std::string base = cell.Key();
+  SweepCell axis = cell;
+  axis.policy = PolicySpec::Reconsider(kInfMoveThreshold, 20'000'000);
+  EXPECT_EQ(axis.Key(), base + "/reconsider20ms");
+  axis.policy = PolicySpec::RemoteHome(kInfMoveThreshold);
+  EXPECT_EQ(axis.Key(), base + "/remote-home");
+  axis = cell;
+  axis.variant = 110;
+  EXPECT_EQ(axis.Key(), base + "/v110");
+  axis = cell;
+  axis.page_size = 512;
+  EXPECT_EQ(axis.Key(), base + "/ps512");
+  axis = cell;
+  axis.scheduler = SchedulerKind::kMigrating;
+  EXPECT_EQ(axis.Key(), base + "/migrating");
+  axis = cell;
+  axis.mode = CellMode::kOptimal;
+  EXPECT_EQ(axis.Key(), base + "/optimal");
+  axis = cell;
+  axis.policy = PolicySpec::Reconsider(4, 20'000'000);
+  axis.variant = 1;
+  axis.page_size = 16384;
+  axis.scheduler = SchedulerKind::kMigrating;
+  axis.mode = CellMode::kNumaOnly;
+  EXPECT_EQ(axis.Key(), "FFT/t7/s0.25/mt4/gl1.5/reconsider20ms/v1/ps16384/migrating/numa-only");
 
   for (const std::string& name : SuiteNames()) {
     Suite suite = MakeSuite(name);
@@ -215,6 +249,54 @@ TEST(SweepCellKey, EncodesEveryAxisAndIsUniqueAcrossSuites) {
     }
     EXPECT_FALSE(suite.cells.empty()) << name;
   }
+}
+
+// Checkpoint resume re-reads cells from their JSON: every ablations cell, each axis
+// included, must serialize and parse back under the same key.
+TEST(SweepCellKey, AblationAxesRoundTripThroughJson) {
+  SweepResult result;
+  result.suite = "ablations";
+  for (const SweepCell& cell : MakeSuite("ablations").cells) {
+    CellResult r;
+    r.cell = cell;
+    r.ok = true;
+    r.metrics.emplace_back("t_numa", 1.0);
+    result.cells.push_back(r);
+  }
+  std::string json = SerializeSweep(result, /*include_host=*/false);
+  std::string error;
+  ASSERT_TRUE(ValidateSweepJson(json, &error)) << error;
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(json, &doc, &error)) << error;
+  const JsonValue* cells = doc.Find("cells");
+  ASSERT_NE(cells, nullptr);
+  ASSERT_EQ(cells->items.size(), result.cells.size());
+  std::set<std::string> axes_seen;
+  for (std::size_t i = 0; i < result.cells.size(); ++i) {
+    CellResult parsed;
+    ASSERT_TRUE(ParseCellObject(cells->items[i], &parsed, &error)) << error;
+    const SweepCell& want = result.cells[i].cell;
+    EXPECT_EQ(parsed.cell.Key(), want.Key());
+    EXPECT_EQ(parsed.cell.policy.kind, want.policy.kind) << want.Key();
+    if (want.policy.kind == PolicySpec::Kind::kReconsider) {
+      EXPECT_EQ(parsed.cell.policy.reconsider_after_ns, want.policy.reconsider_after_ns);
+    }
+    EXPECT_EQ(parsed.cell.variant, want.variant) << want.Key();
+    EXPECT_EQ(parsed.cell.page_size, want.page_size) << want.Key();
+    EXPECT_EQ(parsed.cell.scheduler, want.scheduler) << want.Key();
+    EXPECT_EQ(parsed.cell.mode, want.mode) << want.Key();
+    for (const auto& [axis, off_default] :
+         {std::pair{"policy", want.policy.kind != PolicySpec::Kind::kMoveLimit},
+          std::pair{"variant", want.variant != 0},
+          std::pair{"page_size", want.page_size != 4096},
+          std::pair{"scheduler", want.scheduler != SchedulerKind::kAffinity},
+          std::pair{"optimal", want.mode == CellMode::kOptimal}}) {
+      if (off_default) {
+        axes_seen.insert(axis);
+      }
+    }
+  }
+  EXPECT_EQ(axes_seen.size(), 5u) << "the suite exercises every new axis";
 }
 
 // --- serialization schema ----------------------------------------------------------

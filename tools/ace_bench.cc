@@ -5,8 +5,8 @@
 // compares them against a committed baseline, exiting nonzero when any metric
 // breaches its tolerance. This is the one front end for the reproduced tables:
 // --render prints the paper-table views (Tables 3 and 4, the threshold and G/L
-// sweeps, serving) of whatever the suite ran, and CI gates every change on
-// `ace_bench --suite smoke --baseline ...`.
+// sweeps, serving, the section 3.1/4 ablations) of whatever the suite ran, and CI
+// gates every change on `ace_bench --suite smoke --baseline ...`.
 //
 // Examples:
 //   ace_bench --suite smoke
@@ -14,6 +14,7 @@
 //   ace_bench --suite smoke --baseline bench/baselines/BENCH_smoke.json
 //   ace_bench --suite full --render
 //   ace_bench --suite table4 --threads 4 --scale 0.25 --render
+//   ace_bench --suite ablations --render
 //   ace_bench --list
 //
 // Resilient long runs (DESIGN.md section 9): --checkpoint journals every completed
@@ -57,7 +58,7 @@ void Usage() {
       "  --list                 list available suites and their cell counts\n"
       "  --suite NAME           suite to run: smoke | full | table3 | table4 |\n"
       "                         threshold | gl | refs | serving | serving-full |\n"
-      "                         serving-chaos | serving-killnode\n"
+      "                         serving-chaos | serving-killnode | ablations\n"
       "  --workers N            host worker threads (default: hardware concurrency)\n"
       "  --out FILE             write results as BENCH JSON (self-validated)\n"
       "  --baseline FILE        compare against a baseline BENCH JSON; exit 1 on any\n"

@@ -10,6 +10,7 @@
 //   ace_run --app Primes2 --variant 1 --trace
 //   ace_run --app FFT --experiment            # full Tnuma/Tglobal/Tlocal + model
 //   ace_run --app PlyTrace --optimal          # compare against the oracle placement
+//   ace_run --app IMatMult --report pmap      # Figures 1 and 2: machine, pmap traffic
 //   ace_run --list
 
 #include <cmath>
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,7 +74,7 @@ void Usage() {
       "observability (src/obs; all options also accept --opt=value):\n"
       "  --trace-out FILE       write a Chrome trace-event JSON (Perfetto-loadable)\n"
       "  --heat-csv FILE        write the per-page heat table as CSV\n"
-      "  --report LIST          comma-separated: hot-pages,locality,decisions\n"
+      "  --report LIST          comma-separated: hot-pages,locality,decisions,pmap\n"
       "  --top N                rows in the hot-pages report (default 10)\n"
       "  --trace-buffer N       trace ring capacity per processor (default 65536)\n"
       "live telemetry (tail with ace_top --live / --follow):\n"
@@ -80,24 +82,68 @@ void Usage() {
       "  --sample-interval NS   virtual-time sampling cadence in ns (default 10ms)\n");
 }
 
-ace::PolicySpec ParsePolicy(const std::string& name, int threshold) {
-  if (name == "move-limit") {
-    return ace::PolicySpec::MoveLimit(threshold);
-  }
-  if (name == "all-global") {
-    return ace::PolicySpec::AllGlobal();
-  }
-  if (name == "all-local") {
-    return ace::PolicySpec::AllLocal();
-  }
-  if (name == "reconsider") {
-    return ace::PolicySpec::Reconsider(threshold, 50'000'000);
-  }
-  if (name == "remote-home") {
-    return ace::PolicySpec::RemoteHome(threshold);
-  }
-  std::fprintf(stderr, "unknown policy '%s'\n", name.c_str());
-  std::exit(2);
+// `--report pmap`: the machine of Figure 1 and the traffic across each interface of
+// Figure 2's pmap layer (VM -> pmap manager -> NUMA policy / MMU), plus the NUMA
+// manager's consistency actions, for the run just finished.
+std::string RenderPmapReport(ace::Machine& m) {
+  const ace::MachineConfig& c = m.config();
+  const ace::LatencyModel& lat = c.latency;
+  std::string out = "pmap layer (Figures 1 and 2)\n";
+  char line[256];
+  std::snprintf(line, sizeof(line),
+                "machine: %d processor modules, %u KB local memory each; %u KB global "
+                "memory;\n32-bit IPC bus at %.0f Mbyte/sec (designed for up to 16 "
+                "processors).\n\n",
+                m.num_processors(), c.local_pages_per_proc * c.page_size / 1024,
+                c.global_pages * c.page_size / 1024,
+                m.bus().options().capacity_bytes_per_sec / 1e6);
+  out += line;
+  ace::TextTable latencies({"32-bit reference", "charged (us)", "paper (us)"});
+  latencies.AddRow({"local fetch", ace::Fmt("%.2f", lat.local_fetch_ns * 1e-3), "0.65"});
+  latencies.AddRow({"local store", ace::Fmt("%.2f", lat.local_store_ns * 1e-3), "0.84"});
+  latencies.AddRow({"global fetch", ace::Fmt("%.2f", lat.global_fetch_ns * 1e-3), "1.5"});
+  latencies.AddRow({"global store", ace::Fmt("%.2f", lat.global_store_ns * 1e-3), "1.4"});
+  out += latencies.ToString();
+  std::snprintf(line, sizeof(line),
+                "global/local ratio: %.2f on fetches (paper: 2.3), %.2f on stores\n"
+                "(paper: 1.7), %.2f at 45%% stores (paper: ~2)\n\n",
+                lat.FetchRatio(), static_cast<double>(lat.global_store_ns) / lat.local_store_ns,
+                lat.MixRatio(0.45));
+  out += line;
+  out +=
+      "  Mach machine-independent VM\n"
+      "            | pmap interface\n"
+      "            v\n"
+      "      pmap manager  <->  NUMA manager  <->  NUMA policy\n"
+      "            |\n"
+      "            v\n"
+      "      MMU interface (Rosetta)\n\n";
+
+  const ace::PmapCallCounts& calls = m.pmap().call_counts();
+  ace::TextTable table({"Interface", "Operation", "Calls"});
+  table.AddRow({"pmap (VM -> pmap manager)", "pmap_enter", std::to_string(calls.enter)});
+  table.AddRow({"", "pmap_remove", std::to_string(calls.remove)});
+  table.AddRow({"", "pmap_protect", std::to_string(calls.protect)});
+  table.AddRow({"", "pmap_remove_all", std::to_string(calls.remove_all)});
+  table.AddRow({"", "pmap_free_page (lazy)", std::to_string(calls.free_page)});
+  table.AddRow({"", "pmap_free_page_sync", std::to_string(calls.free_page_sync)});
+  table.AddRow({"", "pmap_zero_page (lazy)", std::to_string(calls.zero_page)});
+  table.AddRow({"pmap manager -> NUMA policy", "cache_policy",
+                std::to_string(calls.policy_calls)});
+  table.AddRow({"pmap manager -> MMU", "enter mapping", std::to_string(calls.mmu_enters)});
+  table.AddRow({"", "remove mapping", std::to_string(calls.mmu_removes)});
+  out += table.ToString();
+
+  const ace::MachineStats& s = m.stats();
+  ace::TextTable actions({"NUMA manager action", "Count"});
+  actions.AddRow({"page copies (global->local replication)", std::to_string(s.page_copies)});
+  actions.AddRow({"page syncs (local->global write-back)", std::to_string(s.page_syncs)});
+  actions.AddRow({"page flushes (cached copy dropped)", std::to_string(s.page_flushes)});
+  actions.AddRow({"unmap-all (global-writable pages)", std::to_string(s.page_unmaps)});
+  actions.AddRow({"ownership moves", std::to_string(s.ownership_moves)});
+  actions.AddRow({"pages pinned in global memory", std::to_string(s.pages_pinned)});
+  actions.AddRow({"lazy zero-fills", std::to_string(s.zero_fills)});
+  return out + "\n" + actions.ToString();
 }
 
 }  // namespace
@@ -248,11 +294,17 @@ int main(int argc, char** argv) {
                    std::to_string(serving.seed);
   }
 
+  std::optional<ace::PolicySpec> policy = ace::PolicySpec::FromName(policy_name, threshold);
+  if (!policy) {
+    std::fprintf(stderr, "unknown policy '%s'\n", policy_name.c_str());
+    return 2;
+  }
+
   ace::ExperimentOptions options;
   options.num_threads = threads;
   options.scale = scale;
   options.variant = variant;
-  options.move_threshold = threshold;
+  options.policy = *policy;
   options.config.num_processors = threads;
   options.config.page_size = page_size;
   options.config.global_pages = global_pages;
@@ -301,7 +353,7 @@ int main(int argc, char** argv) {
 
   ace::Machine::Options mo;
   mo.config = options.config;
-  mo.policy = ParsePolicy(policy_name, threshold);
+  mo.policy = *policy;
   mo.enable_pager = pager;
   mo.enable_tlb = !no_tlb;
   mo.fault_seed = seed;
@@ -499,7 +551,7 @@ int main(int argc, char** argv) {
       write_file(heat_csv, "heat-csv", [&](std::ostream& o) { ace::WriteHeatCsv(heat, o); });
     }
 
-    // --report hot-pages,locality,decisions
+    // --report hot-pages,locality,decisions,pmap
     std::string rest = report_list;
     while (!rest.empty()) {
       auto comma = rest.find(',');
@@ -511,8 +563,10 @@ int main(int argc, char** argv) {
         std::printf("\n%s", ace::RenderLocality(s, threads).c_str());
       } else if (name == "decisions") {
         std::printf("\n%s", ace::RenderDecisions(heat).c_str());
+      } else if (name == "pmap") {
+        std::printf("\n%s", RenderPmapReport(machine).c_str());
       } else if (!name.empty()) {
-        std::fprintf(stderr, "unknown report '%s' (hot-pages, locality, decisions)\n",
+        std::fprintf(stderr, "unknown report '%s' (hot-pages, locality, decisions, pmap)\n",
                      name.c_str());
         return 2;
       }

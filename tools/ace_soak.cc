@@ -51,6 +51,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,26 +85,6 @@ struct RunSpec {
   ace::FaultPlan plan;
   std::uint64_t fault_seed = 0;
 };
-
-ace::PolicySpec ParsePolicy(const std::string& name, int threshold) {
-  if (name == "move-limit") {
-    return ace::PolicySpec::MoveLimit(threshold);
-  }
-  if (name == "all-global") {
-    return ace::PolicySpec::AllGlobal();
-  }
-  if (name == "all-local") {
-    return ace::PolicySpec::AllLocal();
-  }
-  if (name == "reconsider") {
-    return ace::PolicySpec::Reconsider(threshold, 50'000'000);
-  }
-  if (name == "remote-home") {
-    return ace::PolicySpec::RemoteHome(threshold);
-  }
-  std::fprintf(stderr, "unknown policy '%s'\n", name.c_str());
-  std::exit(2);
-}
 
 ace::FaultSchedule GenSchedule(ace::SplitMix64& rng, bool pager) {
   using ace::FaultSite;
@@ -309,7 +290,12 @@ std::string RunInProcess(const RunSpec& spec) {
   ace::Machine::Options mo;
   mo.config.num_processors = spec.threads;
   mo.config.global_pages = spec.global_pages;
-  mo.policy = ParsePolicy(spec.policy, spec.threshold);
+  std::optional<ace::PolicySpec> policy = ace::PolicySpec::FromName(spec.policy, spec.threshold);
+  if (!policy) {
+    std::fprintf(stderr, "unknown policy '%s'\n", spec.policy.c_str());
+    std::exit(2);
+  }
+  mo.policy = *policy;
   mo.enable_pager = spec.pager;
   mo.enable_tlb = spec.tlb;
   mo.tlb_verify = spec.tlb ? 1 : -1;  // poison cross-check on: stale entries abort
