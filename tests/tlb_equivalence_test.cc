@@ -171,6 +171,36 @@ TEST(TlbEquivalenceChaos, KillNodePlanIdenticalWithTlbOnAndOff) {
   RunChaosDifferential("corrupt-page@1:2000000:4000000:1000;kill-node@2:5000000");
 }
 
+// --- the fast path's own counters, pinned ----------------------------------------------
+
+// The on/off comparisons above prove the fast path changes nothing observable; these
+// pins prove it still does its work. Each streaming app's exact reference total and
+// TLB hits, fills and shootdowns under move-limit are deterministic, so a change that
+// loses hits, adds fills or widens shootdowns fails here on any host.
+TEST(TlbCounters, StreamingAppsArePinnedUnderMoveLimit) {
+  struct Pin {
+    const char* app;
+    std::uint64_t refs, hits, fills, shootdown_pages;
+  };
+  const Pin pins[] = {
+      {"Gfetch", 40130, 40007, 123, 240},
+      {"IMatMult", 12730, 12691, 39, 72},
+      {"Primes2", 106713, 106661, 52, 96},
+  };
+  const ExperimentOptions options = SmallOptions();
+  for (const Pin& pin : pins) {
+    std::unique_ptr<App> app = CreateAppByName(pin.app);
+    ASSERT_NE(app, nullptr) << pin.app;
+    const PlacementRun run = RunPlacement(*app, options, PolicySpec::MoveLimit(4),
+                                          options.config.num_processors, options.num_threads);
+    EXPECT_TRUE(run.app.ok) << pin.app << ": " << run.app.detail;
+    EXPECT_EQ(run.stats.TotalRefs().Total(), pin.refs) << pin.app;
+    EXPECT_EQ(run.tlb_hits, pin.hits) << pin.app;
+    EXPECT_EQ(run.tlb_fills, pin.fills) << pin.app;
+    EXPECT_EQ(run.tlb_shootdown_pages, pin.shootdown_pages) << pin.app;
+  }
+}
+
 // --- per-reference observers ---------------------------------------------------------
 
 // Everything the per-reference observers recorded in one run. Both halves of the
