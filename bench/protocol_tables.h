@@ -37,7 +37,7 @@ inline const char* StartStateName(StartState s) {
   return "?";
 }
 
-struct CellResult {
+struct ProtocolCellResult {
   std::string cleanup;
   bool copied_to_local = false;
   std::string new_state;
@@ -45,7 +45,8 @@ struct CellResult {
 
 // Run one cell: prepare a fresh page in `start`, then issue a request of `kind` from
 // processor 0 under the given policy decision, and report what the manager did.
-inline CellResult RunProtocolCell(AccessKind kind, Placement decision, StartState start) {
+inline ProtocolCellResult RunProtocolCell(AccessKind kind, Placement decision,
+                                          StartState start) {
   ScriptedPolicy policy;
   Machine::Options mo;
   mo.config.num_processors = 3;
@@ -91,15 +92,10 @@ inline CellResult RunProtocolCell(AccessKind kind, Placement decision, StartStat
   }
   const ActionTrace& trace = manager.last_trace();
 
-  CellResult result;
-  for (std::size_t i = 0; i < trace.cleanup.size(); ++i) {
-    if (i > 0) {
-      result.cleanup += "; ";
-    }
-    result.cleanup += trace.cleanup[i];
-  }
-  if (result.cleanup.empty()) {
-    result.cleanup = "-";
+  ProtocolCellResult result;
+  result.cleanup = trace.cleanup.empty() ? "-" : trace.cleanup[0];
+  for (std::size_t i = 1; i < trace.cleanup.size(); ++i) {
+    result.cleanup += "; " + trace.cleanup[i];
   }
   result.copied_to_local = trace.copied_to_local;
   result.new_state = PageStateName(trace.new_state);
@@ -115,7 +111,7 @@ inline void PrintProtocolTable(AccessKind kind, const char* title) {
     for (StartState start :
          {StartState::kReadOnly, StartState::kGlobalWritable, StartState::kLocalWritableOwn,
           StartState::kLocalWritableOther}) {
-      CellResult cell = RunProtocolCell(kind, decision, start);
+      ProtocolCellResult cell = RunProtocolCell(kind, decision, start);
       table.AddRow({PlacementName(decision), StartStateName(start), cell.cleanup,
                     cell.copied_to_local ? "copy to local" : "-", cell.new_state});
     }

@@ -27,7 +27,6 @@ PlacementRun RunPlacement(App& app, const ExperimentOptions& options, PolicySpec
   mo.fault_plan = options.fault_plan;
   mo.fault_seed = options.fault_seed;
   mo.enable_tlb = options.enable_tlb;
-  mo.tlb_verify = options.tlb_verify;
   Machine machine(mo);
   if (options.watchdog.enabled()) {
     machine.observability().EnableTracing();
@@ -89,11 +88,7 @@ PlacementRun RunPlacement(App& app, const ExperimentOptions& options, PolicySpec
   run.stats = machine.stats();
   run.measured_alpha = machine.stats().MeasuredAlpha();
   run.pages_pinned = machine.stats().pages_pinned;
-  const TlbStats& tlb = machine.tlb_stats();
-  run.tlb_hits = tlb.hits;
-  run.tlb_fills = tlb.fills;
-  run.tlb_shootdown_pages = tlb.shootdown_pages;
-  run.tlb_batched_refs = tlb.batched_refs;
+  run.tlb = machine.tlb_stats();
   if (const ReconsiderPolicy* reconsider = machine.reconsider_policy()) {
     run.unpin_events = reconsider->unpin_events();
   }

@@ -40,15 +40,10 @@ struct ExperimentOptions {
   FaultPlan fault_plan;
   std::uint64_t fault_seed = 0;
   // Software-TLB fast path (src/machine/tlb.h). Off-by-default nowhere: both
-  // settings must produce byte-identical metrics; the refs_per_sec bench and the
-  // differential equivalence suite run both ways through this knob. The ACE_TLB
+  // settings must produce byte-identical metrics; the differential equivalence suite
+  // (tests/tlb_equivalence_test.cc) runs both ways through this knob. The ACE_TLB
   // environment variable still overrides at Machine construction.
   bool enable_tlb = true;
-  // TLB stale-entry poison mode: -1 = build default (on under ACE_CHECK_INVARIANTS),
-  // 0 = off, 1 = on. The refs_per_sec bench forces 0: verify re-resolves every hit
-  // through the pmap, so leaving it on would measure the debug cross-check, not the
-  // fast path.
-  int tlb_verify = -1;
   // Hung-run limits for the runtime (disabled by default). When armed, event tracing
   // is enabled on the machine so a kill report can name the ping-ponging page and the
   // last trace events; tracing never changes virtual time, so metrics are unaffected.
@@ -81,13 +76,9 @@ struct PlacementRun {
   MachineStats stats;
   double measured_alpha = 0.0;  // directly counted locality fraction
   std::uint64_t pages_pinned = 0;
-  // Software-TLB fast-path counters (all zero when the TLB is disabled). These are
-  // deterministic for a given source tree and config, like every MachineStats
-  // counter, and prove in the bench output that the fast path actually engaged.
-  std::uint64_t tlb_hits = 0;
-  std::uint64_t tlb_fills = 0;
-  std::uint64_t tlb_shootdown_pages = 0;
-  std::uint64_t tlb_batched_refs = 0;
+  // The machine's software-TLB counters (all zero when the TLB is disabled);
+  // deterministic for a given source tree and config, like every MachineStats counter.
+  TlbStats tlb;
   // Pins the reconsider policy let expire (0 under every other policy).
   std::uint64_t unpin_events = 0;
   // The optimal-placement estimate (set only with ExperimentOptions::estimate_optimal).

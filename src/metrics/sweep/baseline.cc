@@ -20,38 +20,24 @@ constexpr double kFallbackDefaultTolerance = 0.02;
 struct ToleranceTable {
   double default_tolerance = kFallbackDefaultTolerance;
   std::map<std::string, double> per_metric;
-  // One-sided lower bounds (baseline.h): metric fails only on a relative *drop*
-  // larger than the listed fraction; any improvement passes.
-  std::map<std::string, double> floors;
 
   double For(const std::string& metric) const {
     auto it = per_metric.find(metric);
     return it != per_metric.end() ? it->second : default_tolerance;
   }
-
-  const double* FloorFor(const std::string& metric) const {
-    auto it = floors.find(metric);
-    return it != floors.end() ? &it->second : nullptr;
-  }
 };
-
-void ReadMetricMap(const JsonValue& doc, const char* member,
-                   std::map<std::string, double>& out) {
-  const JsonValue* obj = doc.Find(member);
-  if (obj != nullptr && obj->is_object()) {
-    for (const auto& [name, value] : obj->members) {
-      if (value.is_number()) {
-        out[name] = value.number;
-      }
-    }
-  }
-}
 
 ToleranceTable ReadTolerances(const JsonValue& doc) {
   ToleranceTable table;
   table.default_tolerance = doc.NumberOr("default_tolerance", kFallbackDefaultTolerance);
-  ReadMetricMap(doc, "tolerances", table.per_metric);
-  ReadMetricMap(doc, "floors", table.floors);
+  const JsonValue* obj = doc.Find("tolerances");
+  if (obj != nullptr && obj->is_object()) {
+    for (const auto& [name, value] : obj->members) {
+      if (value.is_number()) {
+        table.per_metric[name] = value.number;
+      }
+    }
+  }
   return table;
 }
 
@@ -134,17 +120,6 @@ BaselineComparison CompareAgainstBaseline(const SweepResult& result,
       }
 
       double scale_base = std::max(std::fabs(base), kAbsFloor);
-      if (const double* floor = tolerances.FloorFor(name)) {
-        // One-sided: only a drop beyond the floor is a regression.
-        if (fresh < base - *floor * scale_base) {
-          double drop = (base - fresh) / scale_base;
-          AddIssue(cmp, key, name,
-                   Fmt("%g", base) + " -> " + Fmt("%g", fresh) + " (dropped " +
-                       Fmt("%.4f", drop) + " > floor " + Fmt("%g", *floor) + ")",
-                   true);
-        }
-        continue;
-      }
       double tol = tolerances.For(name);
       double diff = std::fabs(fresh - base);
       double limit = tol * scale_base;

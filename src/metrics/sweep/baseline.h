@@ -4,8 +4,6 @@
 //
 //   "default_tolerance": <rel>            -- used for metrics not listed below
 //   "tolerances": { "<metric>": <rel> }   -- per-metric relative tolerance; 0 = exact
-//   "floors": { "<metric>": <rel> }       -- one-sided gate for bigger-is-better
-//                                            host-measured metrics (see below)
 //   "tolerance_notes": { ... }            -- free-form justification strings, carried
 //                                            as data since JSON has no comments
 //
@@ -16,17 +14,11 @@
 // sides are null/NaN (matching undefinedness, e.g. alpha for an app with no data
 // references). A NaN on one side only is a regression.
 //
-// A metric listed in "floors" is exempt from the symmetric check and instead fails
-// only when it *drops* more than the given relative amount: regression iff
-// new < base - floor * max(|base|, 1e-9). Improvements of any size pass. This is the
-// right shape for throughput metrics like refs_per_sec, where a faster host (or a
-// faster simulator) must never fail the gate but a real slowdown must.
-//
-// All symmetric-gated metrics are simulated (virtual-time) quantities, so they are
-// deterministic for a given source tree; nonzero tolerances exist to absorb
-// deliberate small calibration drift and cross-compiler floating-point differences
-// (FMA contraction), not host noise. Floor-gated metrics are host wall-clock
-// measurements and inherently noisy; their floors are sized accordingly.
+// Every gated metric is a simulated quantity — a virtual time or a counter, the
+// host's dispatches included — so it is deterministic for a given source tree;
+// nonzero tolerances exist to absorb deliberate small calibration drift and
+// cross-compiler floating-point differences (FMA contraction), not host noise. Host
+// time is not gated here: layerbench (BENCHMARK.json) measures it.
 
 #ifndef SRC_METRICS_SWEEP_BASELINE_H_
 #define SRC_METRICS_SWEEP_BASELINE_H_

@@ -29,12 +29,6 @@ inline constexpr int kInfMoveThreshold = 1 << 30;
 enum class CellMode {
   kFullExperiment,  // numa + global + local placements, model solved (Tables 3/4)
   kNumaOnly,        // the automatic-policy run alone (threshold-sweep style cells)
-  // The numa placement run twice — software TLB on, then off — with host wall time
-  // measured around each run. Emits refs_per_sec / refs_per_sec_no_tlb / tlb_speedup
-  // (floor-gated, host-dependent) alongside the usual exact-gated virtual-time
-  // metrics, plus tlb_identical = 1 when both runs produced identical times and
-  // counters (the differential guarantee, enforced in the perf gate too).
-  kRefsPerSec,
   // The serving workload under two policies — the cell's move-limit configuration
   // and the all-global baseline — scored on per-request latency: the app's own
   // metrics (request counts, p50/p95/p99 overall and per tenant) are emitted

@@ -65,8 +65,6 @@ std::string SweepCell::Key() const {
   }
   if (mode == CellMode::kNumaOnly) {
     key += "/numa-only";
-  } else if (mode == CellMode::kRefsPerSec) {
-    key += "/refs";
   } else if (mode == CellMode::kServing) {
     key += "/serving/ten" + std::to_string(tenants);
     key += "/z" + Fmt("%g", zipf_skew);
@@ -123,7 +121,7 @@ void AppendUnique(std::vector<SweepCell>& cells, const std::vector<SweepCell>& e
 const std::vector<std::string>& SuiteNames() {
   static const std::vector<std::string> kNames = {"smoke",     "full", "table3",
                                                   "table4",    "threshold", "gl",
-                                                  "refs",      "serving", "serving-full",
+                                                  "serving",   "serving-full",
                                                   "serving-chaos", "serving-killnode",
                                                   "ablations"};
   return kNames;
@@ -206,21 +204,6 @@ Suite MakeSuite(const std::string& name, int threads_override, double scale_over
     gl.scales = {0.25};
     gl.gl_ratios = {3.0};
     AppendUnique(suite.cells, gl.Enumerate());
-  } else if (name == "refs") {
-    suite.description =
-        "Host throughput: streaming apps, numa placement, TLB on vs off (refs/sec)";
-    // The streaming applications — long same-page reference runs, where the software
-    // TLB's hit path is taken most. Per-app scales sized so the reference
-    // stream dominates host time (machine construction is milliseconds).
-    const std::pair<const char*, double> kRefsApps[] = {
-        {"Gfetch", 16.0}, {"IMatMult", 4.0}, {"Primes2", 4.0}};
-    for (const auto& [app, scale] : kRefsApps) {
-      SweepMatrix m;
-      m.apps = {app};
-      m.scales = {scale};
-      m.mode = CellMode::kRefsPerSec;
-      AppendUnique(suite.cells, m.Enumerate());
-    }
   } else if (name == "serving") {
     suite.description =
         "CI-sized serving matrix: tenants x skew under move-limit vs all-global";

@@ -11,8 +11,6 @@
 //   gl         4 apps x G/L ratios {1.2,1.5,2,3,4}                    (sec. 4.4)
 //   smoke      reduced-scale sample of all of the above, CI-sized
 //   full       union of table3 + threshold + gl, deduplicated by key
-//   refs       host refs/sec of the streaming apps, software TLB on vs off
-//              (the fast-path perf gate; cell.h CellMode::kRefsPerSec)
 //   ablations  the cells of the section 3.1 and 4 ablation views (render.h)
 
 #ifndef SRC_METRICS_SWEEP_MATRIX_H_

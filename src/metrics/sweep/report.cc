@@ -54,8 +54,6 @@ void AppendCellObject(std::string& out, const CellResult& cell) {
   const char* mode_name = "full";
   if (cell.cell.mode == CellMode::kNumaOnly) {
     mode_name = "numa-only";
-  } else if (cell.cell.mode == CellMode::kRefsPerSec) {
-    mode_name = "refs";
   } else if (cell.cell.mode == CellMode::kServing) {
     mode_name = "serving";
   } else if (cell.cell.mode == CellMode::kOptimal) {
@@ -202,8 +200,6 @@ bool ParseCellObject(const JsonValue& value, CellResult* out, std::string* error
   std::string mode = std::string(value.StringOr("mode", ""));
   if (mode == "numa-only") {
     cell.cell.mode = CellMode::kNumaOnly;
-  } else if (mode == "refs") {
-    cell.cell.mode = CellMode::kRefsPerSec;
   } else if (mode == "full") {
     cell.cell.mode = CellMode::kFullExperiment;
   } else if (mode == "optimal") {
@@ -221,7 +217,7 @@ bool ParseCellObject(const JsonValue& value, CellResult* out, std::string* error
     cell.cell.zipf_skew = value.NumberOr("zipf_skew", 0.0);
     cell.cell.churn = static_cast<int>(value.NumberOr("churn", 0));
   } else {
-    *error = "cell.mode missing or not 'full'/'numa-only'/'refs'/'serving'/'optimal'";
+    *error = "cell.mode missing or not 'full'/'numa-only'/'serving'/'optimal'";
     return false;
   }
   cell.cell.fault_plan = value.StringOr("fault_plan", "");

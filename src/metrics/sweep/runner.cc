@@ -40,6 +40,9 @@ void AppendRunCounters(const char* prefix, const PlacementRun& run,
   metrics.emplace_back(p + "ownership_moves", static_cast<double>(s.ownership_moves));
   metrics.emplace_back(p + "local_alloc_failures",
                        static_cast<double>(s.local_alloc_failures));
+  for (const MachineCounter& c : kHostCounters) {
+    metrics.emplace_back(p + c.key, static_cast<double>(s.*c.member));
+  }
 }
 
 // The numa run's counters; a reconsider cell adds the pins its policy let expire.
@@ -74,15 +77,6 @@ void AppendCounterGroup(CounterGroup group, const MachineStats& numa,
   for (const MachineCounter& c : group) {
     metrics.emplace_back(std::string("g_") + c.key, static_cast<double>(global.*c.member));
   }
-}
-
-// Equality of two placement runs: the differential guarantee that the software-TLB
-// fast path changed nothing observable. Compares the virtual times, measured alpha
-// and every MachineStats counter, the full per-processor reference matrix included.
-bool RunsIdentical(const PlacementRun& a, const PlacementRun& b) {
-  return a.user_sec == b.user_sec && a.system_sec == b.system_sec &&
-         a.measured_alpha == b.measured_alpha && a.pages_pinned == b.pages_pinned &&
-         a.stats == b.stats;
 }
 
 ExperimentOptions OptionsForCell(const SweepCell& cell, const MachineConfig& base_config,
@@ -146,53 +140,6 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
     result.metrics.emplace_back("s_numa", run.system_sec);
     result.metrics.emplace_back("measured_alpha", run.measured_alpha);
     AppendNumaCounters(cell, run, result.metrics);
-    return result;
-  }
-
-  if (cell.mode == CellMode::kRefsPerSec) {
-    std::unique_ptr<App> app = CreateAppByName(cell.app);
-    ACE_CHECK_MSG(app != nullptr, "unknown application in sweep cell");
-    const PolicySpec& policy = cell.policy;
-    // Measure the production fast path, not the debug poison cross-check
-    // (experiment.h). ACE_TLB_VERIFY=1 in the environment still wins.
-    options.tlb_verify = 0;
-
-    // Host wall time around each placement run. The interval includes machine
-    // construction (milliseconds) — negligible at these scales, and the same for
-    // both runs, so the speedup ratio is unaffected.
-    auto t0 = std::chrono::steady_clock::now();
-    PlacementRun on = RunPlacement(*app, options, policy, cell.threads, cell.threads);
-    auto t1 = std::chrono::steady_clock::now();
-    options.enable_tlb = false;
-    PlacementRun off = RunPlacement(*app, options, policy, cell.threads, cell.threads);
-    auto t2 = std::chrono::steady_clock::now();
-
-    double wall_on = std::chrono::duration<double>(t1 - t0).count();
-    double wall_off = std::chrono::duration<double>(t2 - t1).count();
-    auto refs = static_cast<double>(on.stats.TotalRefs().Total());
-
-    result.ok = on.app.ok && off.app.ok;
-    result.detail = on.app.detail;
-    // Exact-gated (deterministic, virtual-time / counter) metrics first.
-    result.metrics.emplace_back("refs", refs);
-    result.metrics.emplace_back("t_numa", on.user_sec);
-    result.metrics.emplace_back("s_numa", on.system_sec);
-    result.metrics.emplace_back("measured_alpha", on.measured_alpha);
-    AppendNumaCounters(cell, on, result.metrics);
-    result.metrics.emplace_back("tlb_hits", static_cast<double>(on.tlb_hits));
-    result.metrics.emplace_back("tlb_fills", static_cast<double>(on.tlb_fills));
-    result.metrics.emplace_back("tlb_shootdown_pages",
-                                static_cast<double>(on.tlb_shootdown_pages));
-    result.metrics.emplace_back("tlb_batched_refs",
-                                static_cast<double>(on.tlb_batched_refs));
-    // The differential guarantee, enforced inside the perf gate as well: 1 when the
-    // TLB-on and TLB-off runs were indistinguishable in every virtual-time metric.
-    result.metrics.emplace_back("tlb_identical", RunsIdentical(on, off) ? 1.0 : 0.0);
-    // Floor-gated host throughput metrics (baseline.h "floors").
-    result.metrics.emplace_back("refs_per_sec", wall_on > 0.0 ? refs / wall_on : 0.0);
-    result.metrics.emplace_back("refs_per_sec_no_tlb",
-                                wall_off > 0.0 ? refs / wall_off : 0.0);
-    result.metrics.emplace_back("tlb_speedup", wall_on > 0.0 ? wall_off / wall_on : 0.0);
     return result;
   }
 

@@ -61,7 +61,8 @@ inline constexpr int kLiveFeedVersion = 1;
   SAMPLE(retries, app_retries)               \
   SAMPLE(shed, app_shed)                     \
   ACE_DURABILITY_COUNTERS(STAT)              \
-  SAMPLE(dead_nodes, dead_nodes)
+  SAMPLE(dead_nodes, dead_nodes)             \
+  ACE_HOST_COUNTERS(STAT)
 
 // One enumerator per row: kLc_<field> for machine rows, kLc_<key> for sample rows.
 #define ACE_LIVE_ENUM(name, ...) kLc_##name,

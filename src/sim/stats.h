@@ -69,12 +69,21 @@
   X(lost_pages, "lost_pages")                /* unreplicated owned pages lost */        \
   X(checksum_failures, "checksum_failures")  /* corrupted frames the scrub detected */
 
+// Host work: what the runtime (src/threads/runtime.h) did to run the simulation.
+// Deterministic like every other counter, and identical with the software TLB on and
+// off, so the bench baselines gate them exactly: a change that adds dispatches fails
+// on any host. Both are counted in Runtime::DispatchNextFrom.
+#define ACE_HOST_COUNTERS(X)                                                          \
+  X(dispatches, "dispatches")          /* scheduler picks, self re-dispatches too */ \
+  X(stack_switches, "stack_switches")  /* dispatches that switched fiber stacks */
+
 // Every scalar MachineStats counter, in declaration order.
 #define ACE_MACHINE_COUNTERS(X) \
   ACE_PROTOCOL_COUNTERS(X)      \
   ACE_DEGRADED_COUNTERS(X)      \
   ACE_CHAOS_COUNTERS(X)         \
-  ACE_DURABILITY_COUNTERS(X)
+  ACE_DURABILITY_COUNTERS(X)    \
+  ACE_HOST_COUNTERS(X)
 
 #define ACE_COUNTER_FIELD(field, key) std::uint64_t field = 0;
 #define ACE_COUNTER_PLUS(field, key) +field
@@ -175,6 +184,7 @@ inline constexpr MachineCounter kDegradedCounters[] = {ACE_DEGRADED_COUNTERS(ACE
 inline constexpr MachineCounter kChaosCounters[] = {ACE_CHAOS_COUNTERS(ACE_STAT_DEF)};
 inline constexpr MachineCounter kDurabilityCounters[] = {
     ACE_DURABILITY_COUNTERS(ACE_STAT_DEF)};
+inline constexpr MachineCounter kHostCounters[] = {ACE_HOST_COUNTERS(ACE_STAT_DEF)};
 inline constexpr MachineCounter kMachineCounters[] = {ACE_MACHINE_COUNTERS(ACE_STAT_DEF)};
 
 #undef ACE_REF_DEF

@@ -80,6 +80,7 @@ Runtime::Runtime(Machine* machine, Task* task, Options options)
   ACE_CHECK(machine_ != nullptr && task_ != nullptr);
   ACE_CHECK(options_.stack_bytes >= 16 * 1024);
   ACE_CHECK(options_.timeslice_ns >= 0);
+  dispatches_at_start_ = machine_->stats().dispatches;
 }
 
 Runtime::~Runtime() = default;
@@ -194,10 +195,12 @@ void Runtime::DispatchNextFrom(FiberContext* from, int self) {
   }
   current_ = next;
   current_deadline_ = deadline;
-  context_switches_++;
+  MachineStats& stats = machine_->stats();
+  stats.dispatches++;
   if (next == self) {
     return;  // the yielding fiber won the dispatch again: no stack switch needed
   }
+  stats.stack_switches++;
   FiberContext::Switch(from, &fibers_[static_cast<std::size_t>(next)]->ctx);
 }
 

@@ -116,9 +116,12 @@ class Runtime {
   Machine& machine() { return *machine_; }
   Task& task() { return *task_; }
 
-  // Dispatches performed (scheduling fidelity metric), including a fiber re-dispatched
-  // to itself with no stack switch.
-  std::uint64_t context_switches() const { return context_switches_; }
+  // Dispatches performed since this runtime was constructed (scheduling fidelity
+  // metric), including a fiber re-dispatched to itself with no stack switch: the
+  // machine's `dispatches` counter (src/sim/stats.h) less its value at construction.
+  std::uint64_t context_switches() const {
+    return machine_->stats().dispatches - dispatches_at_start_;
+  }
   std::uint64_t migrations() const { return migrations_; }
 
  private:
@@ -149,9 +152,9 @@ class Runtime {
   // (armed hooks, deadline, sequence counters) and switch to it directly from
   // `from` — fiber to fiber, with no intermediate hop through a scheduler context.
   // When the chosen fiber is `self` (the caller re-earning the CPU after a voluntary
-  // yield) the dispatch is recorded but no stack switch happens. Exactly one dispatch
-  // is performed per call, preserving the dispatch sequence — and context_switches_ —
-  // of a central scheduler loop.
+  // yield) the dispatch is counted but no stack switch happens. Exactly one dispatch
+  // is performed per call, preserving the dispatch sequence — and the `dispatches`
+  // count — of a central scheduler loop.
   void DispatchNextFrom(FiberContext* from, int self);
 
   // Called by Env after every time-advancing operation: switch to the scheduler if
@@ -194,7 +197,7 @@ class Runtime {
   // whole of a Run(), so an unarmed run's dispatch skips all three with one branch.
   bool hooks_armed_ = false;
 
-  std::uint64_t context_switches_ = 0;
+  std::uint64_t dispatches_at_start_ = 0;
   std::uint64_t migrations_ = 0;
 
   // Kill state: set once (by the watchdog or by a fiber's escaped exception), then

@@ -60,7 +60,7 @@ TEST(CounterRegistry, LiveKeysArePinnedInWireOrder) {
       "requests",         "req_lat_ns",      "chaos_events",      "evacuated_pages",
       "timeouts",         "retries",         "shed",              "replicated_pages",
       "journal_bytes",    "recovered_pages", "lost_pages",        "checksum_failures",
-      "dead_nodes",
+      "dead_nodes",       "dispatches",      "stack_switches",
   };
   std::vector<std::string> keys;
   for (int i = 0; i < kNumLiveCounters; ++i) {

@@ -191,6 +191,35 @@ TEST(Runtime, ContextSwitchesAreCounted) {
   EXPECT_GE(rt.context_switches(), 2u);  // at least each thread dispatched once
 }
 
+// Dispatches and stack switches are machine counters (src/sim/stats.h), so the
+// bench baselines gate them exactly. A lone fiber re-dispatches itself after every
+// op without switching stacks: its only stack switch is the entry from Run().
+TEST(Runtime, HostCountersLandInMachineStats) {
+  Machine lone_machine(SmallMachine(1));
+  Runtime lone(&lone_machine, lone_machine.CreateTask("t"));
+  lone.Run(1, [&](int, Env& env) {
+    for (int i = 0; i < 10; ++i) {
+      env.Compute(1000);
+    }
+  });
+  const MachineStats& lone_stats = lone_machine.stats();
+  EXPECT_EQ(lone_stats.dispatches, lone.context_switches());
+  EXPECT_EQ(lone_stats.dispatches, 11u);  // the entry, then one per Compute
+  EXPECT_EQ(lone_stats.stack_switches, 1u);
+
+  Machine m(SmallMachine(7));
+  Runtime rt(&m, m.CreateTask("t"));
+  rt.Run(7, [&](int tid, Env& env) {
+    for (int i = 0; i < 20; ++i) {
+      env.Compute(100 + 10 * tid);
+    }
+  });
+  const MachineStats& stats = m.stats();
+  EXPECT_EQ(stats.dispatches, rt.context_switches());
+  EXPECT_GT(stats.stack_switches, 7u);  // every fiber entered, then interleaved
+  EXPECT_LE(stats.stack_switches, stats.dispatches);
+}
+
 // The fiber switch saves and restores the SSE and x87 control words per context: a
 // rounding mode one fiber sets survives every switch away and back, and never leaks
 // into a sibling or into Run()'s caller.

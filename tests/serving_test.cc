@@ -311,8 +311,8 @@ TEST(ServingSweep, TlbOnOffLatenciesAreByteIdentical) {
 
   EXPECT_TRUE(on.app.ok);
   EXPECT_TRUE(off.app.ok);
-  EXPECT_GT(on.tlb_hits, 0u) << "fast path must engage";
-  EXPECT_EQ(off.tlb_hits + off.tlb_fills, 0u);
+  EXPECT_GT(on.tlb.hits, 0u) << "fast path must engage";
+  EXPECT_EQ(off.tlb.hits + off.tlb.fills, 0u);
   EXPECT_EQ(on.user_sec, off.user_sec);
   EXPECT_EQ(on.system_sec, off.system_sec);
   ASSERT_EQ(on.app.metrics.size(), off.app.metrics.size());

@@ -71,7 +71,7 @@ TEST(ParallelFor, UnevenTasksAllComplete) {
   ParallelFor(8, 64, [&](std::size_t i) {
     volatile std::uint64_t spin = 0;
     for (std::uint64_t k = 0; k < (i % 7) * 50000; ++k) {
-      spin += k;
+      spin = spin + k;
     }
     sum += i;
   });

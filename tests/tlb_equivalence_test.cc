@@ -93,9 +93,9 @@ void RunDifferential(const std::string& app_name, const NamedPolicy& policy,
   // (ParMult under all-local makes a handful of scattered references — zero hits is
   // legitimate there, and the differential comparison below still bites).
   if (on.stats.TotalRefs().Total() >= 100) {
-    EXPECT_GT(on.tlb_hits, 0u) << label << ": fast path never engaged";
+    EXPECT_GT(on.tlb.hits, 0u) << label << ": fast path never engaged";
   }
-  EXPECT_EQ(off.tlb_hits, 0u) << label << ": TLB-off run used the TLB";
+  EXPECT_EQ(off.tlb.hits, 0u) << label << ": TLB-off run used the TLB";
   EXPECT_EQ(on.stats.chaos_events > 0, !options.fault_plan.chaos.empty())
       << label << ": a chaos plan must apply transitions, a chaos-free one none";
   ExpectRunsIdentical(on, off, label);
@@ -195,9 +195,9 @@ TEST(TlbCounters, StreamingAppsArePinnedUnderMoveLimit) {
                                           options.config.num_processors, options.num_threads);
     EXPECT_TRUE(run.app.ok) << pin.app << ": " << run.app.detail;
     EXPECT_EQ(run.stats.TotalRefs().Total(), pin.refs) << pin.app;
-    EXPECT_EQ(run.tlb_hits, pin.hits) << pin.app;
-    EXPECT_EQ(run.tlb_fills, pin.fills) << pin.app;
-    EXPECT_EQ(run.tlb_shootdown_pages, pin.shootdown_pages) << pin.app;
+    EXPECT_EQ(run.tlb.hits, pin.hits) << pin.app;
+    EXPECT_EQ(run.tlb.fills, pin.fills) << pin.app;
+    EXPECT_EQ(run.tlb.shootdown_pages, pin.shootdown_pages) << pin.app;
   }
 }
 

@@ -26,8 +26,8 @@
 //
 //   ace_bench --suite full --checkpoint ckpt/ --out BENCH_full.json
 //   ace_bench --suite full --checkpoint ckpt/ --resume --out BENCH_full.json
-//   ace_bench --suite smoke --deadline 30000000000 --move-budget 2000000 \
-//             --retries 2 --failures failures.json
+//   ace_bench --suite smoke --deadline 30000000000 --move-budget 2000000
+//   ace_bench --suite smoke --retries 2 --failures failures.json
 //
 // Exit codes: 0 success; 1 baseline regression; 2 usage error; 3 an application's
 // self-verification failed; 4 cells were quarantined under --fail-fast.
@@ -57,7 +57,7 @@ void Usage() {
       "usage: ace_bench --suite NAME [options]\n"
       "  --list                 list available suites and their cell counts\n"
       "  --suite NAME           suite to run: smoke | full | table3 | table4 |\n"
-      "                         threshold | gl | refs | serving | serving-full |\n"
+      "                         threshold | gl | serving | serving-full |\n"
       "                         serving-chaos | serving-killnode | ablations\n"
       "  --workers N            host worker threads (default: hardware concurrency)\n"
       "  --out FILE             write results as BENCH JSON (self-validated)\n"
