@@ -32,7 +32,6 @@ Machine::Machine(Options options)
       page_shift_(options_.config.PageShift()),
       page_mask_(options_.config.page_size - 1),
       clocks_(options_.config.num_processors),
-      bus_(options_.bus),
       tlb_(options_.config.num_processors, options_.config.tlb_entries),
       phys_(options_.config),
       obs_(options_.config.num_processors, options_.config.global_pages, &clocks_) {
@@ -208,15 +207,8 @@ void Machine::StoreWordSlow(Task& task, ProcId proc, VirtAddr va, std::uint32_t 
 }
 
 TimeNs Machine::DilateOffNode(ProcId proc, TimeNs cost) const {
-  if (bus_.options().model_contention) {
-    // Bus contention dilates every transaction that crosses the IPC bus.
-    cost = static_cast<TimeNs>(static_cast<double>(cost) * bus_.DilationFactor());
-  }
-  if (chaos_ != nullptr) {
-    // Slow-link chaos dilates this processor's off-node references in-window.
-    cost = chaos_->AdjustCost(proc, cost);
-  }
-  return cost;
+  // Slow-link chaos dilates this processor's off-node references in-window.
+  return chaos_->AdjustCost(proc, cost);
 }
 
 void Machine::VerifyTlbEntry(ProcId proc, VirtPage vpage, const Tlb::Entry& entry) {

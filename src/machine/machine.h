@@ -120,7 +120,6 @@ class Machine {
   struct Options {
     MachineConfig config;
     PolicySpec policy;
-    IpcBus::Options bus;
     // When set, use this policy instead of constructing one from `policy`. Not owned;
     // must outlive the machine. Intended for tests and custom-policy experiments.
     NumaPolicy* custom_policy = nullptr;
@@ -334,8 +333,8 @@ class Machine {
   // Poison mode: cross-check a hitting entry against the MMU and mapping directory;
   // ACE_CHECK-aborts if the entry is stale in any field.
   void VerifyTlbEntry(ProcId proc, VirtPage vpage, const Tlb::Entry& entry);
-  // Off-node cost dilation, out of line behind CompleteAccess's one branch: bus
-  // contention (when modeled) and an active slow-link chaos window on `proc`.
+  // Off-node cost dilation, out of line behind CompleteAccess's one branch: an
+  // active slow-link chaos window on `proc`.
   TimeNs DilateOffNode(ProcId proc, TimeNs cost) const;
 
   // The reference fast path: probe the TLB and, on a hit, complete the access without
@@ -367,8 +366,7 @@ class Machine {
   // the ref observer. `lp` may be kNoLogicalPage when no consumer needs it.
   void CompleteAccess(ProcId proc, VirtAddr va, AccessKind kind, std::uint32_t* value,
                       MemoryClass cls, TimeNs cost, std::uint8_t* data, LogicalPage lp) {
-    if (cls != MemoryClass::kLocal &&
-        (bus_.options().model_contention || chaos_ != nullptr)) {
+    if (cls != MemoryClass::kLocal && chaos_ != nullptr) {
       cost = DilateOffNode(proc, cost);
     }
     clocks_.ChargeUser(proc, cost);

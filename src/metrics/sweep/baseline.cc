@@ -21,8 +21,13 @@ struct ToleranceTable {
   double default_tolerance = kFallbackDefaultTolerance;
   std::map<std::string, double> per_metric;
 
+  // A serving cell's all-global metric without an entry of its own takes its
+  // unprefixed name's tolerance: g_requests is as exact as requests.
   double For(const std::string& metric) const {
     auto it = per_metric.find(metric);
+    if (it == per_metric.end() && metric.starts_with(kGlobalLegPrefix)) {
+      it = per_metric.find(metric.substr(sizeof(kGlobalLegPrefix) - 1));
+    }
     return it != per_metric.end() ? it->second : default_tolerance;
   }
 };

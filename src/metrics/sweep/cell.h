@@ -32,13 +32,19 @@ enum class CellMode {
   // The serving workload under two policies — the cell's move-limit configuration
   // and the all-global baseline — scored on per-request latency: the app's own
   // metrics (request counts, p50/p95/p99 overall and per tenant) are emitted
-  // unprefixed for the numa run and "g_"-prefixed for the all-global run, alongside
-  // t_numa/t_global and the usual counters. All virtual-time-derived and exact.
+  // unprefixed for the numa run and prefixed with kGlobalLegPrefix for the
+  // all-global run, alongside t_numa/t_global and the usual counters. All
+  // virtual-time-derived and exact.
   kServing,
   // The full experiment with the numa run traced (RefTracer epoch tracking): adds
   // section 3.1's Toptimal estimate as opt_* metrics (runner.h).
   kOptimal,
 };
+
+// Prefix of every metric of a serving cell's all-global leg ("g_requests"). A
+// baseline gates such a metric at its unprefixed name's tolerance unless it lists
+// the prefixed name itself (baseline.cc).
+inline constexpr char kGlobalLegPrefix[] = "g_";
 
 struct SweepCell {
   std::string app;
@@ -92,10 +98,9 @@ struct CellResult {
   // --- resilience bookkeeping (the run-resilience layer, runner.h) -------------------
   // Why the cell's run *died*, or empty if it ran to completion (ok reflects
   // verification, not survival): "watchdog-deadline", "watchdog-livelock",
-  // "exception", "signal:<n>", "skipped-fail-fast". Dead cells carry no metrics.
+  // "exception", "signal:<n>". Dead cells carry no metrics.
   std::string failure_kind;
   std::string failure_detail;  // kill report / exception text / signal description
-  int attempts = 1;            // executions consumed (retries + 1); in-memory only
   bool from_checkpoint = false;  // true when resumed, not re-executed (in-memory only)
 
   // A cell that died (as opposed to completing with a verification verdict).

@@ -170,7 +170,6 @@ std::string SerializeFailures(const std::string& suite,
     AppendJsonString(&out, f.key);
     out += ",\"kind\":";
     AppendJsonString(&out, f.kind);
-    out += ",\"attempts\":" + std::to_string(f.attempts);
     out += ",\"detail\":";
     AppendJsonString(&out, f.detail);
     out += ",\"replay\":";

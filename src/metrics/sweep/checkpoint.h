@@ -15,9 +15,8 @@
 // and the violation — silently skipping it would quietly re-run (or worse, merge
 // mismatched) cells.
 //
-// failures.json ("ace-failures-v1") is the quarantine: every cell that still died
-// after its retry budget, with the failure kind, the kill report / signal, and a
-// replay command line.
+// failures.json ("ace-failures-v1") is the quarantine: every cell whose run died,
+// with the failure kind, the kill report / signal, and a replay command line.
 
 #ifndef SRC_METRICS_SWEEP_CHECKPOINT_H_
 #define SRC_METRICS_SWEEP_CHECKPOINT_H_
@@ -60,7 +59,7 @@ class SweepCheckpoint {
 };
 
 // Serialize/write the quarantine ("ace-failures-v1"): { schema, suite, failures:
-// [ { key, kind, attempts, detail, replay } ] }. Written atomically; an empty list
+// [ { key, kind, detail, replay } ] }. Written atomically; an empty list
 // still produces a valid document so CI artifact upload never sees a missing file.
 std::string SerializeFailures(const std::string& suite,
                               const std::vector<CellFailure>& failures);

@@ -10,11 +10,9 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
-#include <thread>
 
 #include "src/apps/app.h"
 #include "src/common/check.h"
-#include "src/common/splitmix64.h"
 #include "src/metrics/experiment.h"
 #include "src/metrics/sweep/pool.h"
 #include "src/metrics/sweep/report.h"
@@ -67,7 +65,7 @@ double MemTimeSec(const MachineStats& stats, const LatencyModel& lat) {
 }
 
 // Every counter of `group` under its live key: the move-limit leg unprefixed, then
-// the all-global leg prefixed "g_".
+// the all-global leg prefixed kGlobalLegPrefix.
 void AppendCounterGroup(CounterGroup group, const MachineStats& numa,
                         const MachineStats& global,
                         std::vector<std::pair<std::string, double>>& metrics) {
@@ -75,7 +73,8 @@ void AppendCounterGroup(CounterGroup group, const MachineStats& numa,
     metrics.emplace_back(c.key, static_cast<double>(numa.*c.member));
   }
   for (const MachineCounter& c : group) {
-    metrics.emplace_back(std::string("g_") + c.key, static_cast<double>(global.*c.member));
+    metrics.emplace_back(std::string(kGlobalLegPrefix) + c.key,
+                         static_cast<double>(global.*c.member));
   }
 }
 
@@ -160,15 +159,15 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
     result.metrics.emplace_back("t_global", global.user_sec);
     result.metrics.emplace_back("s_global", global.system_sec);
     result.metrics.emplace_back("measured_alpha", numa.measured_alpha);
-    // Per-policy latency metrics: the move-limit run unprefixed, all-global "g_".
+    // Per-policy latency metrics: the move-limit run unprefixed, all-global prefixed.
     for (const auto& [name, value] : numa.app.metrics) {
       result.metrics.emplace_back(name, value);
     }
     for (const auto& [name, value] : global.app.metrics) {
-      result.metrics.emplace_back("g_" + name, value);
+      result.metrics.emplace_back(kGlobalLegPrefix + name, value);
     }
     AppendNumaCounters(cell, numa, result.metrics);
-    AppendRunCounters("g_", global, result.metrics);
+    AppendRunCounters(kGlobalLegPrefix, global, result.metrics);
     // Chaos accounting, emitted only for cells whose plan carries chaos events so
     // chaos-free cell JSON (and its committed baselines) is byte-identical to
     // before chaos existed.
@@ -361,19 +360,15 @@ SweepResult RunSweep(const std::string& suite_name, const std::vector<SweepCell>
   // single worker regardless of the requested width (the tool warns about this).
   const int workers = ResolveWorkers(options.sampler != nullptr ? 1 : options.workers);
   std::atomic<std::size_t> done{0};
-  std::atomic<bool> quarantined_any{false};
   const ResilienceOptions& res = options.resilience;
-  int max_attempts = res.max_attempts > 0 ? res.max_attempts : 1;
 
   auto start = std::chrono::steady_clock::now();
   ParallelFor(workers, cells.size(), [&](std::size_t i) {
     const SweepCell& cell = cells[i];
     CellResult& slot = result.cells[i];
-    std::string key = cell.Key();
-
     const CellResult* resumed = nullptr;
     if (options.resumed != nullptr) {
-      auto it = options.resumed->find(key);
+      auto it = options.resumed->find(cell.Key());
       if (it != options.resumed->end()) {
         resumed = &it->second;
       }
@@ -381,33 +376,10 @@ SweepResult RunSweep(const std::string& suite_name, const std::vector<SweepCell>
     if (resumed != nullptr) {
       slot = *resumed;
       slot.from_checkpoint = true;
-    } else if (res.fail_fast && quarantined_any.load(std::memory_order_relaxed)) {
-      slot = CellResult{};
-      slot.cell = cell;
-      slot.failure_kind = "skipped-fail-fast";
-      slot.failure_detail = "not started: an earlier cell was quarantined under --fail-fast";
-      slot.detail = slot.failure_kind;
     } else {
       WatchdogLimits limits = ScaledWatchdog(res.watchdog, cell);
-      SplitMix64 jitter(Fnv1a64(key));
-      int attempt = 1;
-      for (;; ++attempt) {
-        slot = res.isolate ? RunCellForked(cell, options.base_config, limits)
-                           : RunCell(cell, options.base_config, limits, options.sampler);
-        if (!slot.died() || attempt >= max_attempts) {
-          break;
-        }
-        if (res.backoff_ms > 0) {
-          // Linear backoff with deterministic +-50% jitter per (cell, attempt).
-          double base = static_cast<double>(res.backoff_ms) * attempt;
-          auto sleep_ms = static_cast<std::int64_t>(base * (0.5 + jitter.Unit()));
-          std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-        }
-      }
-      slot.attempts = attempt;
-      if (slot.died()) {
-        quarantined_any.store(true, std::memory_order_relaxed);
-      }
+      slot = res.isolate ? RunCellForked(cell, options.base_config, limits)
+                         : RunCell(cell, options.base_config, limits, options.sampler);
     }
 
     std::size_t completed = done.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -424,7 +396,6 @@ SweepResult RunSweep(const std::string& suite_name, const std::vector<SweepCell>
       failure.key = cell.cell.Key();
       failure.kind = cell.failure_kind;
       failure.detail = cell.failure_detail;
-      failure.attempts = cell.attempts;
       result.failures.push_back(std::move(failure));
     }
   }

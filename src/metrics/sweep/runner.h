@@ -24,15 +24,15 @@ namespace ace {
 
 class LiveSampler;
 
-// One quarantined cell: it died (watchdog kill, escaped exception, forked-child
-// signal) on every attempt of its retry budget. Quarantine is a *result*, not an
+// One quarantined cell: its single run died (watchdog kill, escaped exception,
+// forked-child signal). Every cell runs once: these deaths repeat exactly on a
+// re-run, so a retry would only reproduce them. Quarantine is a *result*, not an
 // abort — the rest of the sweep completes, and the list lands in failures.json
 // (checkpoint.h) for artifact upload and replay.
 struct CellFailure {
   std::string key;
-  std::string kind;     // CellResult::failure_kind of the final attempt
+  std::string kind;     // CellResult::failure_kind
   std::string detail;   // kill report / exception text / signal description
-  int attempts = 1;
   std::string replay;   // command line reproducing the cell (filled by the tool)
 };
 
@@ -43,18 +43,9 @@ struct ResilienceOptions {
   // scales it by each cell's `scale` (floor 0.05) since virtual time grows with the
   // workload. move_budget is per placement run, unscaled.
   WatchdogLimits watchdog;
-  // Total executions allowed per cell (1 = no retry). Only *deaths* are retried;
-  // a run that completes with a failed verification is deterministic and final.
-  int max_attempts = 1;
-  // Host-time backoff before a retry: attempt k sleeps backoff_ms * k, jittered
-  // +-50% by a SplitMix64 stream seeded from the cell key (deterministic per cell).
-  std::uint32_t backoff_ms = 0;
   // Run every cell in a forked child so an ACE_CHECK abort (or any signal) kills
   // only that cell; the result returns through a pipe as a serialized cell object.
   bool isolate = false;
-  // Once any cell is quarantined, cells not yet started complete immediately as
-  // "skipped-fail-fast" instead of executing (in-flight cells finish).
-  bool fail_fast = false;
 };
 
 struct SweepOptions {

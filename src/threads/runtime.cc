@@ -15,6 +15,9 @@ namespace {
 // FiberTrampoline. Never escapes the runtime (callers see RunKilledError instead).
 struct FiberKill {};
 
+// Bytes of host stack for every fiber.
+constexpr std::size_t kFiberStackBytes = 256 * 1024;
+
 }  // namespace
 
 thread_local Runtime* Runtime::active_ = nullptr;
@@ -78,7 +81,6 @@ void Env::MigrateTo(ProcId new_proc, bool move_pages) {
 Runtime::Runtime(Machine* machine, Task* task, Options options)
     : machine_(machine), task_(task), options_(options) {
   ACE_CHECK(machine_ != nullptr && task_ != nullptr);
-  ACE_CHECK(options_.stack_bytes >= 16 * 1024);
   ACE_CHECK(options_.timeslice_ns >= 0);
   dispatches_at_start_ = machine_->stats().dispatches;
 }
@@ -306,7 +308,7 @@ void Runtime::CheckWatchdog(int next) {
                   static_cast<long long>(clock), static_cast<long long>(wd.deadline_ns));
     killing_ = true;
     kill_reason_ = "watchdog-deadline";
-    kill_detail_ = BuildKillReport(*machine_, wd, summary);
+    kill_detail_ = BuildKillReport(*machine_, summary);
     return;
   }
   // Livelock budget, read straight from the machine's counters whether or not a
@@ -321,7 +323,7 @@ void Runtime::CheckWatchdog(int next) {
                   static_cast<unsigned long long>(wd.move_budget));
     killing_ = true;
     kill_reason_ = "watchdog-livelock";
-    kill_detail_ = BuildKillReport(*machine_, wd, summary);
+    kill_detail_ = BuildKillReport(*machine_, summary);
   }
 }
 
@@ -359,10 +361,10 @@ void Runtime::Run(int num_threads, const Body& body) {
     // Left uninitialized: nothing reads a stack byte before writing it, and
     // zero-filling seven 256 KB stacks cost ~0.85 ms per Run(), mostly first-touch
     // page faults, which is several percent of a short simulation.
-    fiber->stack = std::make_unique_for_overwrite<char[]>(options_.stack_bytes);
+    fiber->stack = std::make_unique_for_overwrite<char[]>(kFiberStackBytes);
     fiber->seq = next_seq_++;
     fiber->migrate_epoch_ns = now_[fiber->env.proc_];
-    fiber->ctx.Seed(fiber->stack.get(), options_.stack_bytes, &Runtime::FiberTrampoline);
+    fiber->ctx.Seed(fiber->stack.get(), kFiberStackBytes, &Runtime::FiberTrampoline);
     fibers_.push_back(std::move(fiber));
   }
 

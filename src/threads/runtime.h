@@ -79,7 +79,6 @@ enum class SchedulerKind {
 class Runtime {
  public:
   struct Options {
-    std::size_t stack_bytes = 256 * 1024;
     SchedulerKind scheduler = SchedulerKind::kAffinity;
     // Virtual-time quantum between forced migrations (kMigrating only).
     TimeNs migrate_quantum_ns = 2'000'000;

@@ -11,8 +11,7 @@
 
 namespace ace {
 
-std::string BuildKillReport(const Machine& machine, const WatchdogLimits& limits,
-                            const std::string& summary) {
+std::string BuildKillReport(const Machine& machine, const std::string& summary) {
   std::string out = summary;
 
   const MachineStats& stats = machine.stats();
@@ -62,9 +61,8 @@ std::string BuildKillReport(const Machine& machine, const WatchdogLimits& limits
 
   std::stable_sort(events.begin(), events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) { return a.ts < b.ts; });
-  std::size_t keep = limits.report_events > 0 ? static_cast<std::size_t>(limits.report_events)
-                                              : 16;
-  std::size_t start = events.size() > keep ? events.size() - keep : 0;
+  std::size_t start =
+      events.size() > kKillReportEvents ? events.size() - kKillReportEvents : 0;
   std::snprintf(line, sizeof line, "\n  last %zu trace event(s):", events.size() - start);
   out += line;
   for (std::size_t i = start; i < events.size(); ++i) {

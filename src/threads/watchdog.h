@@ -31,6 +31,10 @@ namespace ace {
 
 class Machine;
 
+// Trace events included in a kill report (newest last), when the machine has
+// tracing enabled.
+inline constexpr std::size_t kKillReportEvents = 16;
+
 // Per-run limits, all disabled (0) by default. Callers derive the deadline from the
 // workload (the sweep runner scales it by the cell's `scale`) and the move budget
 // from the expected pinning behaviour.
@@ -44,9 +48,6 @@ struct WatchdogLimits {
   // Read from Machine::stats() on every check, so an attached live sampler never
   // moves the trip.
   std::uint64_t move_budget = 0;
-  // Trace events included in the kill report (per run, newest last), when the
-  // machine has tracing enabled.
-  int report_events = 16;
 
   bool enabled() const { return deadline_ns > 0 || move_budget > 0; }
 };
@@ -73,10 +74,9 @@ class RunKilledError : public std::runtime_error {
 // Build the kill report for `machine` at trip time: one summary line, then — when
 // the machine has observability with tracing enabled — the page with the most
 // migrate/sync events in the retained rings (the ping-pong suspect) and the last
-// `report_events` events across all processors in timestamp order. Pure observer:
+// kKillReportEvents events across all processors in timestamp order. Pure observer:
 // reads counters and rings, charges no time, changes no state.
-std::string BuildKillReport(const Machine& machine, const WatchdogLimits& limits,
-                            const std::string& summary);
+std::string BuildKillReport(const Machine& machine, const std::string& summary);
 
 }  // namespace ace
 

@@ -479,7 +479,7 @@ TEST(ChaosPlan, UnknownNameErrorListsEveryValidName) {
           << text << ": error must list valid name '" << name << "': " << error;
     }
   }
-  // The helper the tools print on bad --plan/--chaos input carries the same list.
+  // The helper the tools print on bad --plan input carries the same list.
   std::string names = ValidPlanNames();
   for (const char* name : kAllNames) {
     EXPECT_NE(names.find(name), std::string::npos) << name;

@@ -1,6 +1,5 @@
 // Cross-module integration tests: pager under threaded load, remote-homed pageout,
-// reconsideration with the re-examination daemon, bus contention, and multi-feature
-// combinations.
+// reconsideration with the re-examination daemon, and multi-feature combinations.
 
 #include <gtest/gtest.h>
 
@@ -90,25 +89,6 @@ TEST(Integration, ReconsiderWithReexamineDaemon) {
   EXPECT_EQ(m.PageInfoFor(*t, va).state, PageState::kLocalWritable);
   EXPECT_GT(m.reconsider_policy()->unpin_events(), 0u);
   CheckMachineInvariants(m);
-}
-
-TEST(Integration, BusContentionDilatesGlobalReferences) {
-  auto run = [](bool contention) {
-    Machine::Options mo;
-    mo.config.num_processors = 2;
-    mo.bus.model_contention = contention;
-    mo.bus.capacity_bytes_per_sec = 1000.0;  // absurdly slow bus: saturates instantly
-    mo.bus.saturation_point = 0.0001;
-    Machine m(mo);
-    Task* t = m.CreateTask("t");
-    VirtAddr va = t->MapAnonymous("p", m.page_size(), Protection::kReadWrite,
-                                  PlacementPragma::kNoncacheable);
-    for (int i = 0; i < 200; ++i) {
-      m.StoreWord(*t, 0, va, static_cast<std::uint32_t>(i));
-    }
-    return m.clocks().TotalUser();
-  };
-  EXPECT_GT(run(true), run(false));
 }
 
 TEST(Integration, SpanWorkloadAcrossAllFeatures) {

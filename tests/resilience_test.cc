@@ -1,5 +1,5 @@
 // Tests for the run-resilience layer: the hung-run watchdog (src/threads/watchdog),
-// retry/quarantine/fork isolation in the sweep runner, checkpoint/resume
+// quarantine and fork isolation in the sweep runner, checkpoint/resume
 // (src/metrics/sweep/checkpoint) with its byte-identity guarantee, and the
 // crash-tolerant serialization forms they share.
 
@@ -111,7 +111,7 @@ TEST(Watchdog, ScaledWatchdogScalesDeadlineOnly) {
   EXPECT_EQ(ScaledWatchdog(off, half).deadline_ns, 0);
 }
 
-// --- deaths, retries, quarantine ------------------------------------------------------
+// --- deaths and quarantine -------------------------------------------------------------
 
 TEST(Resilience, EscapedExceptionBecomesDeath) {
   CellResult result = RunCell(FixtureCell("ThrowOnRun"), MachineConfig{});
@@ -163,43 +163,6 @@ TEST(Resilience, DyingCellDoesNotCorruptSiblings) {
   EXPECT_FALSE(result.cells[4].died());
   ASSERT_EQ(result.failures.size(), 1u);
   EXPECT_EQ(result.failures[0].key, poisoned[3].Key());
-}
-
-TEST(Resilience, DeterministicDeathExhaustsRetryBudget) {
-  SweepOptions options;
-  options.workers = 1;
-  options.resilience.max_attempts = 3;
-  SweepResult result = RunSweep("tiny", {FixtureCell("ThrowOnRun")}, options);
-  ASSERT_EQ(result.cells.size(), 1u);
-  EXPECT_TRUE(result.cells[0].died());
-  EXPECT_EQ(result.cells[0].attempts, 3);
-  ASSERT_EQ(result.failures.size(), 1u);
-  EXPECT_EQ(result.failures[0].kind, "exception");
-  EXPECT_EQ(result.failures[0].attempts, 3);
-}
-
-TEST(Resilience, FailFastSkipsCellsNotYetStarted) {
-  std::vector<SweepCell> cells;
-  for (int threads = 2; threads <= 5; ++threads) {
-    SweepCell cell = FixtureCell("ThrowOnRun");
-    cell.threads = threads;  // distinct keys
-    cells.push_back(cell);
-  }
-  SweepOptions options;
-  options.workers = 1;  // sequential: exactly one cell executes before the flag trips
-  options.resilience.fail_fast = true;
-  SweepResult result = RunSweep("tiny", cells, options);
-  int executed = 0;
-  int skipped = 0;
-  for (const CellResult& cell : result.cells) {
-    if (cell.failure_kind == "exception") {
-      ++executed;
-    } else if (cell.failure_kind == "skipped-fail-fast") {
-      ++skipped;
-    }
-  }
-  EXPECT_EQ(executed, 1);
-  EXPECT_EQ(skipped, 3);
 }
 
 // --- serialization round trips --------------------------------------------------------
@@ -366,7 +329,6 @@ TEST(FailuresJson, SerializesValidReplayableDocument) {
   f.key = "FFT/t3/s0.1/mt4/gl0";
   f.kind = "watchdog-livelock";
   f.detail = "ping-pong suspect: lp=7";
-  f.attempts = 3;
   f.replay = "ace_bench --suite smoke --only 'FFT/t3/s0.1/mt4/gl0'";
   failures.push_back(f);
 
@@ -380,7 +342,6 @@ TEST(FailuresJson, SerializesValidReplayableDocument) {
   ASSERT_EQ(doc.Find("failures")->items.size(), 1u);
   const JsonValue& entry = doc.Find("failures")->items[0];
   EXPECT_EQ(entry.StringOr("kind", ""), "watchdog-livelock");
-  EXPECT_EQ(entry.NumberOr("attempts", 0), 3.0);
   EXPECT_EQ(entry.StringOr("replay", ""), f.replay);
 
   // An empty quarantine still writes a valid document (CI uploads it unconditionally).

@@ -255,20 +255,8 @@ TEST(IpcBus, TracksTrafficAndUtilization) {
   bus.RecordTransfer(80'000'000, 1'000'000'000);
   EXPECT_NEAR(bus.Utilization(), 1.0, 1e-9);
   EXPECT_EQ(bus.transactions(), 1u);
-  EXPECT_EQ(bus.DilationFactor(), 1.0);  // contention modeling off by default
   bus.Reset();
   EXPECT_EQ(bus.total_bytes(), 0u);
-}
-
-TEST(IpcBus, ContentionDilatesPastSaturation) {
-  IpcBus::Options options;
-  options.model_contention = true;
-  options.saturation_point = 0.5;
-  IpcBus bus(options);
-  bus.RecordTransfer(20'000'000, 1'000'000'000);  // 25% utilization
-  EXPECT_EQ(bus.DilationFactor(), 1.0);
-  bus.RecordTransfer(40'000'000, 1'000'000'000);  // 75% utilization
-  EXPECT_GT(bus.DilationFactor(), 1.0);
 }
 
 TEST(MachineStats, MeasuredAlpha) {

@@ -449,6 +449,39 @@ TEST(SweepBaseline, NanMismatchIsARegressionAndNanMatchPasses) {
   EXPECT_TRUE(reverse.HasRegression());
 }
 
+TEST(SweepBaseline, GlobalLegInheritsUnprefixedTolerance) {
+  // A serving cell's two legs: the move-limit run unprefixed, all-global "g_".
+  SweepResult result;
+  result.suite = "tiny";
+  CellResult cell;
+  cell.cell.app = "Serving";
+  cell.cell.mode = CellMode::kServing;
+  cell.ok = true;
+  cell.metrics = {{"t_numa", 0.3},
+                  {"requests", 1500},
+                  {"lat_p99_ms", 5.0},
+                  {"g_requests", 1500},
+                  {"g_lat_p99_ms", 2.0}};
+  result.cells.push_back(cell);
+  const std::string tolerances = R"("tolerances":{"requests":0,"lat_p99_ms":0.02},)";
+
+  // g_requests takes requests' 0, not the looser default: off by one regresses.
+  SweepResult drifted = result;
+  drifted.cells[0].metrics[3].second += 1;
+  BaselineComparison cmp = CompareAgainstBaseline(
+      drifted, BaselineFrom(result, R"("default_tolerance":0.02,)" + tolerances));
+  EXPECT_TRUE(cmp.HasRegression());
+  EXPECT_NE(RenderComparison(cmp).find("[g_requests]"), std::string::npos)
+      << RenderComparison(cmp);
+
+  // g_lat_p99_ms takes lat_p99_ms' 2%, not the stricter default: 1% passes.
+  SweepResult slower = result;
+  slower.cells[0].metrics[4].second *= 1.01;
+  cmp = CompareAgainstBaseline(
+      slower, BaselineFrom(result, R"("default_tolerance":0.0,)" + tolerances));
+  EXPECT_FALSE(cmp.HasRegression()) << RenderComparison(cmp);
+}
+
 TEST(SweepBaseline, UnparseableBaselineFailsClosed) {
   SweepResult result = TinyResult();
   BaselineComparison cmp = CompareAgainstBaseline(result, "not json at all");

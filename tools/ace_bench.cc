@@ -20,17 +20,17 @@
 // Resilient long runs (DESIGN.md section 9): --checkpoint journals every completed
 // cell as an atomic self-validating fragment, --resume skips them on the next
 // invocation and produces a merged result whose cell bytes are identical to an
-// uninterrupted run; --deadline/--move-budget arm the hung-run watchdog;
-// --retries/--backoff retry cells that die; persistent deaths are quarantined into
-// --failures FILE instead of aborting the sweep.
+// uninterrupted run; --deadline/--move-budget arm the hung-run watchdog; a cell
+// that dies runs once and is quarantined into --failures FILE instead of aborting
+// the sweep (its death is deterministic, so a re-run would only repeat it).
 //
 //   ace_bench --suite full --checkpoint ckpt/ --out BENCH_full.json
 //   ace_bench --suite full --checkpoint ckpt/ --resume --out BENCH_full.json
 //   ace_bench --suite smoke --deadline 30000000000 --move-budget 2000000
-//   ace_bench --suite smoke --retries 2 --failures failures.json
+//   ace_bench --suite smoke --move-budget 20000 --failures failures.json
 //
 // Exit codes: 0 success; 1 baseline regression; 2 usage error; 3 an application's
-// self-verification failed; 4 cells were quarantined under --fail-fast.
+// self-verification failed.
 
 #include <cstdio>
 #include <cstdlib>
@@ -75,16 +75,11 @@ void Usage() {
       "                         (scaled by each cell's scale); kills wedged cells\n"
       "  --move-budget N        watchdog: kill when ownership moves + syncs pass N\n"
       "                         (catches page ping-pong livelock)\n"
-      "  --retries N            re-run a cell that died up to N extra times\n"
-      "  --backoff MS           base host backoff between attempts (jittered)\n"
       "  --isolate              fork each cell so aborts/signals kill only it\n"
-      "  --fail-fast            stop starting cells after the first quarantine;\n"
-      "                         exit 4 when anything was quarantined\n"
-      "  --failures FILE        write quarantined cells as ace-failures-v1 JSON\n"
-      "  --plan PLAN            fault-injection plan applied to every cell\n"
-      "  --chaos PLAN           chaos events appended to every cell's plan (same\n"
-      "                         grammar, e.g. 'drain-mem@1:30000000:90000000:250')\n"
-      "  --fault-seed N         seed for probabilistic plan schedules\n"
+      "  --failures FILE        write cells that died as ace-failures-v1 JSON\n"
+      "  --plan PLAN            fault-injection plan appended to every cell's own\n"
+      "                         plan (e.g. 'drain-mem@1:30000000:90000000:250')\n"
+      "  --fault-seed N         with --plan: seed for probabilistic plan schedules\n"
       "  --only SUBSTR          run only cells whose key contains SUBSTR (replay)\n"
       "  --no-host              omit host stats from --out (byte-comparable)\n"
       "live telemetry (view with ace_top --live FILE):\n"
@@ -109,13 +104,9 @@ struct Args {
   bool resume = false;
   long long deadline_ns = 0;
   unsigned long long move_budget = 0;
-  int retries = 0;
-  int backoff_ms = 0;
   bool isolate = false;
-  bool fail_fast = false;
   std::string failures;
   std::string plan;
-  std::string chaos;
   unsigned long long fault_seed = 0;
   std::string only;
   bool no_host = false;
@@ -198,16 +189,10 @@ int main(int argc, char** argv) {
       args.deadline_ns = std::atoll(v);
     } else if ((v = OptValue(argc, argv, &i, "--move-budget")) != nullptr) {
       args.move_budget = std::strtoull(v, nullptr, 10);
-    } else if ((v = OptValue(argc, argv, &i, "--retries")) != nullptr) {
-      args.retries = std::atoi(v);
-    } else if ((v = OptValue(argc, argv, &i, "--backoff")) != nullptr) {
-      args.backoff_ms = std::atoi(v);
     } else if ((v = OptValue(argc, argv, &i, "--failures")) != nullptr) {
       args.failures = v;
     } else if ((v = OptValue(argc, argv, &i, "--plan")) != nullptr) {
       args.plan = v;
-    } else if ((v = OptValue(argc, argv, &i, "--chaos")) != nullptr) {
-      args.chaos = v;
     } else if ((v = OptValue(argc, argv, &i, "--fault-seed")) != nullptr) {
       args.fault_seed = std::strtoull(v, nullptr, 10);
     } else if ((v = OptValue(argc, argv, &i, "--only")) != nullptr) {
@@ -220,8 +205,6 @@ int main(int argc, char** argv) {
       args.resume = true;
     } else if (OptFlag(argv[i], "--isolate")) {
       args.isolate = true;
-    } else if (OptFlag(argv[i], "--fail-fast")) {
-      args.fail_fast = true;
     } else if (OptFlag(argv[i], "--no-host")) {
       args.no_host = true;
     } else if (OptFlag(argv[i], "--render")) {
@@ -283,23 +266,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "invalid --plan: %s\n", error.c_str());
       return 2;
     }
+    // The plan appends to whatever plan a cell already carries (the chaos suites'
+    // own events), keeping one plan string per cell for keys and replay lines.
     for (ace::SweepCell& cell : suite.cells) {
-      cell.fault_plan = args.plan;
-      cell.fault_seed = args.fault_seed;
-    }
-  }
-  if (!args.chaos.empty()) {
-    // Chaos items append to whatever plan a cell already carries (suite-defined or
-    // --plan), keeping one plan string per cell for keys and replay lines.
-    ace::FaultPlan parsed;
-    std::string error;
-    if (!ace::FaultPlan::Parse(args.chaos, &parsed, &error)) {
-      std::fprintf(stderr, "invalid --chaos: %s\n", error.c_str());
-      return 2;
-    }
-    for (ace::SweepCell& cell : suite.cells) {
-      cell.fault_plan = cell.fault_plan.empty() ? args.chaos
-                                                : cell.fault_plan + ";" + args.chaos;
+      cell.fault_plan = cell.fault_plan.empty() ? args.plan
+                                                : cell.fault_plan + ";" + args.plan;
       if (args.fault_seed != 0) {
         cell.fault_seed = args.fault_seed;
       }
@@ -341,11 +312,7 @@ int main(int argc, char** argv) {
   }
   options.resilience.watchdog.deadline_ns = args.deadline_ns;
   options.resilience.watchdog.move_budget = args.move_budget;
-  options.resilience.max_attempts = args.retries + 1;
-  options.resilience.backoff_ms =
-      args.backoff_ms > 0 ? static_cast<std::uint32_t>(args.backoff_ms) : 0;
   options.resilience.isolate = args.isolate;
-  options.resilience.fail_fast = args.fail_fast;
 
   ace::SweepCheckpoint checkpoint;
   std::map<std::string, ace::CellResult> resumed;
@@ -425,12 +392,9 @@ int main(int argc, char** argv) {
       }
       if (!args.plan.empty()) {
         replay += " --plan '" + args.plan + "'";
-      }
-      if (!args.chaos.empty()) {
-        replay += " --chaos '" + args.chaos + "'";
-      }
-      if ((!args.plan.empty() || !args.chaos.empty()) && args.fault_seed != 0) {
-        replay += " --fault-seed " + std::to_string(args.fault_seed);
+        if (args.fault_seed != 0) {
+          replay += " --fault-seed " + std::to_string(args.fault_seed);
+        }
       }
       if (args.deadline_ns > 0) {
         replay += " --deadline " + std::to_string(args.deadline_ns);
@@ -456,8 +420,7 @@ int main(int argc, char** argv) {
   if (!result.failures.empty()) {
     std::fprintf(stderr, "\n%zu cell(s) quarantined:\n", result.failures.size());
     for (const ace::CellFailure& failure : result.failures) {
-      std::fprintf(stderr, "  %s: %s after %d attempt(s)\n", failure.key.c_str(),
-                   failure.kind.c_str(), failure.attempts);
+      std::fprintf(stderr, "  %s: %s\n", failure.key.c_str(), failure.kind.c_str());
     }
   }
 
@@ -475,9 +438,9 @@ int main(int argc, char** argv) {
   }
 
   // Verification failures (a run that completed but computed the wrong answer) are
-  // always fatal; quarantined deaths fail the invocation only under --fail-fast —
-  // that is the whole point of quarantine (and the baseline comparison above already
-  // flags the coverage loss as missing cells).
+  // always fatal; quarantined deaths are not — that is the whole point of quarantine
+  // (and the baseline comparison above already flags the coverage loss as missing
+  // cells).
   bool verify_failed = false;
   for (const ace::CellResult& cell : result.cells) {
     if (!cell.ok && !cell.died()) {
@@ -488,9 +451,6 @@ int main(int argc, char** argv) {
   }
   if (verify_failed) {
     return 3;
-  }
-  if (args.fail_fast && !result.failures.empty()) {
-    return 4;
   }
   return exit_code;
 }

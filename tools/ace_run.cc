@@ -58,10 +58,9 @@ void Usage() {
       "  --churn N              scheduled hot-shard rotation phases (default 3)\n"
       "  --requests N           open-loop request budget / duration (0 = from --scale)\n"
       "  --plan STR             arm a fault-injection plan (src/inject grammar, e.g.\n"
-      "                         'local-exhausted@every:3;copy-fail@nth:5')\n"
-      "  --chaos STR            append machine-scoped chaos events to the plan, e.g.\n"
-      "                         'drain-mem@1:30000000:90000000:250' (same grammar;\n"
-      "                         also arms the serving SLO guard)\n"
+      "                         'local-exhausted@every:3;copy-fail@nth:5'); chaos\n"
+      "                         events such as 'drain-mem@1:30000000:90000000:250'\n"
+      "                         also arm the serving SLO guard\n"
       "  --trace                print the sharing-class trace report\n"
       "  --no-tlb               disable the software-TLB fast path (same metrics,\n"
       "                         slower; ACE_TLB=0 in the environment does the same)\n"
@@ -96,7 +95,7 @@ std::string RenderPmapReport(ace::Machine& m) {
                 "processors).\n\n",
                 m.num_processors(), c.local_pages_per_proc * c.page_size / 1024,
                 c.global_pages * c.page_size / 1024,
-                m.bus().options().capacity_bytes_per_sec / 1e6);
+                ace::kBusCapacityBytesPerSec / 1e6);
   out += line;
   ace::TextTable latencies({"32-bit reference", "charged (us)", "paper (us)"});
   latencies.AddRow({"local fetch", ace::Fmt("%.2f", lat.local_fetch_ns * 1e-3), "0.65"});
@@ -168,7 +167,6 @@ int main(int argc, char** argv) {
   ace::ServingOptions serving;
   bool serving_flags = false;
   std::string plan_text;
-  std::string chaos_text;
   std::string trace_out;
   std::string heat_csv;
   std::string report_list;
@@ -241,8 +239,6 @@ int main(int argc, char** argv) {
       serving_flags = true;
     } else if (arg == "--plan") {
       plan_text = next();
-    } else if (arg == "--chaos") {
-      chaos_text = next();
     } else if (arg == "--pager") {
       pager = true;
     } else if (arg == "--no-tlb") {
@@ -357,12 +353,6 @@ int main(int argc, char** argv) {
   mo.enable_pager = pager;
   mo.enable_tlb = !no_tlb;
   mo.fault_seed = seed;
-  // --chaos rides the same plan grammar: chaos items simply append to --plan, so
-  // every downstream consumer (feed meta, run header, replay lines) sees one plan
-  // string that reproduces the run exactly.
-  if (!chaos_text.empty()) {
-    plan_text = plan_text.empty() ? chaos_text : plan_text + ";" + chaos_text;
-  }
   if (!plan_text.empty()) {
     std::string error;
     if (!ace::FaultPlan::Parse(plan_text, &mo.fault_plan, &error)) {
