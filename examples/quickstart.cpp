@@ -69,7 +69,7 @@ int main() {
               machine.clocks().TotalUser() * 1e-6, machine.num_processors());
   std::printf("total system time:  %.3f ms (fault handling + page movement)\n",
               machine.clocks().TotalSystem() * 1e-6);
-  std::printf("counter value:      %u (expected %u)\n", machine.DebugRead(*task, counter),
-              4u * 64u);
-  return 0;
+  const std::uint32_t value = machine.DebugRead(*task, counter);
+  std::printf("counter value:      %u (expected %u)\n", value, 4u * 64u);
+  return value == 4u * 64u ? 0 : 1;
 }

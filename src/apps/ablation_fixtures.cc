@@ -22,10 +22,21 @@
 //   RemoteMix (section 4.4) — one writably-shared page referenced by processors 0
 //       and 1; `variant` percent of the references come from processor 0, which the
 //       remote-home policy makes the page's home.
+//   SharedPragma (section 4.3) — every thread writes a strided slice of every page of
+//       a 16-page buffer, mapped with no pragma (variant 0), the noncacheable pragma
+//       (1: straight to global memory) or a mistaken cacheable one (2: never pinned).
+//   AdvisedLayout (sections 4.2 and 5) — per-thread accumulators, a read-mostly lookup
+//       table and a shared progress counter, allocated interleaved through a
+//       SegregatedHeap. Variant 0 lays them out naively (C-Threads style); variant 1
+//       first traces a naive run on a private machine of the same shape, lets the
+//       layout advisor classify every object, and runs the advised segregated layout
+//       on the cell's machine, so the cell measures only the advised run.
 
 #include <vector>
 
 #include "src/apps/app.h"
+#include "src/common/check.h"
+#include "src/lang/layout_advisor.h"
 #include "src/threads/sim_span.h"
 #include "src/threads/sync.h"
 
@@ -234,11 +245,146 @@ class RemoteMix : public App {
   static constexpr int kRefs = 4000;
 };
 
+class SharedPragma : public App {
+ public:
+  const char* name() const override { return "SharedPragma"; }
+
+  AppResult Run(Machine& machine, const AppConfig& config) override {
+    const PlacementPragma pragmas[] = {PlacementPragma::kDefault, PlacementPragma::kNoncacheable,
+                                       PlacementPragma::kCacheable};
+    const char* names[] = {"default", "noncacheable", "cacheable"};
+    const int variant = config.variant;
+    ACE_CHECK_MSG(variant >= 0 && variant < 3, "SharedPragma variant must be 0, 1 or 2");
+    const auto n = static_cast<std::uint32_t>(config.num_threads);
+    Task* task = machine.CreateTask("pragmas");
+    const std::uint32_t words = kPages * (machine.page_size() / kWordBytes);
+    VirtAddr buf = task->MapAnonymous("shared", std::uint64_t{kPages} * machine.page_size(),
+                                      Protection::kReadWrite, pragmas[variant]);
+
+    Runtime rt(&machine, task, config.runtime);
+    rt.Run(config.num_threads, [&](int tid, Env& env) {
+      SimSpan<std::uint32_t> data(env, buf, words);
+      for (int pass = 0; pass < kPasses; ++pass) {
+        for (auto w = static_cast<std::uint32_t>(tid); w < words; w += n * kStride) {
+          data[w] = data.Get(w) + 1;
+        }
+      }
+    });
+
+    bool ok = true;
+    for (std::uint32_t w = 0; w < words; ++w) {
+      std::uint32_t want = w % (n * kStride) < n ? kPasses : 0;
+      ok = ok && machine.DebugRead(*task, buf + static_cast<VirtAddr>(w) * kWordBytes) == want;
+    }
+    return Verdict(ok, words, std::string("pragma=") + names[variant]);
+  }
+
+ private:
+  static constexpr std::uint32_t kPages = 16;
+  static constexpr std::uint32_t kStride = 64;
+  static constexpr int kPasses = 6;
+};
+
+class AdvisedLayout : public App {
+ public:
+  const char* name() const override { return "AdvisedLayout"; }
+
+  AppResult Run(Machine& machine, const AppConfig& config) override {
+    if (config.variant == 0) {
+      return RunLayout(machine, config.num_threads, config.runtime, nullptr, nullptr);
+    }
+    Machine::Options profile_options;
+    profile_options.config = machine.config();
+    Machine profile(profile_options);
+    RefTracer tracer(&profile);
+    Runtime::Options profile_runtime;
+    profile_runtime.scheduler = config.runtime.scheduler;
+    RunLayout(profile, config.num_threads, profile_runtime, nullptr, &tracer);
+    LayoutPlan plan = AdviseLayout(tracer);
+    return RunLayout(machine, config.num_threads, config.runtime, &plan, nullptr);
+  }
+
+ private:
+  static constexpr std::uint32_t kTableWords = 256;
+  static constexpr int kPasses = 200;
+
+  // Runs the workload with the naive layout (plan == nullptr) or the plan's
+  // segregated one, registering every object with `tracer` when it is set.
+  static AppResult RunLayout(Machine& machine, int n, const Runtime::Options& runtime,
+                             const LayoutPlan* plan, RefTracer* tracer) {
+    Task* task = machine.CreateTask("workload");
+    SegregatedHeap::Options heap_options;
+    heap_options.mode = plan == nullptr ? LayoutMode::kNaive : LayoutMode::kSegregated;
+    heap_options.num_threads = n;
+    heap_options.tracer = tracer;
+    SegregatedHeap heap(&machine, task, heap_options);
+    // Without a plan every object is allocated as writably shared (the programmer
+    // declared no classes), in declaration order: the classes interleave.
+    auto alloc = [&](const std::string& name, std::uint64_t bytes, int owner) {
+      const ObjectAdvice* advice = plan == nullptr ? nullptr : plan->Find(name);
+      return advice == nullptr ? heap.Alloc(name, bytes, DataClass::kWritablyShared, owner)
+                               : heap.Alloc(name, bytes, advice->cls, advice->owner_tid);
+    };
+    std::vector<VirtAddr> acc(static_cast<std::size_t>(n));
+    acc[0] = alloc("acc[0]", 64, 0);
+    VirtAddr table = alloc("table", kTableWords * kWordBytes, 0);
+    for (int t = 1; t < n; ++t) {
+      acc[static_cast<std::size_t>(t)] = alloc("acc[" + std::to_string(t) + "]", 64, t);
+    }
+    VirtAddr progress = alloc("progress", kWordBytes, 0);
+
+    VirtAddr bar = task->MapAnonymous("barrier", machine.page_size());
+    Barrier barrier(bar, n);
+    Runtime rt(&machine, task, runtime);
+    rt.Run(n, [&](int tid, Env& env) {
+      std::uint32_t sense = 0;
+      SimSpan<std::uint32_t> lut(env, table, kTableWords);
+      if (tid == 0) {
+        for (std::uint32_t i = 0; i < kTableWords; ++i) {
+          lut[i] = i * i;
+        }
+      }
+      barrier.Wait(env, &sense);
+      VirtAddr mine = acc[static_cast<std::size_t>(tid)];
+      for (int pass = 0; pass < kPasses; ++pass) {
+        std::uint32_t sum = env.Load(mine);
+        for (auto i = static_cast<std::uint32_t>(tid); i < kTableWords;
+             i += static_cast<std::uint32_t>(n)) {
+          sum += lut.Get(i);
+        }
+        env.Store(mine, sum);
+        if (pass % 16 == 0) {
+          env.FetchAdd(progress, 1);
+        }
+      }
+    });
+
+    bool ok = machine.DebugRead(*task, progress) ==
+              static_cast<std::uint32_t>(n * ((kPasses + 15) / 16));
+    for (std::uint32_t i = 0; i < kTableWords; ++i) {
+      ok = ok && machine.DebugRead(*task, table + i * kWordBytes) == i * i;
+    }
+    for (int t = 0; t < n; ++t) {
+      std::uint32_t slice = 0;
+      for (auto i = static_cast<std::uint32_t>(t); i < kTableWords;
+           i += static_cast<std::uint32_t>(n)) {
+        slice += i * i;
+      }
+      ok = ok && machine.DebugRead(*task, acc[static_cast<std::size_t>(t)]) ==
+                     slice * static_cast<std::uint32_t>(kPasses);
+    }
+    return Verdict(ok, static_cast<std::uint64_t>(n) * kPasses,
+                   plan == nullptr ? "layout=naive" : "layout=advised");
+  }
+};
+
 }  // namespace
 
 std::unique_ptr<App> CreatePhaseChange() { return std::make_unique<PhaseChange>(); }
 std::unique_ptr<App> CreateUnixMaster() { return std::make_unique<UnixMaster>(); }
 std::unique_ptr<App> CreateLoadBalance() { return std::make_unique<LoadBalance>(); }
 std::unique_ptr<App> CreateRemoteMix() { return std::make_unique<RemoteMix>(); }
+std::unique_ptr<App> CreateSharedPragma() { return std::make_unique<SharedPragma>(); }
+std::unique_ptr<App> CreateAdvisedLayout() { return std::make_unique<AdvisedLayout>(); }
 
 }  // namespace ace

@@ -102,6 +102,8 @@ std::unique_ptr<App> CreatePhaseChange();
 std::unique_ptr<App> CreateUnixMaster();
 std::unique_ptr<App> CreateLoadBalance();
 std::unique_ptr<App> CreateRemoteMix();
+std::unique_ptr<App> CreateSharedPragma();
+std::unique_ptr<App> CreateAdvisedLayout();
 
 // The multi-tenant KV serving workload (src/serving). Addressable by name
 // ("Serving", or "serving" on the command line) but kept out of AllAppFactories: the

@@ -27,6 +27,7 @@ std::unique_ptr<App> CreateAppByName(const std::string& name) {
   for (const AppFactory& factory :
        {AppFactory(CreatePhaseChange), AppFactory(CreateUnixMaster),
         AppFactory(CreateLoadBalance), AppFactory(CreateRemoteMix),
+        AppFactory(CreateSharedPragma), AppFactory(CreateAdvisedLayout),
         AppFactory(CreatePingPongForever), AppFactory(CreateThrowOnRun),
         AppFactory(CreateAbortOnRun)}) {
     std::unique_ptr<App> app = factory();

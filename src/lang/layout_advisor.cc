@@ -17,7 +17,6 @@ LayoutPlan AdviseLayout(const RefTracer& tracer) {
   for (const TracedObject& object : tracer.objects()) {
     ObjectAdvice advice;
     advice.name = object.name;
-    advice.bytes = object.bytes;
     advice.was_falsely_shared = falsely_shared(object.name);
     switch (object.counts.Classify()) {
       case SharingClass::kUnreferenced:
@@ -48,22 +47,6 @@ LayoutPlan AdviseLayout(const RefTracer& tracer) {
     plan.objects.push_back(std::move(advice));
   }
   return plan;
-}
-
-std::string FormatPlan(const LayoutPlan& plan) {
-  std::string out = "layout plan (" + std::to_string(plan.objects.size()) + " objects, " +
-                    std::to_string(plan.falsely_shared) + " falsely shared):\n";
-  for (const ObjectAdvice& o : plan.objects) {
-    out += "  " + o.name + ": " + DataClassName(o.cls);
-    if (o.cls == DataClass::kPrivate) {
-      out += " (thread " + std::to_string(o.owner_tid) + ")";
-    }
-    if (o.was_falsely_shared) {
-      out += "  <- falsely shared; will be segregated";
-    }
-    out += "\n";
-  }
-  return out;
 }
 
 }  // namespace ace

@@ -30,7 +30,6 @@ struct ObjectAdvice {
   DataClass cls = DataClass::kWritablyShared;
   int owner_tid = 0;           // meaningful for kPrivate (assumes thread i on proc i)
   bool was_falsely_shared = false;
-  std::uint64_t bytes = 0;
 };
 
 struct LayoutPlan {
@@ -50,9 +49,6 @@ struct LayoutPlan {
 // Build a layout plan from a traced run. Objects never referenced are classified as
 // private to thread 0 (harmless default).
 LayoutPlan AdviseLayout(const RefTracer& tracer);
-
-// Human-readable plan, in the spirit of a compiler diagnostic.
-std::string FormatPlan(const LayoutPlan& plan);
 
 }  // namespace ace
 

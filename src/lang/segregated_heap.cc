@@ -33,8 +33,7 @@ std::uint64_t SegregatedHeap::SegmentKey(DataClass cls, int owner_tid) const {
   return static_cast<std::uint64_t>(cls);
 }
 
-VirtAddr SegregatedHeap::BumpAlloc(Segment& segment, std::uint64_t bytes, const char* label,
-                                   DataClass cls) {
+VirtAddr SegregatedHeap::BumpAlloc(Segment& segment, std::uint64_t bytes, const char* label) {
   // Word-align every allocation.
   bytes = (bytes + 3) & ~std::uint64_t{3};
   if (segment.used + bytes > segment.size) {
@@ -44,12 +43,7 @@ VirtAddr SegregatedHeap::BumpAlloc(Segment& segment, std::uint64_t bytes, const 
       grow = (bytes + machine_->page_size() - 1) / machine_->page_size() *
              machine_->page_size();
     }
-    PlacementPragma pragma = PlacementPragma::kDefault;
-    if (options_.mode == LayoutMode::kSegregated && options_.pragma_shared_global &&
-        cls == DataClass::kWritablyShared) {
-      pragma = PlacementPragma::kNoncacheable;
-    }
-    segment.base = task_->MapAnonymous(label, grow, Protection::kReadWrite, pragma);
+    segment.base = task_->MapAnonymous(label, grow);
     segment.size = grow;
     segment.used = 0;
   }
@@ -69,27 +63,11 @@ VirtAddr SegregatedHeap::Alloc(const std::string& name, std::uint64_t bytes, Dat
                                 (cls == DataClass::kPrivate
                                      ? "-t" + std::to_string(owner_tid)
                                      : "");
-  VirtAddr va = BumpAlloc(segment, bytes, label.c_str(), cls);
-  allocations_.push_back(Allocation{name, va, bytes, cls, owner_tid});
+  VirtAddr va = BumpAlloc(segment, bytes, label.c_str());
   if (options_.tracer != nullptr) {
     options_.tracer->AddObject(name, va, bytes);
   }
   return va;
-}
-
-std::uint64_t SegregatedHeap::PagesUsed() const {
-  std::uint64_t pages = 0;
-  std::uint32_t page_size = machine_->page_size();
-  std::map<VirtPage, bool> seen;
-  for (const Allocation& a : allocations_) {
-    VirtPage first = a.va / page_size;
-    VirtPage last = (a.va + a.bytes - 1) / page_size;
-    for (VirtPage p = first; p <= last; ++p) {
-      seen[p] = true;
-    }
-  }
-  pages = seen.size();
-  return pages;
 }
 
 }  // namespace ace

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "src/machine/machine.h"
 #include "src/trace/ref_trace.h"
@@ -47,9 +46,6 @@ class SegregatedHeap {
   struct Options {
     LayoutMode mode = LayoutMode::kSegregated;
     int num_threads = 1;
-    // In segregated mode, mark writably-shared segments with the noncacheable pragma
-    // (paper section 4.3) so they skip the warm-up moves entirely.
-    bool pragma_shared_global = false;
     // Attach allocations as named objects to this tracer (for false-sharing reports).
     RefTracer* tracer = nullptr;
   };
@@ -61,18 +57,6 @@ class SegregatedHeap {
   VirtAddr Alloc(const std::string& name, std::uint64_t bytes, DataClass cls,
                  int owner_tid = 0);
 
-  struct Allocation {
-    std::string name;
-    VirtAddr va = 0;
-    std::uint64_t bytes = 0;
-    DataClass cls = DataClass::kPrivate;
-    int owner_tid = 0;
-  };
-  const std::vector<Allocation>& allocations() const { return allocations_; }
-
-  // Pages spanned by all allocations (footprint comparison between modes).
-  std::uint64_t PagesUsed() const;
-
  private:
   struct Segment {
     VirtAddr base = 0;
@@ -83,14 +67,12 @@ class SegregatedHeap {
   // Segment key: class (and owner thread for private data) in segregated mode; a
   // single shared key in naive mode.
   std::uint64_t SegmentKey(DataClass cls, int owner_tid) const;
-  VirtAddr BumpAlloc(Segment& segment, std::uint64_t bytes, const char* label,
-                     DataClass cls);
+  VirtAddr BumpAlloc(Segment& segment, std::uint64_t bytes, const char* label);
 
   Machine* machine_;
   Task* task_;
   Options options_;
   std::map<std::uint64_t, Segment> segments_;
-  std::vector<Allocation> allocations_;
 };
 
 }  // namespace ace

@@ -269,7 +269,7 @@ Suite MakeSuite(const std::string& name, int threads_override, double scale_over
   } else if (name == "ablations") {
     suite.description =
         "Sections 3.1 and 4: false sharing, scheduling, reconsider, remote references, "
-        "Unix master, load balancing, page size, Toptimal";
+        "Unix master, load balancing, page size, Toptimal, pragmas, layout advisor";
     // The cells are those the ablation views render (render.h), one source for both.
     suite.cells = AblationCells();
   } else if (name == "full") {

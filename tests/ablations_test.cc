@@ -80,6 +80,39 @@ TEST(Ablations, FalseSharingFixesRaiseLocality) {
   EXPECT_LE(c("PlyTrace/t7/s1/mt4/gl0/v1", "pages_pinned"), 3);
 }
 
+// Sections 4.2 and 5: laying the data out as the advisor classified it from a traced
+// naive run wins 2.19x (0.0837 s -> 0.0383 s) and lifts alpha(ref) from .007 to .979.
+TEST(Ablations, AdvisedLayoutSegregatesAutomatically) {
+  Cells c([](const SweepCell& cell) { return cell.app == "AdvisedLayout"; });
+  const std::string naive = NumaKey("AdvisedLayout");
+  const std::string advised = NumaKey("AdvisedLayout", "/v1");
+  EXPECT_GE(c(naive, "t_numa") / c(advised, "t_numa"), 2.0);
+  EXPECT_LE(c(naive, "measured_alpha"), 0.05);
+  EXPECT_GE(c(advised, "measured_alpha"), 0.95);
+}
+
+// Section 4.3: on 16 writably-shared pages the automatic policy pays 150 page moves
+// (copies + syncs) and 0.459 s of system time before pinning all 16; the noncacheable
+// pragma moves nothing (0.025 s), and a mistaken cacheable hint never pins and moves
+// 1425 times (4.36 s).
+TEST(Ablations, NoncacheablePragmaSkipsWarmupMoves) {
+  Cells c([](const SweepCell& cell) { return cell.app == "SharedPragma"; });
+  auto moves = [&](const std::string& key) {
+    return c(key, "page_copies") + c(key, "page_syncs");
+  };
+  const std::string automatic = NumaKey("SharedPragma");
+  const std::string noncacheable = NumaKey("SharedPragma", "/v1");
+  const std::string cacheable = NumaKey("SharedPragma", "/v2");
+  EXPECT_GE(moves(automatic), 100);
+  EXPECT_EQ(c(automatic, "pages_pinned"), 16);
+  EXPECT_EQ(moves(noncacheable), 0);
+  EXPECT_EQ(c(noncacheable, "ownership_moves"), 0);
+  EXPECT_LT(c(noncacheable, "s_numa") * 10, c(automatic, "s_numa"));
+  EXPECT_GE(moves(cacheable), 5 * moves(automatic));
+  EXPECT_EQ(c(cacheable, "pages_pinned"), 0);
+  EXPECT_GT(c(cacheable, "s_numa"), 5 * c(automatic, "s_numa"));
+}
+
 // Section 4.7: without affinity every app is slower (1.06-1.41x) and its locality
 // collapses (alpha(ref) .00-.05, against .94-1.00 with affinity).
 TEST(Ablations, MigratingSchedulerCollapsesLocality) {

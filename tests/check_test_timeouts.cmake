@@ -22,7 +22,10 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "ctest --show-only=json-v1 failed (rc=${rc})")
 endif()
 
-string(JSON num_tests LENGTH "${listing}" "tests")
+# Every string(JSON) call parses its whole input, so the per-property queries read
+# each test's own small object, not the 400 KB listing.
+string(JSON tests GET "${listing}" tests)
+string(JSON num_tests LENGTH "${tests}")
 if(num_tests EQUAL 0)
   message(FATAL_ERROR "ctest reported zero tests; audit ran in the wrong directory?")
 endif()
@@ -30,15 +33,16 @@ endif()
 set(missing "")
 math(EXPR last "${num_tests} - 1")
 foreach(i RANGE ${last})
-  string(JSON name GET "${listing}" tests ${i} name)
+  string(JSON test GET "${tests}" ${i})
+  string(JSON name GET "${test}" name)
   set(has_timeout FALSE)
-  string(JSON num_props ERROR_VARIABLE props_error LENGTH "${listing}" tests ${i} properties)
+  string(JSON num_props ERROR_VARIABLE props_error LENGTH "${test}" properties)
   if(NOT props_error AND num_props GREATER 0)
     math(EXPR props_last "${num_props} - 1")
     foreach(p RANGE ${props_last})
-      string(JSON prop_name GET "${listing}" tests ${i} properties ${p} name)
+      string(JSON prop_name GET "${test}" properties ${p} name)
       if(prop_name STREQUAL "TIMEOUT")
-        string(JSON prop_value GET "${listing}" tests ${i} properties ${p} value)
+        string(JSON prop_value GET "${test}" properties ${p} value)
         if(prop_value GREATER 0)
           set(has_timeout TRUE)
         endif()

@@ -1,16 +1,17 @@
 #!/bin/sh
-# Every table row that `ace_bench --suite ablations --render` prints must appear
+# Every table row of an `ace_bench --suite ablations --render` output must appear
 # verbatim (trailing blanks aside) in EXPERIMENTS.md, so the documented ablation
-# numbers cannot drift from the code. Prints each missing row and exits 1.
+# numbers cannot drift from the code. Prints each missing row and exits 1. The
+# render is the file the ablations regression gate writes (tools/CMakeLists.txt),
+# so the suite runs once per test run.
 #
-# usage: experiments_sync.sh ACE_BENCH EXPERIMENTS_MD WORKDIR
+# usage: experiments_sync.sh RENDER EXPERIMENTS_MD WORKDIR
 set -eu
-ace_bench=$1
+render=$1
 doc=$2
 work=$3
 mkdir -p "$work"
-"$ace_bench" --suite ablations --workers 2 --render --quiet > "$work/ablations_render.txt"
-grep ' | ' "$work/ablations_render.txt" | sed 's/[[:space:]]*$//' > "$work/ablations_rows.txt"
+grep ' | ' "$render" | sed 's/[[:space:]]*$//' > "$work/ablations_rows.txt"
 sed 's/[[:space:]]*$//' "$doc" > "$work/experiments_trimmed.md"
 rows=$(wc -l < "$work/ablations_rows.txt")
 if [ "$rows" -eq 0 ]; then

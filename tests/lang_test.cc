@@ -89,22 +89,6 @@ TEST(SegregatedHeap, GrowsBeyondOneRegion) {
   EXPECT_EQ(m.LoadWord(*t, 1, last), 7u);
 }
 
-TEST(SegregatedHeap, SharedPragmaSkipsWarmupMoves) {
-  Machine m(SmallMachine());
-  Task* t = m.CreateTask("t");
-  SegregatedHeap::Options options;
-  options.mode = LayoutMode::kSegregated;
-  options.num_threads = 4;
-  options.pragma_shared_global = true;
-  SegregatedHeap heap(&m, t, options);
-  VirtAddr ws = heap.Alloc("ws", 64, DataClass::kWritablyShared);
-  for (int i = 0; i < 8; ++i) {
-    m.StoreWord(*t, i % 4, ws, 1);
-  }
-  EXPECT_EQ(m.PageInfoFor(*t, ws).state, PageState::kGlobalWritable);
-  EXPECT_EQ(m.stats().ownership_moves, 0u);  // pragma: no warm-up ping-pong at all
-}
-
 TEST(SegregatedHeap, RegistersObjectsWithTracer) {
   Machine m(SmallMachine());
   RefTracer tracer(&m);
@@ -186,19 +170,6 @@ TEST(LayoutAdvisor, UnreferencedDefaultsToPrivate) {
   LayoutPlan plan = AdviseLayout(tracer);
   EXPECT_EQ(plan.Find("cold")->cls, DataClass::kPrivate);
   EXPECT_EQ(plan.Find("cold")->owner_tid, 0);
-}
-
-TEST(LayoutAdvisor, FormatPlanMentionsEverything) {
-  Machine m(SmallMachine(2));
-  RefTracer tracer(&m);
-  Task* t = m.CreateTask("t");
-  VirtAddr page = t->MapAnonymous("data", m.page_size());
-  tracer.AddObject("alpha", page, 4);
-  m.StoreWord(*t, 1, page, 1);
-  LayoutPlan plan = AdviseLayout(tracer);
-  std::string text = FormatPlan(plan);
-  EXPECT_NE(text.find("alpha"), std::string::npos);
-  EXPECT_NE(text.find("private"), std::string::npos);
 }
 
 }  // namespace

@@ -349,10 +349,12 @@ int main(int argc, char** argv) {
                args.workers > 0 ? std::to_string(args.workers).c_str() : "auto");
   ace::SweepResult result = ace::RunSweep(suite.name, suite.cells, options);
 
-  std::printf("suite %s: %zu cells, %d workers, %.2fs wall (%.2f runs/sec, %.1fs simulated)\n",
-              result.suite.c_str(), result.cells.size(), result.host.workers,
-              result.host.wall_seconds, result.host.runs_per_second,
-              result.host.simulated_seconds);
+  // Host timing goes to stderr, so stdout (the render) is identical across runs.
+  std::fprintf(stderr,
+               "suite %s: %zu cells, %d workers, %.2fs wall (%.2f runs/sec, %.1fs simulated)\n",
+               result.suite.c_str(), result.cells.size(), result.host.workers,
+               result.host.wall_seconds, result.host.runs_per_second,
+               result.host.simulated_seconds);
 
   if (sampler != nullptr) {
     live_writer.Close();
