@@ -94,7 +94,6 @@ std::unique_ptr<App> CreatePlyTrace();
 // AllAppFactories or any suite.
 std::unique_ptr<App> CreatePingPongForever();
 std::unique_ptr<App> CreateThrowOnRun();
-std::unique_ptr<App> CreateAbortOnRun();
 
 // The section 4 ablation workloads (ablation_fixtures.cc): resolvable by name for
 // the `ablations` sweep suite and ace_run, never part of AllAppFactories.

@@ -28,8 +28,7 @@ std::unique_ptr<App> CreateAppByName(const std::string& name) {
        {AppFactory(CreatePhaseChange), AppFactory(CreateUnixMaster),
         AppFactory(CreateLoadBalance), AppFactory(CreateRemoteMix),
         AppFactory(CreateSharedPragma), AppFactory(CreateAdvisedLayout),
-        AppFactory(CreatePingPongForever), AppFactory(CreateThrowOnRun),
-        AppFactory(CreateAbortOnRun)}) {
+        AppFactory(CreatePingPongForever), AppFactory(CreateThrowOnRun)}) {
     std::unique_ptr<App> app = factory();
     if (name == app->name()) {
       return app;

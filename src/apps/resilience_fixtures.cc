@@ -1,8 +1,7 @@
-// Hidden applications exercising the run-resilience layer (watchdog, retry,
-// quarantine, forked isolation). Resolvable through CreateAppByName — so a sweep
-// cell, a failures.json replay line, or a test can name them — but deliberately NOT
-// part of AllAppFactories: they must never appear in a suite, a table, or a
-// baseline.
+// Hidden applications exercising the run-resilience layer (watchdog and
+// quarantine). Resolvable through CreateAppByName — so a sweep cell, a failures.json
+// replay line, or a test can name them — but deliberately NOT part of
+// AllAppFactories: they must never appear in a suite, a table, or a baseline.
 //
 //   PingPongForever — every thread FetchAdds one shared word in an infinite loop.
 //       With the pin disabled (move_threshold = inf) the page's ownership migrates
@@ -13,13 +12,10 @@
 //       runtime unwinds the sibling fibers and rethrows from Runtime::Run. Exercises
 //       in-process cancellation: the worker slot and thread_local dispatch state
 //       must survive for the next cell on the same host thread.
-//   AbortOnRun — fails an ACE_CHECK after a few references, i.e. SIGABRT. Only
-//       survivable under forked isolation (--isolate), which reports signal:6.
 
 #include <stdexcept>
 
 #include "src/apps/app.h"
-#include "src/common/check.h"
 
 namespace ace {
 namespace {
@@ -65,28 +61,9 @@ class ThrowOnRun : public App {
   }
 };
 
-class AbortOnRun : public App {
- public:
-  const char* name() const override { return "AbortOnRun"; }
-
-  AppResult Run(Machine& machine, const AppConfig& config) override {
-    Task* task = machine.CreateTask("abort-on-run");
-    VirtAddr buf_va = task->MapAnonymous("buffer", machine.page_size());
-    Runtime rt(&machine, task, config.runtime);
-    rt.Run(config.num_threads, [&](int tid, Env& env) {
-      env.FetchAdd(buf_va + 4 * static_cast<VirtAddr>(tid), 1);
-      ACE_CHECK_MSG(tid != 0, "AbortOnRun: deliberate mid-run abort");
-    });
-    AppResult result;
-    result.detail = "unreachable: thread 0 always aborts";
-    return result;
-  }
-};
-
 }  // namespace
 
 std::unique_ptr<App> CreatePingPongForever() { return std::make_unique<PingPongForever>(); }
 std::unique_ptr<App> CreateThrowOnRun() { return std::make_unique<ThrowOnRun>(); }
-std::unique_ptr<App> CreateAbortOnRun() { return std::make_unique<AbortOnRun>(); }
 
 }  // namespace ace

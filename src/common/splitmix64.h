@@ -4,16 +4,13 @@
 // Every deterministic stream in the simulator and its harness draws from this one
 // step: fault-injection probability schedules, corrupt-page frame selection (the
 // NumaManager and its conformance mirror must draw the same sequence), serving
-// client traces, conformance op streams, soak run derivation and sweep retry jitter.
-// Each owner keeps its own state and seed, so the streams stay independent. The
-// FNV-1a string hash below seeds the per-cell jitter stream and names checkpoint
-// fragments.
+// client traces, conformance op streams and soak run derivation. Each owner keeps
+// its own state and seed, so the streams stay independent.
 
 #ifndef SRC_COMMON_SPLITMIX64_H_
 #define SRC_COMMON_SPLITMIX64_H_
 
 #include <cstdint>
-#include <string_view>
 
 namespace ace {
 
@@ -47,18 +44,6 @@ class SplitMix64 {
  private:
   std::uint64_t state_;
 };
-
-// 64-bit FNV-1a over `s`. The offset basis is 1469598103934665603, one digit short of
-// FNV's published 14695981039346656037. The value names checkpoint fragment files
-// (an on-disk format) and seeds sweep retry jitter, so it stays as it is.
-inline std::uint64_t Fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 }  // namespace ace
 

@@ -66,7 +66,7 @@ struct SweepCell {
   SchedulerKind scheduler = SchedulerKind::kAffinity;
   // Deterministic fault-injection plan for this cell (src/inject grammar), normally
   // empty. Non-empty plans are part of the cell's identity (Key) — the same matrix
-  // with and without injection must never collide in baselines or checkpoints.
+  // with and without injection must never collide in baselines.
   std::string fault_plan;
   std::uint64_t fault_seed = 0;
   // Serving-mode axes (kServing cells only; ignored — and left at defaults —
@@ -97,11 +97,10 @@ struct CellResult {
 
   // --- resilience bookkeeping (the run-resilience layer, runner.h) -------------------
   // Why the cell's run *died*, or empty if it ran to completion (ok reflects
-  // verification, not survival): "watchdog-deadline", "watchdog-livelock",
-  // "exception", "signal:<n>". Dead cells carry no metrics.
+  // verification, not survival): "watchdog-deadline", "watchdog-livelock" or
+  // "exception". Dead cells carry no metrics.
   std::string failure_kind;
-  std::string failure_detail;  // kill report / exception text / signal description
-  bool from_checkpoint = false;  // true when resumed, not re-executed (in-memory only)
+  std::string failure_detail;  // kill report / exception text
 
   // A cell that died (as opposed to completing with a verification verdict).
   bool died() const { return !failure_kind.empty(); }

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 
 #include "src/obs/json_lite.h"
 
@@ -154,125 +153,6 @@ std::string SerializeSweep(const SweepResult& result, bool include_host) {
   return out;
 }
 
-bool ParseCellObject(const JsonValue& value, CellResult* out, std::string* error) {
-  if (!value.is_object()) {
-    *error = "cell is not an object";
-    return false;
-  }
-  CellResult cell;
-  const JsonValue* app = value.Find("app");
-  if (app == nullptr || !app->is_string() || app->str.empty()) {
-    *error = "cell.app missing or not a non-empty string";
-    return false;
-  }
-  cell.cell.app = app->str;
-  for (const char* key : {"threads", "scale", "move_threshold", "gl_ratio"}) {
-    const JsonValue* v = value.Find(key);
-    if (v == nullptr || !v->is_number()) {
-      *error = std::string("cell.") + key + " missing or not a number";
-      return false;
-    }
-  }
-  cell.cell.threads = static_cast<int>(value.NumberOr("threads", 0));
-  cell.cell.scale = value.NumberOr("scale", 0.0);
-  int move_threshold = static_cast<int>(value.NumberOr("move_threshold", 0));
-  cell.cell.gl_ratio = value.NumberOr("gl_ratio", 0.0);
-  std::string policy = std::string(value.StringOr("policy", "move-limit"));
-  std::optional<PolicySpec> spec = PolicySpec::FromName(policy, move_threshold);
-  if (!spec) {
-    *error = "cell.policy '" + policy + "' is not a policy name";
-    return false;
-  }
-  cell.cell.policy = *spec;
-  if (spec->kind == PolicySpec::Kind::kReconsider) {
-    cell.cell.policy.reconsider_after_ns = static_cast<TimeNs>(
-        value.NumberOr("reconsider_after_ns", static_cast<double>(spec->reconsider_after_ns)));
-  }
-  cell.cell.variant = static_cast<int>(value.NumberOr("variant", 0));
-  cell.cell.page_size = static_cast<std::uint32_t>(value.NumberOr("page_size", 4096));
-  std::string scheduler = std::string(value.StringOr("scheduler", "affinity"));
-  if (scheduler != "affinity" && scheduler != "migrating") {
-    *error = "cell.scheduler '" + scheduler + "' is not 'affinity'/'migrating'";
-    return false;
-  }
-  cell.cell.scheduler =
-      scheduler == "migrating" ? SchedulerKind::kMigrating : SchedulerKind::kAffinity;
-  std::string mode = std::string(value.StringOr("mode", ""));
-  if (mode == "numa-only") {
-    cell.cell.mode = CellMode::kNumaOnly;
-  } else if (mode == "full") {
-    cell.cell.mode = CellMode::kFullExperiment;
-  } else if (mode == "optimal") {
-    cell.cell.mode = CellMode::kOptimal;
-  } else if (mode == "serving") {
-    cell.cell.mode = CellMode::kServing;
-    for (const char* key : {"tenants", "zipf_skew", "churn"}) {
-      const JsonValue* v = value.Find(key);
-      if (v == nullptr || !v->is_number()) {
-        *error = std::string("cell.") + key + " missing or not a number";
-        return false;
-      }
-    }
-    cell.cell.tenants = static_cast<int>(value.NumberOr("tenants", 0));
-    cell.cell.zipf_skew = value.NumberOr("zipf_skew", 0.0);
-    cell.cell.churn = static_cast<int>(value.NumberOr("churn", 0));
-  } else {
-    *error = "cell.mode missing or not 'full'/'numa-only'/'serving'/'optimal'";
-    return false;
-  }
-  cell.cell.fault_plan = value.StringOr("fault_plan", "");
-  cell.cell.fault_seed =
-      static_cast<std::uint64_t>(value.NumberOr("fault_seed", 0.0));
-  const JsonValue* ok = value.Find("ok");
-  if (ok == nullptr || ok->kind != JsonValue::Kind::kBool) {
-    *error = "cell.ok missing or not a boolean";
-    return false;
-  }
-  cell.ok = ok->boolean;
-  const JsonValue* metrics = value.Find("metrics");
-  if (metrics == nullptr || !metrics->is_object()) {
-    *error = "cell.metrics missing or not an object";
-    return false;
-  }
-  for (const auto& [name, metric] : metrics->members) {
-    if (metric.kind == JsonValue::Kind::kNumber) {
-      cell.metrics.emplace_back(name, metric.number);
-    } else if (metric.kind == JsonValue::Kind::kNull) {
-      cell.metrics.emplace_back(name, std::nan(""));
-    } else {
-      *error = "cell.metrics." + name + " is neither number nor null";
-      return false;
-    }
-  }
-  if (const JsonValue* failure = value.Find("failure")) {
-    if (!failure->is_object()) {
-      *error = "cell.failure is not an object";
-      return false;
-    }
-    cell.failure_kind = failure->StringOr("kind", "");
-    cell.failure_detail = failure->StringOr("detail", "");
-    if (cell.failure_kind.empty()) {
-      *error = "cell.failure.kind missing";
-      return false;
-    }
-  }
-  // Cross-check the stored key against the reconstructed parameters: a mismatch
-  // means the fragment was edited or the schema drifted, and silently accepting it
-  // would attribute results to the wrong cell.
-  std::string stored_key = std::string(value.StringOr("key", ""));
-  if (stored_key.empty()) {
-    *error = "cell.key missing or not a non-empty string";
-    return false;
-  }
-  if (stored_key != cell.cell.Key()) {
-    *error = "cell.key '" + stored_key + "' does not match its parameters ('" +
-             cell.cell.Key() + "')";
-    return false;
-  }
-  *out = std::move(cell);
-  return true;
-}
-
 bool ValidateSweepJson(std::string_view json, std::string* error) {
   JsonValue doc;
   if (!ParseJson(json, &doc, error)) {
@@ -376,6 +256,43 @@ bool WriteFileAtomic(const std::string& path, std::string_view contents,
     return false;
   }
   return true;
+}
+
+std::string SerializeFailures(const std::string& suite,
+                              const std::vector<CellFailure>& failures) {
+  std::string out = "{\"schema\":";
+  AppendJsonString(&out, kFailuresSchemaName);
+  out += ",\"suite\":";
+  AppendJsonString(&out, suite);
+  out += ",\"failures\":[";
+  for (std::size_t i = 0; i < failures.size(); ++i) {
+    const CellFailure& f = failures[i];
+    if (i > 0) {
+      out += ",";
+    }
+    out += "\n{\"key\":";
+    AppendJsonString(&out, f.key);
+    out += ",\"kind\":";
+    AppendJsonString(&out, f.kind);
+    out += ",\"detail\":";
+    AppendJsonString(&out, f.detail);
+    out += ",\"replay\":";
+    AppendJsonString(&out, f.replay);
+    out += "}";
+  }
+  out += failures.empty() ? "]}\n" : "\n]}\n";
+  return out;
+}
+
+bool WriteFailuresJson(const std::string& suite, const std::vector<CellFailure>& failures,
+                       const std::string& path, std::string* error) {
+  std::string json = SerializeFailures(suite, failures);
+  JsonValue doc;
+  if (!ParseJson(json, &doc, error)) {
+    *error = "failures.json self-validation failed: " + *error;
+    return false;
+  }
+  return WriteFileAtomic(path, json, error);
 }
 
 bool WriteSweepJsonFile(const SweepResult& result, const std::string& path,

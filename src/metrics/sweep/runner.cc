@@ -8,15 +8,12 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <memory>
 
 #include "src/apps/app.h"
 #include "src/common/check.h"
 #include "src/metrics/experiment.h"
 #include "src/metrics/sweep/pool.h"
-#include "src/metrics/sweep/report.h"
-#include "src/obs/json_lite.h"
 
 namespace ace {
 
@@ -307,48 +304,6 @@ ChildOutcome RunInChild(const std::function<int(std::string*)>& body, unsigned t
   return outcome;
 }
 
-CellResult RunCellForked(const SweepCell& cell, const MachineConfig& base_config,
-                         const WatchdogLimits& watchdog) {
-  // The child ships { "cell": <cell object>, "detail": "..." } up the pipe.
-  ChildOutcome child = RunInChild(
-      [&](std::string* payload) {
-        CellResult result = RunCell(cell, base_config, watchdog);
-        *payload = "{\"cell\":" + SerializeCellObject(result) + ",\"detail\":";
-        AppendJsonString(payload, result.detail);
-        *payload += '}';
-        return 0;
-      },
-      /*timeout_s=*/0);
-  if (!child.started) {
-    return DiedResult(cell, "fork-failed",
-                      std::string("pipe() or fork() failed: ") + std::strerror(errno));
-  }
-  if (child.signal != 0) {
-    return DiedResult(cell, "signal:" + std::to_string(child.signal),
-                      std::string("forked cell child killed by signal ") +
-                          std::to_string(child.signal) + " (" + strsignal(child.signal) + ")");
-  }
-  if (child.exit_code != 0) {
-    return DiedResult(cell, "child-exit:" + std::to_string(child.exit_code),
-                      "forked cell child exited abnormally");
-  }
-  JsonValue doc;
-  std::string error;
-  CellResult result;
-  const JsonValue* cell_obj = nullptr;
-  if (!ParseJson(child.payload, &doc, &error) || !doc.is_object() ||
-      (cell_obj = doc.Find("cell")) == nullptr) {
-    return DiedResult(cell, "bad-child-payload",
-                      "forked cell child returned an unparseable payload: " + error);
-  }
-  if (!ParseCellObject(*cell_obj, &result, &error)) {
-    return DiedResult(cell, "bad-child-payload",
-                      "forked cell child payload rejected: " + error);
-  }
-  result.detail = doc.StringOr("detail", "");
-  return result;
-}
-
 SweepResult RunSweep(const std::string& suite_name, const std::vector<SweepCell>& cells,
                      const SweepOptions& options) {
   SweepResult result;
@@ -360,31 +315,17 @@ SweepResult RunSweep(const std::string& suite_name, const std::vector<SweepCell>
   // single worker regardless of the requested width (the tool warns about this).
   const int workers = ResolveWorkers(options.sampler != nullptr ? 1 : options.workers);
   std::atomic<std::size_t> done{0};
-  const ResilienceOptions& res = options.resilience;
 
   auto start = std::chrono::steady_clock::now();
   ParallelFor(workers, cells.size(), [&](std::size_t i) {
     const SweepCell& cell = cells[i];
     CellResult& slot = result.cells[i];
-    const CellResult* resumed = nullptr;
-    if (options.resumed != nullptr) {
-      auto it = options.resumed->find(cell.Key());
-      if (it != options.resumed->end()) {
-        resumed = &it->second;
-      }
-    }
-    if (resumed != nullptr) {
-      slot = *resumed;
-      slot.from_checkpoint = true;
-    } else {
-      WatchdogLimits limits = ScaledWatchdog(res.watchdog, cell);
-      slot = res.isolate ? RunCellForked(cell, options.base_config, limits)
-                         : RunCell(cell, options.base_config, limits, options.sampler);
-    }
+    slot = RunCell(cell, options.base_config, ScaledWatchdog(options.watchdog, cell),
+                   options.sampler);
 
     std::size_t completed = done.fetch_add(1, std::memory_order_relaxed) + 1;
     if (options.progress != nullptr) {
-      options.progress(options.progress_ctx, slot, completed, cells.size());
+      options.progress(slot, completed, cells.size());
     }
   });
   auto end = std::chrono::steady_clock::now();

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -24,11 +23,11 @@ namespace ace {
 
 class LiveSampler;
 
-// One quarantined cell: its single run died (watchdog kill, escaped exception,
-// forked-child signal). Every cell runs once: these deaths repeat exactly on a
-// re-run, so a retry would only reproduce them. Quarantine is a *result*, not an
-// abort — the rest of the sweep completes, and the list lands in failures.json
-// (checkpoint.h) for artifact upload and replay.
+// One quarantined cell: its single run died (watchdog kill or escaped exception).
+// Every cell runs once: these deaths repeat exactly on a re-run, so a retry would
+// only reproduce them. Quarantine is a *result*, not an abort — the rest of the
+// sweep completes, and the list lands in failures.json (report.h) for artifact
+// upload and replay.
 struct CellFailure {
   std::string key;
   std::string kind;     // CellResult::failure_kind
@@ -36,36 +35,21 @@ struct CellFailure {
   std::string replay;   // command line reproducing the cell (filled by the tool)
 };
 
-// Knobs of the run-resilience layer, all off by default (the happy path executes
-// exactly as before, bit for bit).
-struct ResilienceOptions {
-  // Per-cell watchdog. deadline_ns is the budget for a scale-1.0 cell; the runner
-  // scales it by each cell's `scale` (floor 0.05) since virtual time grows with the
-  // workload. move_budget is per placement run, unscaled.
-  WatchdogLimits watchdog;
-  // Run every cell in a forked child so an ACE_CHECK abort (or any signal) kills
-  // only that cell; the result returns through a pipe as a serialized cell object.
-  bool isolate = false;
-};
-
 struct SweepOptions {
   int workers = 0;          // <= 0: hardware concurrency
   MachineConfig base_config;  // per-cell overrides (threads, G/L ratio) apply on top
   // Progress callback (may be null). Called after each cell completes, from the
   // worker thread that ran it; `done` counts completions so far.
-  void (*progress)(void* ctx, const CellResult& result, std::size_t done,
-                   std::size_t total) = nullptr;
-  void* progress_ctx = nullptr;
-  ResilienceOptions resilience;
-  // Results already known from a checkpoint, keyed by SweepCell::Key(). Matching
-  // cells are copied (with from_checkpoint set) instead of executed; keys not in
-  // the matrix are ignored. Not owned; must outlive RunSweep.
-  const std::map<std::string, CellResult>* resumed = nullptr;
+  void (*progress)(const CellResult& result, std::size_t done, std::size_t total) = nullptr;
+  // Per-cell watchdog, off by default (the happy path executes bit for bit as
+  // without it). deadline_ns is the budget for a scale-1.0 cell; the runner scales
+  // it by each cell's `scale` (floor 0.05) since virtual time grows with the
+  // workload. move_budget is per placement run, unscaled.
+  WatchdogLimits watchdog;
   // Live telemetry (src/obs/sampler.h): every placement run of every cell becomes
   // one ace-live-v1 segment, tagged with the cell's key. The sampler writes a single
-  // stream, so the sweep degrades to one worker when it is set, and it never rides
-  // into forked (--isolate) cells — the tool rejects that combination up front.
-  // Not owned; must outlive RunSweep.
+  // stream, so the sweep degrades to one worker when it is set. Not owned; must
+  // outlive RunSweep.
   LiveSampler* sampler = nullptr;
 };
 
@@ -99,7 +83,7 @@ struct SweepResult {
 
 // Execute one cell in isolation. Exposed for tests and for callers that need a
 // single cell outside a sweep. With `watchdog` limits (already scaled; see
-// ResilienceOptions), a kill or an exception escaping the application is captured
+// ScaledWatchdog), a kill or an exception escaping the application is captured
 // as a died result (failure_kind/failure_detail) instead of propagating. A non-null
 // `sampler` streams each placement run of the cell as an ace-live-v1 segment.
 CellResult RunCell(const SweepCell& cell, const MachineConfig& base_config,
@@ -119,13 +103,9 @@ struct ChildOutcome {
 // Run `body` in a forked child, so that an abort or any other signal is confined to
 // the child. The child calls `body(&payload)`, writes the payload up a pipe and
 // exits with body's return value. A nonzero `timeout_s` arms alarm() in the child,
-// so a hung body dies with SIGALRM.
+// so a hung body dies with SIGALRM. ace_soak runs each seed this way, because the
+// soak exists to catch aborts.
 ChildOutcome RunInChild(const std::function<int(std::string*)>& body, unsigned timeout_s);
-
-// RunCell in a forked child (RunInChild): any signal (ACE_CHECK abort included) is
-// confined to the child and reported as failure_kind "signal:<n>".
-CellResult RunCellForked(const SweepCell& cell, const MachineConfig& base_config,
-                         const WatchdogLimits& watchdog = WatchdogLimits{});
 
 // The watchdog limits RunSweep passes to RunCell for `cell`: deadline scaled by the
 // cell's workload scale, move budget as given.

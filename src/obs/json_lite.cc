@@ -29,7 +29,7 @@ std::string JsonValue::StringOr(std::string_view key, std::string fallback) cons
 namespace {
 
 // Containers deeper than this are rejected rather than recursed into: the parser
-// reads untrusted bytes (baselines, checkpoint fragments, child pipe payloads), and
+// reads untrusted bytes (committed baselines, live feeds, trace files), and
 // unbounded recursion turns `[[[[...` into a stack overflow instead of an error.
 constexpr int kMaxDepth = 200;
 

@@ -7,8 +7,8 @@
 // pairs and \u escapes beyond ASCII are preserved verbatim rather than decoded.
 //
 // AppendJsonString is the writer side: every JSON string the repo emits (bench and
-// checkpoint JSON, forked-child payloads, the live feed's meta records) goes through
-// it, so all of them escape alike and ParseJson reads each back to the same bytes.
+// failures JSON, the live feed's meta records) goes through it, so all of them
+// escape alike and ParseJson reads each back to the same bytes.
 
 #ifndef SRC_OBS_JSON_LITE_H_
 #define SRC_OBS_JSON_LITE_H_
@@ -46,8 +46,8 @@ struct JsonValue {
 // On failure returns false and sets `error` to a message with the byte offset and
 // line/column of the violation. Hardened against hostile input: container nesting
 // beyond 200 levels is rejected (not recursed into), so truncated, garbage, or
-// adversarial bytes fed to the baseline and checkpoint loaders fail closed with a
-// diagnostic instead of overflowing the stack.
+// adversarial bytes fed to the baseline loader or the live-feed reader fail closed
+// with a diagnostic instead of overflowing the stack.
 bool ParseJson(std::string_view text, JsonValue* out, std::string* error);
 
 // Append `s` to `*out` as a quoted JSON string: '"', '\\', newline, carriage return

@@ -122,8 +122,7 @@ class LiveStreamWriter {
   void WriteLine(const std::string& line);
 
   // Push buffered bytes to the OS *and* the disk (fsync). Called by the sampler
-  // after each summary record so a completed segment survives power loss — the
-  // checkpoint/journal durability rule from DESIGN.md section 9.
+  // after each summary record so a completed segment survives power loss.
   void SyncToDisk();
 
   void Close();

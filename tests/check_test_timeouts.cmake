@@ -22,18 +22,44 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "ctest --show-only=json-v1 failed (rc=${rc})")
 endif()
 
-# Every string(JSON) call parses its whole input, so the per-property queries read
-# each test's own small object, not the 400 KB listing.
+# Every string(JSON) call parses its whole input, so indexing the tests array once
+# per test would re-parse the whole listing each time. Instead split the array text
+# once, at its top-level element boundaries, and query each test's own small object.
 string(JSON tests GET "${listing}" tests)
 string(JSON num_tests LENGTH "${tests}")
 if(num_tests EQUAL 0)
   message(FATAL_ERROR "ctest reported zero tests; audit ran in the wrong directory?")
 endif()
 
+# The array is serialized one member per line: each top-level element opens with
+# "{" and closes with "}" at the same indent, and deeper lines indent further.
+string(REGEX MATCH "^\\[\n([ \t]*){" lead "${tests}")
+if(NOT lead)
+  message(FATAL_ERROR "unexpected ctest JSON layout: cannot find the first test object")
+endif()
+set(indent "${CMAKE_MATCH_1}")
+string(FIND "${tests}" "{" first)
+string(FIND "${tests}" "}" last REVERSE)
+math(EXPR span "${last} - ${first} + 1")
+string(SUBSTRING "${tests}" ${first} ${span} body)
+# ';' separates CMake list elements and '[' ']' suppress separation inside them, so
+# swap all three for control characters (JSON text escapes those in strings, so they
+# cannot occur) before turning each top-level boundary into a list separator.
+string(ASCII 1 esc_semi)
+string(ASCII 2 esc_open)
+string(ASCII 3 esc_close)
+string(REPLACE ";" "${esc_semi}" body "${body}")
+string(REPLACE "[" "${esc_open}" body "${body}")
+string(REPLACE "]" "${esc_close}" body "${body}")
+string(REPLACE "\n${indent}},\n${indent}{" "\n${indent}};{" body "${body}")
+
 set(missing "")
-math(EXPR last "${num_tests} - 1")
-foreach(i RANGE ${last})
-  string(JSON test GET "${tests}" ${i})
+set(seen 0)
+foreach(test IN LISTS body)
+  math(EXPR seen "${seen} + 1")
+  string(REPLACE "${esc_semi}" ";" test "${test}")
+  string(REPLACE "${esc_open}" "[" test "${test}")
+  string(REPLACE "${esc_close}" "]" test "${test}")
   string(JSON name GET "${test}" name)
   set(has_timeout FALSE)
   string(JSON num_props ERROR_VARIABLE props_error LENGTH "${test}" properties)
@@ -53,6 +79,12 @@ foreach(i RANGE ${last})
     list(APPEND missing "${name}")
   endif()
 endforeach()
+# Fail closed: a split that missed or invented a boundary would audit the wrong set.
+if(NOT seen EQUAL num_tests)
+  message(FATAL_ERROR
+    "timeout audit split the test list into ${seen} objects, but ctest lists "
+    "${num_tests} tests; the ctest JSON layout changed")
+endif()
 
 if(missing)
   list(LENGTH missing num_missing)

@@ -1,5 +1,5 @@
 // Hardening tests for src/obs/json_lite: the parser reads untrusted bytes (committed
-// baselines, checkpoint fragments, forked-child pipe payloads), so truncated,
+// baselines, live feeds, trace files), so truncated,
 // garbage, and adversarial input must fail closed with a source-position diagnostic
 // — never crash, hang, or silently accept. The writer, AppendJsonString, must produce
 // strings the parser reads back byte for byte.

@@ -283,13 +283,6 @@ TEST(ServingSweep, ParallelDispatchDoesNotChangeLatencyMetrics) {
 
   std::string error;
   EXPECT_TRUE(ValidateSweepJson(SerializeSweep(r1, true), &error)) << error;
-
-  // Serving cells round-trip through the forked-cell wire format (serialize +
-  // parse + key cross-check), the path --isolate and checkpoint/resume use.
-  CellResult forked = RunCellForked(suite.cells[0], MachineConfig{});
-  EXPECT_TRUE(forked.ok) << forked.failure_detail;
-  EXPECT_EQ(forked.cell.Key(), suite.cells[0].Key());
-  EXPECT_GT(forked.MetricOr("lat_p99_ms", 0.0), 0.0);
 }
 
 // Latency percentiles are virtual-time-derived, so the software-TLB fast path must

@@ -1,13 +1,15 @@
 // Tests for the experiment-sweep engine (src/metrics/sweep): pool correctness and
 // determinism under parallel dispatch, the forked-child runner, JSON schema validity,
-// baseline-comparator edge cases, and a golden-file check of the committed smoke
-// baseline's structure.
+// the failures.json quarantine, baseline-comparator edge cases, and a golden-file
+// check of the committed smoke baseline's structure.
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <csignal>
+#include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -87,7 +89,7 @@ TEST(ParallelFor, SingleWorkerRunsInIndexOrder) {
   }
 }
 
-// RunInChild, the forked-child runner under both `ace_bench --isolate` and ace_soak.
+// RunInChild, the forked-child runner under ace_soak, its one caller.
 TEST(RunInChild, LargePayloadComesBackIntact) {
   // Over 64 KiB: more than a pipe buffer holds, so the parent must drain while the
   // child is still writing.
@@ -251,8 +253,8 @@ TEST(SweepCellKey, EncodesEveryAxisAndIsUniqueAcrossSuites) {
   }
 }
 
-// Checkpoint resume re-reads cells from their JSON: every ablations cell, each axis
-// included, must serialize and parse back under the same key.
+// The baseline comparator reads cells back by key: every ablations cell must
+// serialize under its own key, each off-default axis as its own member.
 TEST(SweepCellKey, AblationAxesRoundTripThroughJson) {
   SweepResult result;
   result.suite = "ablations";
@@ -273,26 +275,31 @@ TEST(SweepCellKey, AblationAxesRoundTripThroughJson) {
   ASSERT_EQ(cells->items.size(), result.cells.size());
   std::set<std::string> axes_seen;
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    CellResult parsed;
-    ASSERT_TRUE(ParseCellObject(cells->items[i], &parsed, &error)) << error;
+    const JsonValue& parsed = cells->items[i];
     const SweepCell& want = result.cells[i].cell;
-    EXPECT_EQ(parsed.cell.Key(), want.Key());
-    EXPECT_EQ(parsed.cell.policy.kind, want.policy.kind) << want.Key();
+    EXPECT_EQ(parsed.StringOr("key", ""), want.Key());
+    EXPECT_EQ(parsed.StringOr("policy", "move-limit"), want.policy.Name()) << want.Key();
     if (want.policy.kind == PolicySpec::Kind::kReconsider) {
-      EXPECT_EQ(parsed.cell.policy.reconsider_after_ns, want.policy.reconsider_after_ns);
+      EXPECT_EQ(parsed.NumberOr("reconsider_after_ns", -1),
+                static_cast<double>(want.policy.reconsider_after_ns))
+          << want.Key();
     }
-    EXPECT_EQ(parsed.cell.variant, want.variant) << want.Key();
-    EXPECT_EQ(parsed.cell.page_size, want.page_size) << want.Key();
-    EXPECT_EQ(parsed.cell.scheduler, want.scheduler) << want.Key();
-    EXPECT_EQ(parsed.cell.mode, want.mode) << want.Key();
+    EXPECT_EQ(parsed.NumberOr("variant", 0), want.variant) << want.Key();
+    EXPECT_EQ(parsed.NumberOr("page_size", 4096), want.page_size) << want.Key();
+    EXPECT_EQ(parsed.StringOr("scheduler", "affinity"),
+              want.scheduler == SchedulerKind::kMigrating ? "migrating" : "affinity")
+        << want.Key();
+    EXPECT_EQ(parsed.StringOr("mode", "") == "optimal", want.mode == CellMode::kOptimal)
+        << want.Key();
     for (const auto& [axis, off_default] :
          {std::pair{"policy", want.policy.kind != PolicySpec::Kind::kMoveLimit},
           std::pair{"variant", want.variant != 0},
           std::pair{"page_size", want.page_size != 4096},
           std::pair{"scheduler", want.scheduler != SchedulerKind::kAffinity},
-          std::pair{"optimal", want.mode == CellMode::kOptimal}}) {
+          std::pair{"mode", want.mode == CellMode::kOptimal}}) {
       if (off_default) {
         axes_seen.insert(axis);
+        EXPECT_NE(parsed.Find(axis), nullptr) << want.Key() << " lacks " << axis;
       }
     }
   }
@@ -354,6 +361,42 @@ TEST(SweepReport, ValidatorRejectsMalformedDocuments) {
                     "move_threshold":4,"gl_ratio":0,"ok":true}]})",
       &error));
   EXPECT_NE(error.find("metrics"), std::string::npos);
+}
+
+// --- failures.json ----------------------------------------------------------------
+
+TEST(FailuresJson, SerializesValidReplayableDocument) {
+  std::vector<CellFailure> failures;
+  CellFailure f;
+  f.key = "FFT/t3/s0.1/mt4/gl0";
+  f.kind = "watchdog-livelock";
+  f.detail = "ping-pong suspect: lp=7";
+  f.replay = "ace_bench --suite smoke --only 'FFT/t3/s0.1/mt4/gl0'";
+  failures.push_back(f);
+
+  std::string json = SerializeFailures("smoke", failures);
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(ParseJson(json, &doc, &error)) << error;
+  EXPECT_EQ(doc.StringOr("schema", ""), kFailuresSchemaName);
+  EXPECT_EQ(doc.StringOr("suite", ""), "smoke");
+  ASSERT_NE(doc.Find("failures"), nullptr);
+  ASSERT_EQ(doc.Find("failures")->items.size(), 1u);
+  const JsonValue& entry = doc.Find("failures")->items[0];
+  EXPECT_EQ(entry.StringOr("kind", ""), "watchdog-livelock");
+  EXPECT_EQ(entry.StringOr("replay", ""), f.replay);
+
+  // An empty quarantine still writes a valid document (CI uploads it unconditionally).
+  std::string empty = SerializeFailures("smoke", {});
+  ASSERT_TRUE(ParseJson(empty, &doc, &error)) << error;
+  EXPECT_TRUE(doc.Find("failures")->items.empty());
+
+  std::string path = ::testing::TempDir() + "ace-sweep-failures.json";
+  ASSERT_TRUE(WriteFailuresJson("smoke", failures, path, &error)) << error;
+  std::ifstream in(path, std::ios::binary);
+  std::string written((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, json);
+  std::remove(path.c_str());
 }
 
 // --- baseline comparator -----------------------------------------------------------

@@ -17,15 +17,12 @@
 //   ace_bench --suite ablations --render
 //   ace_bench --list
 //
-// Resilient long runs (DESIGN.md section 9): --checkpoint journals every completed
-// cell as an atomic self-validating fragment, --resume skips them on the next
-// invocation and produces a merged result whose cell bytes are identical to an
-// uninterrupted run; --deadline/--move-budget arm the hung-run watchdog; a cell
-// that dies runs once and is quarantined into --failures FILE instead of aborting
-// the sweep (its death is deterministic, so a re-run would only repeat it).
+// Every sweep runs in this process, once, from start to finish: the largest suite
+// takes seconds. --deadline/--move-budget arm the hung-run watchdog (DESIGN.md
+// section 9), and a cell that dies runs once and is quarantined into --failures FILE
+// instead of aborting the sweep (its death is deterministic, so a re-run would only
+// repeat it).
 //
-//   ace_bench --suite full --checkpoint ckpt/ --out BENCH_full.json
-//   ace_bench --suite full --checkpoint ckpt/ --resume --out BENCH_full.json
 //   ace_bench --suite smoke --deadline 30000000000 --move-budget 2000000
 //   ace_bench --suite smoke --move-budget 20000 --failures failures.json
 //
@@ -35,7 +32,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -43,7 +39,6 @@
 #include "src/obs/live_stream.h"
 #include "src/obs/sampler.h"
 #include "src/metrics/sweep/baseline.h"
-#include "src/metrics/sweep/checkpoint.h"
 #include "src/metrics/sweep/matrix.h"
 #include "src/metrics/sweep/render.h"
 #include "src/metrics/sweep/report.h"
@@ -67,15 +62,11 @@ void Usage() {
       "  --threads N            override every cell's thread count\n"
       "  --scale X              override every cell's workload scale\n"
       "  --quiet                suppress per-cell progress lines\n"
-      "resilience (DESIGN.md section 9):\n"
-      "  --checkpoint DIR       journal each completed cell into DIR (atomic\n"
-      "                         one-cell fragments; survives SIGKILL)\n"
-      "  --resume               with --checkpoint: load DIR, skip completed cells\n"
+      "watchdog and quarantine (DESIGN.md section 9):\n"
       "  --deadline NS          watchdog: virtual-time budget for a scale-1 cell\n"
       "                         (scaled by each cell's scale); kills wedged cells\n"
       "  --move-budget N        watchdog: kill when ownership moves + syncs pass N\n"
       "                         (catches page ping-pong livelock)\n"
-      "  --isolate              fork each cell so aborts/signals kill only it\n"
       "  --failures FILE        write cells that died as ace-failures-v1 JSON\n"
       "  --plan PLAN            fault-injection plan appended to every cell's own\n"
       "                         plan (e.g. 'drain-mem@1:30000000:90000000:250')\n"
@@ -84,8 +75,7 @@ void Usage() {
       "  --no-host              omit host stats from --out (byte-comparable)\n"
       "live telemetry (view with ace_top --live FILE):\n"
       "  --live-out FILE        stream every placement run as an ace-live-v1 segment\n"
-      "                         tagged with its cell key (forces --workers 1;\n"
-      "                         incompatible with --isolate)\n"
+      "                         tagged with its cell key (forces --workers 1)\n"
       "  --sample-interval NS   virtual-time sampling cadence (default: 10000000)\n"
       "all options also accept the --opt=value spelling.\n");
 }
@@ -100,11 +90,8 @@ struct Args {
   bool quiet = false;
   int threads = 0;
   double scale = 0.0;
-  std::string checkpoint;
-  bool resume = false;
   long long deadline_ns = 0;
   unsigned long long move_budget = 0;
-  bool isolate = false;
   std::string failures;
   std::string plan;
   unsigned long long fault_seed = 0;
@@ -138,31 +125,13 @@ const char* OptValue(int argc, char** argv, int* i, const char* name) {
 
 bool OptFlag(const char* arg, const char* name) { return std::strcmp(arg, name) == 0; }
 
-struct ProgressCtx {
-  ace::SweepCheckpoint* checkpoint = nullptr;  // non-null: journal completed cells
-  bool quiet = false;
-};
-
-void Progress(void* ctx, const ace::CellResult& result, std::size_t done,
-              std::size_t total) {
-  auto* pc = static_cast<ProgressCtx*>(ctx);
-  if (!pc->quiet) {
-    const char* verdict = result.ok ? "ok" : "FAILED";
-    if (result.from_checkpoint) {
-      verdict = "resumed";
-    } else if (result.died()) {
-      verdict = result.failure_kind.c_str();
-    }
-    std::fprintf(stderr, "[%3zu/%3zu] %-40s %s\n", done, total,
-                 result.cell.Key().c_str(), verdict);
+void Progress(const ace::CellResult& result, std::size_t done, std::size_t total) {
+  const char* verdict = result.ok ? "ok" : "FAILED";
+  if (result.died()) {
+    verdict = result.failure_kind.c_str();
   }
-  // Journal executed cells (resumed ones are already on disk, byte-identically).
-  if (pc->checkpoint != nullptr && !result.from_checkpoint) {
-    std::string error;
-    if (!pc->checkpoint->RecordCell(result, &error)) {
-      std::fprintf(stderr, "WARNING: checkpoint write failed: %s\n", error.c_str());
-    }
-  }
+  std::fprintf(stderr, "[%3zu/%3zu] %-40s %s\n", done, total, result.cell.Key().c_str(),
+               verdict);
 }
 
 }  // namespace
@@ -183,8 +152,6 @@ int main(int argc, char** argv) {
       args.threads = std::atoi(v);
     } else if ((v = OptValue(argc, argv, &i, "--scale")) != nullptr) {
       args.scale = std::atof(v);
-    } else if ((v = OptValue(argc, argv, &i, "--checkpoint")) != nullptr) {
-      args.checkpoint = v;
     } else if ((v = OptValue(argc, argv, &i, "--deadline")) != nullptr) {
       args.deadline_ns = std::atoll(v);
     } else if ((v = OptValue(argc, argv, &i, "--move-budget")) != nullptr) {
@@ -201,10 +168,6 @@ int main(int argc, char** argv) {
       args.live_out = v;
     } else if ((v = OptValue(argc, argv, &i, "--sample-interval")) != nullptr) {
       args.sample_interval_ns = std::atoll(v);
-    } else if (OptFlag(argv[i], "--resume")) {
-      args.resume = true;
-    } else if (OptFlag(argv[i], "--isolate")) {
-      args.isolate = true;
     } else if (OptFlag(argv[i], "--no-host")) {
       args.no_host = true;
     } else if (OptFlag(argv[i], "--render")) {
@@ -241,18 +204,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (args.resume && args.checkpoint.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint DIR\n");
-    return 2;
-  }
-
-  if (!args.live_out.empty() && args.isolate) {
-    // A forked cell would write its segments through a duplicated FILE*, tearing the
-    // parent's stream mid-record. Telemetry for isolated runs belongs to ace_soak,
-    // which gives each forked child its own append-mode segment.
-    std::fprintf(stderr, "--live-out is incompatible with --isolate\n");
-    return 2;
-  }
   if (!args.live_out.empty() && args.sample_interval_ns <= 0) {
     std::fprintf(stderr, "--sample-interval must be > 0\n");
     return 2;
@@ -310,38 +261,10 @@ int main(int argc, char** argv) {
     sampler = std::make_unique<ace::LiveSampler>(so, &live_writer);
     options.sampler = sampler.get();
   }
-  options.resilience.watchdog.deadline_ns = args.deadline_ns;
-  options.resilience.watchdog.move_budget = args.move_budget;
-  options.resilience.isolate = args.isolate;
-
-  ace::SweepCheckpoint checkpoint;
-  std::map<std::string, ace::CellResult> resumed;
-  if (!args.checkpoint.empty()) {
-    std::string error;
-    if (!checkpoint.Open(args.checkpoint, suite.name, options.base_config, &error)) {
-      std::fprintf(stderr, "ERROR: %s\n", error.c_str());
-      return 2;
-    }
-    if (args.resume) {
-      // Fail closed: a corrupt fragment is a hard error, not a silent re-run.
-      if (!checkpoint.LoadCompleted(&resumed, &error)) {
-        std::fprintf(stderr, "ERROR: resume failed: %s\n", error.c_str());
-        return 2;
-      }
-      std::fprintf(stderr, "resume: %zu completed cell(s) loaded from %s\n",
-                   resumed.size(), args.checkpoint.c_str());
-      options.resumed = &resumed;
-    }
-  }
-
-  ProgressCtx progress_ctx;
-  progress_ctx.quiet = args.quiet;
-  if (!args.checkpoint.empty()) {
-    progress_ctx.checkpoint = &checkpoint;
-  }
-  if (!args.quiet || progress_ctx.checkpoint != nullptr) {
+  options.watchdog.deadline_ns = args.deadline_ns;
+  options.watchdog.move_budget = args.move_budget;
+  if (!args.quiet) {
     options.progress = Progress;
-    options.progress_ctx = &progress_ctx;
   }
 
   std::fprintf(stderr, "suite %s: %zu cells on %s workers\n", suite.name.c_str(),
@@ -403,9 +326,6 @@ int main(int argc, char** argv) {
       }
       if (args.move_budget > 0) {
         replay += " --move-budget " + std::to_string(args.move_budget);
-      }
-      if (args.isolate) {
-        replay += " --isolate";
       }
       replay += " --only '" + failure.key + "'";
       failure.replay = std::move(replay);

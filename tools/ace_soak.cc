@@ -32,13 +32,12 @@
 // is not a robustness bug. The protocol-mutation sites (skip-sync, skip-move-count)
 // are excluded: they corrupt results by design and belong to ace_conform.
 //
-// Long soaks survive preemption: --checkpoint FILE keeps an append-only journal
-// ("ace-soak-journal-v1" header, then one `<seed> ok|FAIL` line per completed seed,
-// flushed after each run, torn final lines ignored), and --resume skips journaled
-// seeds while preserving their verdicts in the totals. --run-timeout arms an
-// alarm() in each forked child so a hung run dies with SIGALRM and is reported as
-// a violation instead of wedging the harness. --failures-json writes quarantined
-// seeds in the ace-failures-v1 schema with replayable command lines.
+// A soak is time-bounded random sampling: every invocation runs its seed range from
+// the start (each night draws a fresh range), so there is nothing to resume.
+// --run-timeout arms an alarm() in each forked child so a hung run dies with SIGALRM
+// and is reported as a violation instead of wedging the harness. --failures-json
+// writes quarantined seeds in the ace-failures-v1 schema with replayable command
+// lines.
 
 #include <cerrno>
 #include <csignal>
@@ -48,8 +47,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iterator>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,7 +56,7 @@
 #include "src/inject/fault_plan.h"
 #include "src/machine/machine.h"
 #include "src/common/splitmix64.h"
-#include "src/metrics/sweep/checkpoint.h"
+#include "src/metrics/sweep/report.h"
 #include "src/metrics/sweep/runner.h"
 #include "src/obs/live_stream.h"
 #include "src/obs/sampler.h"
@@ -493,90 +490,6 @@ RunSpec ShrinkPlan(RunSpec spec) {
   return spec;
 }
 
-// The soak checkpoint journal: a header line, then one `<seed> ok|FAIL` record per
-// completed seed, appended and flushed as each run finishes. A record is only
-// trusted when its newline landed, so a SIGKILL mid-append costs at most one
-// re-run, never a misparse.
-constexpr const char kSoakJournalHeader[] = "ace-soak-journal-v1";
-
-// Parse one complete journal record. Strict: anything but `<digits> ok` or
-// `<digits> FAIL` is rejected.
-bool ParseJournalLine(const std::string& line, std::uint64_t* seed, bool* ok) {
-  const char* p = line.c_str();
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(p, &end, 10);
-  if (end == p || errno != 0 || *end != ' ') {
-    return false;
-  }
-  std::string verdict(end + 1);
-  if (verdict == "ok") {
-    *ok = true;
-  } else if (verdict == "FAIL") {
-    *ok = false;
-  } else {
-    return false;
-  }
-  *seed = v;
-  return true;
-}
-
-// Load a journal for --resume. Missing file = fresh start. A wrong header or a
-// malformed *interior* line fails closed (the file is not ours, or is corrupt in a
-// way a torn write cannot explain); a final line without its newline is the
-// expected torn-append shape and is dropped (that seed re-runs). Sets
-// `valid_bytes` to the length of the newline-terminated prefix so the caller can
-// truncate the torn fragment away before appending.
-bool LoadSoakJournal(const std::string& path, std::map<std::uint64_t, bool>* completed,
-                     std::size_t* valid_bytes, bool* torn, std::string* error) {
-  *valid_bytes = 0;
-  *torn = false;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return true;  // no journal yet: nothing to resume
-  }
-  std::string contents((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  bool torn_tail = !contents.empty() && contents.back() != '\n';
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos < contents.size()) {
-    std::size_t nl = contents.find('\n', pos);
-    if (nl == std::string::npos) {
-      lines.push_back(contents.substr(pos));
-      break;
-    }
-    lines.push_back(contents.substr(pos, nl - pos));
-    pos = nl + 1;
-  }
-  if (torn_tail) {
-    lines.pop_back();  // torn final append: ignore, that seed just re-runs
-    *torn = true;
-    *valid_bytes = pos;  // start of the torn fragment
-  } else {
-    *valid_bytes = contents.size();
-  }
-  if (lines.empty()) {
-    *error = path + ": journal is empty" + (torn_tail ? " (torn header write)" : "");
-    return false;
-  }
-  if (lines[0] != kSoakJournalHeader) {
-    *error = path + ": bad journal header '" + lines[0] + "' (want '" + kSoakJournalHeader +
-             "') — refusing to resume from a file this harness did not write";
-    return false;
-  }
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    std::uint64_t seed = 0;
-    bool ok = false;
-    if (!ParseJournalLine(lines[i], &seed, &ok)) {
-      *error = path + ": malformed journal line " + std::to_string(i + 1) + ": '" + lines[i] +
-               "'";
-      return false;
-    }
-    (*completed)[seed] = ok;
-  }
-  return true;
-}
-
 // Classify a RunForked violation string for the quarantine record.
 std::string FailureKind(const std::string& what) {
   int sig = 0;
@@ -589,8 +502,8 @@ std::string FailureKind(const std::string& what) {
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seeds N] [--start-seed N] [--time-budget SECONDS[s]]\n"
-               "          [--repro-out FILE] [--checkpoint FILE] [--resume]\n"
-               "          [--run-timeout SECONDS] [--failures-json FILE] [--quiet]\n"
+               "          [--repro-out FILE] [--run-timeout SECONDS]\n"
+               "          [--failures-json FILE] [--quiet]\n"
                "          [--live-out FILE] [--sample-interval NS]\n"
                "   or: %s --replay --app NAME --threads N --scale X --variant N\n"
                "          --policy P --threshold N [--migrating] [--pager] [--tlb]\n"
@@ -619,9 +532,7 @@ int main(int argc, char** argv) {
   std::uint64_t start_seed = 1;
   double time_budget_sec = 0;  // 0 = unlimited
   std::string repro_out;
-  std::string checkpoint_path;
   std::string failures_json;
-  bool resume = false;
   bool quiet = false;
   bool replay = false;
   RunSpec replay_spec;
@@ -656,10 +567,6 @@ int main(int argc, char** argv) {
       time_budget_sec = ParseSeconds(next());
     } else if (arg == "--repro-out") {
       repro_out = next();
-    } else if (arg == "--checkpoint") {
-      checkpoint_path = next();
-    } else if (arg == "--resume") {
-      resume = true;
     } else if (arg == "--run-timeout") {
       g_run_timeout_sec = static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
     } else if (arg == "--failures-json") {
@@ -723,66 +630,19 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (resume && checkpoint_path.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint FILE\n");
-    return 2;
-  }
-
   if (!g_live_out.empty()) {
     if (g_sample_interval_ns <= 0) {
       std::fprintf(stderr, "--sample-interval must be > 0\n");
       return 2;
     }
-    // Children open the feed in append mode, so start it fresh here; a --resume
-    // soak keeps the prior segments, matching the journal's skip-completed-seeds
-    // semantics.
-    if (!resume) {
-      std::FILE* f = std::fopen(g_live_out.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot open live feed '%s': %s\n", g_live_out.c_str(),
-                     std::strerror(errno));
-        return 2;
-      }
-      std::fclose(f);
-    }
-  }
-
-  // Load (resume) or start the journal. Resume fails closed on a file that is not a
-  // valid soak journal; a fresh --checkpoint run truncates whatever was there.
-  std::map<std::uint64_t, bool> completed;
-  std::FILE* journal = nullptr;
-  if (!checkpoint_path.empty()) {
-    std::size_t valid_bytes = 0;
-    bool torn = false;
-    if (resume) {
-      std::string error;
-      if (!LoadSoakJournal(checkpoint_path, &completed, &valid_bytes, &torn, &error)) {
-        std::fprintf(stderr, "resume: %s\n", error.c_str());
-        return 2;
-      }
-      // Cut the torn fragment off before appending — sealing it with a newline would
-      // leave a malformed record that poisons the *next* resume.
-      if (torn && truncate(checkpoint_path.c_str(), static_cast<off_t>(valid_bytes)) != 0) {
-        std::fprintf(stderr, "cannot truncate torn journal tail in '%s': %s\n",
-                     checkpoint_path.c_str(), std::strerror(errno));
-        return 2;
-      }
-    }
-    bool fresh = !resume || valid_bytes == 0;
-    journal = std::fopen(checkpoint_path.c_str(), fresh ? "w" : "a");
-    if (journal == nullptr) {
-      std::fprintf(stderr, "cannot open checkpoint journal '%s': %s\n", checkpoint_path.c_str(),
+    // Children open the feed in append mode, so start it fresh here.
+    std::FILE* f = std::fopen(g_live_out.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot open live feed '%s': %s\n", g_live_out.c_str(),
                    std::strerror(errno));
       return 2;
     }
-    if (fresh) {
-      std::fprintf(journal, "%s\n", kSoakJournalHeader);
-    }
-    std::fflush(journal);
-    if (resume && !completed.empty()) {
-      std::printf("resume: %zu completed seed(s) loaded from %s\n", completed.size(),
-                  checkpoint_path.c_str());
-    }
+    std::fclose(f);
   }
 
   auto t0 = std::chrono::steady_clock::now();
@@ -791,9 +651,6 @@ int main(int argc, char** argv) {
   };
 
   std::uint64_t ran = 0;
-  std::uint64_t resumed = 0;
-  int failures = 0;
-  int live_failures = 0;
   std::vector<ace::CellFailure> quarantine;
   for (std::uint64_t n = 0; n < seeds; ++n) {
     if (time_budget_sec > 0 && elapsed() > time_budget_sec) {
@@ -802,32 +659,9 @@ int main(int argc, char** argv) {
       break;
     }
     std::uint64_t seed = start_seed + n;
-    auto done = completed.find(seed);
-    if (done != completed.end()) {
-      ++resumed;
-      if (!done->second) {
-        ++failures;
-        ace::CellFailure f;
-        f.key = "seed=" + std::to_string(seed);
-        f.kind = "journaled";
-        f.detail = "failure recorded in checkpoint journal before resume";
-        f.replay = ReplayCommand(DeriveRun(seed));
-        quarantine.push_back(std::move(f));
-      }
-      if (!quiet) {
-        std::printf("seed %-4llu %-5s (resumed from journal)\n",
-                    static_cast<unsigned long long>(seed), done->second ? "ok" : "FAIL");
-      }
-      continue;
-    }
     RunSpec spec = DeriveRun(seed);
     std::string what = RunForked(spec);
     ++ran;
-    if (journal != nullptr) {
-      std::fprintf(journal, "%llu %s\n", static_cast<unsigned long long>(seed),
-                   what.empty() ? "ok" : "FAIL");
-      std::fflush(journal);
-    }
     if (what.empty()) {
       if (!quiet) {
         std::printf("seed %-4llu ok    %s\n", static_cast<unsigned long long>(seed),
@@ -835,8 +669,6 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    ++failures;
-    ++live_failures;
     std::printf("seed %-4llu FAIL  %s\n", static_cast<unsigned long long>(seed),
                 DescribeRun(spec).c_str());
     std::printf("  violation: %s\n", what.c_str());
@@ -847,7 +679,7 @@ int main(int argc, char** argv) {
                 shrunk.plan.Format().c_str());
     std::printf("  replay: %s\n", repro.c_str());
     if (!repro_out.empty()) {
-      std::ofstream out(repro_out, live_failures == 1 ? std::ios::trunc : std::ios::app);
+      std::ofstream out(repro_out, quarantine.empty() ? std::ios::trunc : std::ios::app);
       out << repro << "\n";
     }
     ace::CellFailure f;
@@ -857,10 +689,6 @@ int main(int argc, char** argv) {
     f.replay = std::move(repro);
     quarantine.push_back(std::move(f));
   }
-  if (journal != nullptr) {
-    std::fclose(journal);
-  }
-
   if (!failures_json.empty()) {
     std::string error;
     if (!ace::WriteFailuresJson("soak", quarantine, failures_json, &error)) {
@@ -870,12 +698,11 @@ int main(int argc, char** argv) {
     std::printf("wrote %s (%zu quarantined)\n", failures_json.c_str(), quarantine.size());
   }
 
-  std::printf("soak: %llu run(s), %llu resumed, %d violation(s), %.1fs\n",
-              static_cast<unsigned long long>(ran), static_cast<unsigned long long>(resumed),
-              failures, elapsed());
+  std::printf("soak: %llu run(s), %zu violation(s), %.1fs\n",
+              static_cast<unsigned long long>(ran), quarantine.size(), elapsed());
   if (!g_live_out.empty()) {
     std::printf("live feed: %s (one segment per run; validate with ace_top --validate)\n",
                 g_live_out.c_str());
   }
-  return failures > 0 ? 1 : 0;
+  return quarantine.empty() ? 0 : 1;
 }
