@@ -7,7 +7,7 @@
 // site fires: on the nth occurrence, every k occurrences, with a seeded probability,
 // inside a virtual-time window, or always. A FaultInjector evaluates the plan at run
 // time; consumers hold a nullable pointer to it, so an unarmed build pays exactly one
-// never-taken branch per site (see the bench_trace_overhead guardrail).
+// never-taken branch per site (layerbench's end-to-end ns_per_ref times that path).
 //
 // Plans have a stable string form so a failing soak run can print a reproducer that
 // ace_run / ace_soak / ace_conform replay verbatim:

@@ -312,18 +312,27 @@ std::uint32_t Machine::ReexamineGlobalPages(ProcId proc) {
   return count;
 }
 
-Observability& Machine::observability() {
-  if (!obs_attached_) {
-    obs_attached_ = true;
-    pmap_->manager().set_observability(&obs_);
-    fault_handler_->SetObserver(
-        [](void* ctx, ProcId proc, LogicalPage lp, std::uint8_t status) {
-          static_cast<Observability*>(ctx)->OnEvent(TraceEventType::kPageFault, lp, proc,
-                                                    status);
-        },
-        &obs_);
+void Machine::AttachObservability() {
+  if (obs_.active()) {
+    return;  // a recorder is already on, so the hooks are already wired
   }
-  return obs_;
+  pmap_->manager().set_observability(&obs_);
+  fault_handler_->SetObserver(
+      [](void* ctx, ProcId proc, LogicalPage lp, std::uint8_t status) {
+        static_cast<Observability*>(ctx)->OnEvent(TraceEventType::kPageFault, lp, proc,
+                                                  status);
+      },
+      &obs_);
+}
+
+void Machine::EnableTracing(std::size_t capacity_per_proc) {
+  AttachObservability();
+  obs_.EnableTracing(capacity_per_proc);
+}
+
+void Machine::EnableHeat() {
+  AttachObservability();
+  obs_.EnableHeat();
 }
 
 MoveLimitPolicy* Machine::move_limit_policy() {

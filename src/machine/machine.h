@@ -309,21 +309,21 @@ class Machine {
     static_cast<Machine*>(ctx)->CaptureLiveSample(out);
   }
 
-  // The observability layer (src/obs). Wired into the NUMA manager and fault path on
-  // first call; machines that never ask for it keep those hooks at their null-pointer
-  // fast path. Call EnableTracing()/EnableHeat() on the result.
-  Observability& observability();
-  bool has_observability() const { return obs_attached_; }
-  // Read-only view that never attaches the layer (nullptr when not attached); the
-  // watchdog's kill report uses it to scan the trace rings without arming anything.
-  const Observability* observability_if_attached() const {
-    return obs_attached_ ? &obs_ : nullptr;
-  }
+  // The observability layer (src/obs). Enabling the first recorder wires the layer
+  // into the NUMA manager and fault path; machines that never enable one keep those
+  // hooks at their null-pointer fast path. Recorders are never switched off.
+  void EnableTracing(std::size_t capacity_per_proc = Tracer::kDefaultCapacityPerProc);
+  void EnableHeat();
+  // Read-only view: the tracer stays unconfigured until EnableTracing(), and heat()
+  // is available only after EnableHeat().
+  const Observability& observability() const { return obs_; }
 
  private:
   AccessStatus Access(Task& task, ProcId proc, VirtAddr va, AccessKind kind,
                       std::uint32_t* value);
   LogicalPage ResolveDebugPage(Task& task, VirtAddr va, bool materialize);
+  // Wire obs_ into the NUMA manager and fault path; a no-op once a recorder is on.
+  void AttachObservability();
 
   // Out-of-line halves of the reference path: the full fault-and-resolve slow path
   // behind the inline TLB probe in LoadWord/StoreWord.
@@ -419,10 +419,8 @@ class Machine {
   NumaPolicy* active_policy_ = nullptr;      // the policy actually in use
   // Declared before pmap_ so the hooks stay valid while the pmap layer tears down.
   // A member rather than allocated on attach, so the reference path's heat test is
-  // one flag load off this machine whether or not the layer is attached (the
-  // bench_trace_overhead guardrail times exactly that difference).
+  // one flag load off this machine whether or not the layer is attached.
   Observability obs_;
-  bool obs_attached_ = false;
   // Declared before pmap_ (like obs_) so the NUMA manager's store/sync hooks stay
   // valid while the pmap layer tears down (~Machine drains the pool -> ResetPage).
   std::unique_ptr<ReplicaManager> replica_;

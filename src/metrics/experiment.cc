@@ -29,7 +29,7 @@ PlacementRun RunPlacement(App& app, const ExperimentOptions& options, PolicySpec
   mo.enable_tlb = options.enable_tlb;
   Machine machine(mo);
   if (options.watchdog.enabled()) {
-    machine.observability().EnableTracing();
+    machine.EnableTracing();
   }
   std::unique_ptr<RefTracer> tracer;
   if (options.estimate_optimal) {
@@ -49,7 +49,7 @@ PlacementRun RunPlacement(App& app, const ExperimentOptions& options, PolicySpec
     // One feed segment per placement run. Heat profiling feeds the sampler's
     // hot-page and policy-decision columns; it changes no counter, clock, or app
     // result (the obs equivalence tests prove it).
-    machine.observability().EnableHeat();
+    machine.EnableHeat();
     options.sampler->SetSource(&Machine::LiveCaptureThunk, &machine);
     LiveRunMeta meta;
     meta.app = app.name();

@@ -121,12 +121,6 @@ const NumaPageInfo& NumaManager::PageInfo(LogicalPage lp) const {
   return pages_[lp];
 }
 
-void NumaManager::TraceCleanup(const char* what) {
-  if (trace_actions_) {
-    last_trace_.cleanup.emplace_back(what);
-  }
-}
-
 // --- observability hooks ---------------------------------------------------------------
 //
 // Out of line on purpose: every call site pays only the `obs_ != nullptr` test (never
@@ -262,9 +256,6 @@ bool NumaManager::EnsureLocalCopy(LogicalPage lp, ProcId proc) {
   ChargeSystem(proc, cost);
   info.local_frame[static_cast<std::size_t>(proc)] = frame.index;
   info.copies.Add(proc);
-  if (trace_actions_) {
-    last_trace_.copied_to_local = true;
-  }
   return true;
 }
 
@@ -351,15 +342,6 @@ Resolution NumaManager::HandleRequest(LogicalPage lp, AccessKind kind, ProcId pr
     obs_->NoteDecision(decision);
   }
 
-  if (trace_actions_) {
-    last_trace_ = ActionTrace{};
-    last_trace_.old_state = info.state;
-    last_trace_.decision = decision;
-    last_trace_.kind = kind;
-    last_trace_.owner_was_requester =
-        info.state == PageState::kLocalWritable && info.owner == proc;
-  }
-
   Resolution r;
   switch (decision) {
     case Placement::kRemoteHome:
@@ -374,12 +356,6 @@ Resolution NumaManager::HandleRequest(LogicalPage lp, AccessKind kind, ProcId pr
       break;
   }
 
-  if (trace_actions_) {
-    last_trace_.new_state = Info(lp).state;
-    if (last_trace_.cleanup.empty() && !last_trace_.copied_to_local) {
-      last_trace_.cleanup.emplace_back("No action");
-    }
-  }
   ObsNoteState(lp, proc);
   ACE_VERIFY_PAGE(lp);
   return r;
@@ -397,7 +373,6 @@ Resolution NumaManager::ResolveRead(LogicalPage lp, ProcId proc, Protection max_
     }
     case PageState::kGlobalWritable: {
       // Table 1 [LOCAL x Global-Writable]: unmap all; copy to local; Read-Only.
-      TraceCleanup("unmap all");
       UnmapAll(lp, proc);
       if (!EnsureLocalCopy(lp, proc)) {
         return DegradeToGlobal(lp, proc, max_prot);
@@ -409,7 +384,6 @@ Resolution NumaManager::ResolveRead(LogicalPage lp, ProcId proc, Protection max_
     case PageState::kRemoteHomed: {
       // Section 4.4 extension: leaving the remote-homed state. All processors may
       // hold (remote) mappings to the home frame, so drop every mapping first.
-      TraceCleanup("unmap all");
       UnmapAll(lp, proc);
       if (info.owner == proc) {
         // The home reclaims the page as plain local-writable.
@@ -419,7 +393,6 @@ Resolution NumaManager::ResolveRead(LogicalPage lp, ProcId proc, Protection max_
                           max_prot == Protection::kReadWrite ? Protection::kReadWrite
                                                              : Protection::kRead};
       }
-      TraceCleanup("sync&flush home");
       SyncOwner(lp, proc);
       FlushCopy(lp, info.owner, proc);
       info.state = PageState::kReadOnly;
@@ -445,7 +418,6 @@ Resolution NumaManager::ResolveRead(LogicalPage lp, ProcId proc, Protection max_
       // several readers thrashes between local memories indefinitely and is never
       // pinned. last_owner is kept, so a subsequent write by the original owner
       // starts another countable cycle.
-      TraceCleanup("sync&flush other");
       SyncOwner(lp, proc);
       FlushCopy(lp, info.owner, proc);
       info.state = PageState::kReadOnly;
@@ -468,10 +440,6 @@ Resolution NumaManager::ResolveWrite(LogicalPage lp, ProcId proc, Protection max
   switch (info.state) {
     case PageState::kReadOnly: {
       // Table 2 [LOCAL x Read-Only]: flush other; copy to local; Local-Writable.
-      bool had_others = info.copies.Count() > (info.copies.Contains(proc) ? 1 : 0);
-      if (had_others) {
-        TraceCleanup("flush other");
-      }
       FlushCopiesExcept(lp, proc, proc);
       if (!EnsureLocalCopy(lp, proc)) {
         return DegradeToGlobal(lp, proc, max_prot);
@@ -481,7 +449,6 @@ Resolution NumaManager::ResolveWrite(LogicalPage lp, ProcId proc, Protection max
     }
     case PageState::kGlobalWritable: {
       // Table 2 [LOCAL x Global-Writable]: unmap all; copy to local; Local-Writable.
-      TraceCleanup("unmap all");
       UnmapAll(lp, proc);
       if (!EnsureLocalCopy(lp, proc)) {
         return DegradeToGlobal(lp, proc, max_prot);
@@ -490,10 +457,8 @@ Resolution NumaManager::ResolveWrite(LogicalPage lp, ProcId proc, Protection max
       break;
     }
     case PageState::kRemoteHomed: {
-      TraceCleanup("unmap all");
       UnmapAll(lp, proc);
       if (info.owner != proc) {
-        TraceCleanup("sync&flush home");
         SyncOwner(lp, proc);
         FlushCopy(lp, info.owner, proc);
         info.state = PageState::kReadOnly;  // transiently, until we take ownership
@@ -511,7 +476,6 @@ Resolution NumaManager::ResolveWrite(LogicalPage lp, ProcId proc, Protection max
       if (info.owner != proc) {
         // Table 2 [LOCAL x Local-Writable on other node]: sync&flush other; copy to
         // local; Local-Writable.
-        TraceCleanup("sync&flush other");
         SyncOwner(lp, proc);
         FlushCopy(lp, info.owner, proc);
         info.state = PageState::kReadOnly;  // transiently, until we take ownership
@@ -536,9 +500,6 @@ Resolution NumaManager::ResolveGlobal(LogicalPage lp, ProcId proc, Protection ma
   switch (info.state) {
     case PageState::kReadOnly:
       // [GLOBAL x Read-Only]: flush all; Global-Writable.
-      if (!info.copies.Empty()) {
-        TraceCleanup("flush all");
-      }
       FlushAllCopies(lp, proc);
       break;
     case PageState::kGlobalWritable:
@@ -546,7 +507,6 @@ Resolution NumaManager::ResolveGlobal(LogicalPage lp, ProcId proc, Protection ma
       break;
     case PageState::kLocalWritable:
       // [GLOBAL x Local-Writable]: sync&flush own/other; Global-Writable.
-      TraceCleanup(info.owner == proc ? "sync&flush own" : "sync&flush other");
       SyncOwner(lp, proc);
       FlushCopy(lp, info.owner, proc);
       info.owner = kNoProc;
@@ -554,7 +514,6 @@ Resolution NumaManager::ResolveGlobal(LogicalPage lp, ProcId proc, Protection ma
     case PageState::kRemoteHomed:
       // Remote mappings exist on arbitrary processors; drop them all, then write the
       // home copy back and free it.
-      TraceCleanup("unmap all; sync&flush home");
       UnmapAll(lp, proc);
       SyncOwner(lp, proc);
       FlushCopy(lp, info.owner, proc);
@@ -580,10 +539,6 @@ Resolution NumaManager::ResolveRemote(LogicalPage lp, ProcId proc, Protection ma
     case PageState::kReadOnly: {
       // Home the page at the requester: keep/obtain its copy, drop other replicas and
       // all read-only mappings (everyone refaults into a remote mapping of the home).
-      bool had_others = info.copies.Count() > (info.copies.Contains(proc) ? 1 : 0);
-      if (had_others) {
-        TraceCleanup("flush other");
-      }
       FlushCopiesExcept(lp, proc, proc);
       if (!EnsureLocalCopy(lp, proc)) {
         return DegradeToGlobal(lp, proc, max_prot);
@@ -599,7 +554,6 @@ Resolution NumaManager::ResolveRemote(LogicalPage lp, ProcId proc, Protection ma
       break;
     }
     case PageState::kGlobalWritable: {
-      TraceCleanup("unmap all");
       UnmapAll(lp, proc);
       MaterializeGlobalZero(lp, proc);
       if (!EnsureLocalCopy(lp, proc)) {

@@ -12,7 +12,6 @@
 #define SRC_NUMA_NUMA_MANAGER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/common/protection.h"
@@ -49,18 +48,6 @@ class MappingControl {
 struct Resolution {
   FrameRef frame;
   Protection prot = Protection::kNone;
-};
-
-// A record of the actions one request triggered; used by the Table 1/2 reproduction
-// benches and by unit tests. Collection is enabled explicitly (off in the hot path).
-struct ActionTrace {
-  PageState old_state = PageState::kReadOnly;
-  PageState new_state = PageState::kReadOnly;
-  Placement decision = Placement::kLocal;
-  AccessKind kind = AccessKind::kFetch;
-  bool owner_was_requester = false;  // for LW states: was it "on own node"?
-  std::vector<std::string> cleanup;  // e.g. "sync&flush other", "flush all", "unmap all"
-  bool copied_to_local = false;
 };
 
 class NumaManager {
@@ -157,10 +144,6 @@ class NumaManager {
   const NumaPageInfo& PageInfo(LogicalPage lp) const;
   NumaPolicy& policy() { return *policy_; }
 
-  // Action tracing for the Table 1/2 benches and tests.
-  void set_trace_actions(bool on) { trace_actions_ = on; }
-  const ActionTrace& last_trace() const { return last_trace_; }
-
   // Arm fault injection (src/inject). The manager owns four sites: kLocalExhausted
   // (the placement precheck reads local memory as full), kReplicationCopyFail (the
   // copy into a freshly allocated frame fails and the frame is returned), and the two
@@ -219,7 +202,6 @@ class NumaManager {
   void CountOwnershipMove(LogicalPage lp, ProcId proc);
 
   void ChargeSystem(ProcId proc, TimeNs ns) { clocks_->ChargeSystem(proc, ns); }
-  void TraceCleanup(const char* what);
   // Observability emit hooks; out of line so the null check stays the only inline
   // cost at the call sites.
   void ObsEvent(TraceEventType type, LogicalPage lp, ProcId proc, std::uint32_t aux = 0);
@@ -255,8 +237,6 @@ class NumaManager {
 
   std::vector<NumaPageInfo> pages_;
 
-  bool trace_actions_ = false;
-  ActionTrace last_trace_;
   FaultInjector* injector_ = nullptr;
   Observability* obs_ = nullptr;
   ReplicaManager* replica_ = nullptr;

@@ -401,7 +401,7 @@ LiveValidateResult ValidateLiveFeed(const std::string& text) {
     std::string perr;
     if (!ParseJson(lines[li].second, &v, &perr)) {
       if (is_final) {
-        // The one torn line a crash may leave; the soak journal's tolerance rule.
+        // The one torn line a crash may leave: records are flushed one line at a time.
         res.torn_tail = true;
         break;
       }

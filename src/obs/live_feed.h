@@ -10,7 +10,8 @@
 // non-negative per-interval deltas, and sum-of-deltas exactly equal to the
 // summary's cumulative totals — while tolerating a torn final line and a missing
 // final summary, the two shapes a crash or a still-running writer legitimately
-// leaves behind (the same truncation discipline as the soak journal).
+// leaves behind (the writer flushes one line per record and fsyncs the summary, so
+// at most the final line can be torn).
 
 #ifndef SRC_OBS_LIVE_FEED_H_
 #define SRC_OBS_LIVE_FEED_H_

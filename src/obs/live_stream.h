@@ -16,9 +16,8 @@
 // shared by the sampler (writer side) and tools/ace_top's feed reader
 // (src/obs/live_feed.h).
 //
-// Durability follows the soak journal's discipline (tools/ace_soak.cc,
-// DESIGN.md section 9): every record is fflushed as one line, the summary is
-// fsynced, and a reader must tolerate one torn final line after a crash.
+// Durability rule: every record is written and fflushed as one line, the summary is
+// also fsynced, and a reader must tolerate one torn final line after a crash.
 
 #ifndef SRC_OBS_LIVE_STREAM_H_
 #define SRC_OBS_LIVE_STREAM_H_

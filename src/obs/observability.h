@@ -1,14 +1,15 @@
 // The observability facade: one object owning the event tracer and the per-page heat
 // profile, attached to the machine's hot paths through nullable pointers.
 //
-// Cost discipline (the bench_trace_overhead guardrail):
+// Cost discipline: the layer has two states, and recorders are only ever switched on.
 //   * not attached (the default)      — every hook is a single never-taken branch on
 //     a null pointer (the machine's own per-reference heat test is a single flag
-//     test on its member instance); this is the production path and must stay
-//     within 2% of a build without the hooks at all;
-//   * attached, runtime-disabled      — one extra flag test per pointer hook;
-//   * attached, enabled               — ring-buffer stores and table increments, no
+//     test on its member instance); this is the production path, and layerbench's
+//     end-to-end ns_per_ref times it (its machines attach nothing);
+//   * attached (a recorder enabled)   — ring-buffer stores and table increments, no
 //     allocation, no locks (the simulator is single-threaded by construction).
+// The machine attaches the layer when the first recorder is enabled
+// (Machine::EnableTracing / EnableHeat), never before.
 //
 // Timestamps are the acting processor's virtual clock (ProcClocks::now), so each
 // per-processor ring is monotone by construction.
@@ -40,10 +41,7 @@ class Observability {
   Observability& operator=(const Observability&) = delete;
 
   void EnableTracing(std::size_t capacity_per_proc = Tracer::kDefaultCapacityPerProc);
-  void DisableTracing() { tracing_ = false; }
-
   void EnableHeat();
-  void DisableHeat() { heat_on_ = false; }
 
   bool tracing() const { return tracing_; }
   bool heat_on() const { return heat_on_; }

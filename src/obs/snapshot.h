@@ -3,8 +3,8 @@
 // (src/sim/stats.h).
 //
 // Used by the golden-counter tests (tests/golden_counters_test.cc) to assert exactly
-// which counters each NUMA-manager operation increments, by the overhead guardrail
-// bench, and by ace_conform's per-policy activity summary. Header-only on purpose —
+// which counters each NUMA-manager operation increments, and by ace_conform's
+// per-policy activity summary. Header-only on purpose —
 // usable from anything that already sees MachineStats.
 
 #ifndef SRC_OBS_SNAPSHOT_H_

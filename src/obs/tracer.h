@@ -100,13 +100,6 @@ class Tracer {
     }
   }
 
-  void Clear() {
-    for (Ring& r : rings_) {
-      r.next = 0;
-      r.total = 0;
-    }
-  }
-
  private:
   struct Ring {
     std::vector<TraceEvent> buf;

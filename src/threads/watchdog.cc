@@ -26,8 +26,8 @@ std::string BuildKillReport(const Machine& machine, const std::string& summary) 
                 static_cast<unsigned long long>(stats.pages_pinned));
   out += line;
 
-  const Observability* obs = machine.observability_if_attached();
-  if (obs == nullptr || !obs->tracing()) {
+  const Observability& obs = machine.observability();
+  if (!obs.tracing()) {
     out += "\n  (enable event tracing for the ping-pong page and event history)";
     return out;
   }
@@ -35,7 +35,7 @@ std::string BuildKillReport(const Machine& machine, const std::string& summary) 
   // Scan the retained per-processor rings (bounded history by construction): the
   // page with the most consistency traffic is the livelock suspect, and the tail of
   // the merged event stream shows what the machine was doing when it was killed.
-  const Tracer& tracer = obs->tracer();
+  const Tracer& tracer = obs.tracer();
   std::map<LogicalPage, std::uint64_t> moves_per_page;
   std::vector<TraceEvent> events;
   for (ProcId p = 0; p < tracer.num_processors(); ++p) {

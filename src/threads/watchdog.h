@@ -72,7 +72,7 @@ class RunKilledError : public std::runtime_error {
 };
 
 // Build the kill report for `machine` at trip time: one summary line, then — when
-// the machine has observability with tracing enabled — the page with the most
+// the machine has event tracing enabled — the page with the most
 // migrate/sync events in the retained rings (the ping-pong suspect) and the last
 // kKillReportEvents events across all processors in timestamp order. Pure observer:
 // reads counters and rings, charges no time, changes no state.

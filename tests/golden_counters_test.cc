@@ -233,8 +233,8 @@ TEST(GoldenCounters, PageoutRoundTripCountsInPagerNotProtocol) {
 // counters — every emit site sits next to its counter increment.
 TEST(GoldenCounters, HeatEventTotalsMatchMachineStats) {
   Harness h;
-  Observability& obs = h.machine->observability();
-  obs.EnableHeat();
+  h.machine->EnableHeat();
+  const Observability& obs = h.machine->observability();
   h.policy.next = Placement::kLocal;
   h.machine->StoreWord(*h.task, 0, h.va, 7);
   h.machine->StoreWord(*h.task, 1, h.va, 8);

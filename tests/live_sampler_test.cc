@@ -80,7 +80,7 @@ SampledRun RunApp(const char* app_name, bool tlb, bool sampled, TimeNs interval_
   }
   Machine machine(mo);
   if (trace_capacity > 0) {
-    machine.observability().EnableTracing(trace_capacity);
+    machine.EnableTracing(trace_capacity);
     EXPECT_TRUE(machine.observability().tracing());
   }
 
@@ -98,7 +98,7 @@ SampledRun RunApp(const char* app_name, bool tlb, bool sampled, TimeNs interval_
     so.interval_ns = interval_ns;
     so.tool = "live_sampler_test";
     sampler = std::make_unique<LiveSampler>(so, &writer);
-    machine.observability().EnableHeat();
+    machine.EnableHeat();
     sampler->SetSource(&Machine::LiveCaptureThunk, &machine);
     LiveRunMeta meta;
     meta.app = app_name;

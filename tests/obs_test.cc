@@ -6,7 +6,8 @@
 // path but through entirely separate plumbing, so agreement means the heat profile
 // attributes every single reference to the right page and memory class. The rest
 // pins the tracer ring semantics, the Chrome-trace exporter's JSON shape and
-// timestamp monotonicity, the hot-page ranking, and the snapshot/diff helpers.
+// timestamp monotonicity, the hot-page ranking, the snapshot/diff helpers, and the
+// two-state attach contract (a machine attaches the layer only to enable a recorder).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <iterator>
 #include <map>
 #include <sstream>
+#include <string>
 #include <type_traits>
 
 #include "src/apps/app.h"
@@ -22,6 +24,7 @@
 #include "src/obs/export.h"
 #include "src/obs/json_lite.h"
 #include "src/obs/snapshot.h"
+#include "src/threads/watchdog.h"
 
 namespace ace {
 namespace {
@@ -30,8 +33,8 @@ void RunAppWithHeatAndCrossCheck(const char* app_name) {
   Machine::Options mo;
   mo.config.num_processors = 4;
   Machine machine(mo);
-  Observability& obs = machine.observability();
-  obs.EnableHeat();
+  machine.EnableHeat();
+  const Observability& obs = machine.observability();
 
   AppConfig ac;
   ac.num_threads = 4;
@@ -96,10 +99,10 @@ TEST(ObsExport, ChromeTraceParsesWithMonotonePerProcessorTimestamps) {
   mo.config.global_pages = 8;
   mo.config.local_pages_per_proc = 4;
   Machine machine(mo);
-  Observability& obs = machine.observability();
-  obs.EnableTracing(256);
+  machine.EnableTracing(256);
+  machine.EnableHeat();
+  const Observability& obs = machine.observability();
   ASSERT_TRUE(obs.tracing());
-  obs.EnableHeat();
 
   Task* task = machine.CreateTask("trace");
   VirtAddr va = task->MapAnonymous("data", 4 * machine.page_size());
@@ -208,6 +211,37 @@ TEST(ObsFacade, TracingRespectsCompileTimeToggle) {
   obs.OnRef(3, 1, MemoryClass::kRemote, AccessKind::kStore);
   EXPECT_EQ(obs.heat().page(3).store_remote, 1u);
   EXPECT_EQ(obs.heat().TotalRefs(), 1u);
+}
+
+// The layer has two states. A machine that never enables a recorder runs unattached
+// to the end: its NUMA manager holds no observer, no ring is configured, no heat
+// profile exists, and the kill report says how to get an event history. Enabling one
+// recorder attaches the layer and leaves the other recorder off.
+TEST(ObsFacade, MachineAttachesOnlyWhenARecorderIsEnabled) {
+  Machine::Options mo;
+  mo.config.num_processors = 2;
+  AppConfig ac;
+  ac.num_threads = 2;
+  ac.scale = 0.25;
+
+  Machine plain(mo);
+  ASSERT_TRUE(CreateAppByName("ParMult")->Run(plain, ac).ok);
+  EXPECT_EQ(plain.numa_manager().observability(), nullptr);
+  EXPECT_FALSE(plain.observability().active());
+  EXPECT_FALSE(plain.observability().tracer().configured());
+  EXPECT_FALSE(plain.observability().heat_on());
+  EXPECT_NE(BuildKillReport(plain, "killed").find("(enable event tracing"),
+            std::string::npos);
+
+  Machine heat_only(mo);
+  heat_only.EnableHeat();
+  ASSERT_TRUE(CreateAppByName("ParMult")->Run(heat_only, ac).ok);
+  const Observability& obs = heat_only.observability();
+  EXPECT_NE(heat_only.numa_manager().observability(), nullptr);
+  EXPECT_FALSE(obs.tracing());
+  EXPECT_FALSE(obs.tracer().configured());
+  EXPECT_EQ(obs.tracer().total_emitted(), 0u);
+  EXPECT_EQ(obs.heat().TotalRefs(), heat_only.stats().TotalRefs().Total());
 }
 
 }  // namespace

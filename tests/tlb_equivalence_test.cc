@@ -226,7 +226,7 @@ ObservedStream ObserveRun(const std::string& app_name, bool tlb, const char* pla
     mo.fault_seed = 1;
   }
   Machine machine(mo);
-  machine.observability().EnableHeat();
+  machine.EnableHeat();
   RefTracer tracer(&machine);
 
   std::unique_ptr<App> app = CreateAppByName(app_name);

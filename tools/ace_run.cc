@@ -364,10 +364,9 @@ int main(int argc, char** argv) {
 
   const bool want_obs = !trace_out.empty() || !heat_csv.empty() || !report_list.empty();
   if (want_obs) {
-    ace::Observability& obs = machine.observability();
-    obs.EnableHeat();
+    machine.EnableHeat();
     if (!trace_out.empty()) {
-      obs.EnableTracing(trace_buffer);
+      machine.EnableTracing(trace_buffer);
     }
   }
 
@@ -394,7 +393,7 @@ int main(int argc, char** argv) {
     so.hot_pages = static_cast<std::size_t>(top_n);
     so.tool = "ace_run";
     sampler = std::make_unique<ace::LiveSampler>(so, &live_writer);
-    machine.observability().EnableHeat();
+    machine.EnableHeat();
     sampler->SetSource(&ace::Machine::LiveCaptureThunk, &machine);
     ace::LiveRunMeta meta;
     meta.app = app_name;
@@ -498,7 +497,7 @@ int main(int argc, char** argv) {
   }
 
   if (want_obs) {
-    ace::Observability& obs = machine.observability();
+    const ace::Observability& obs = machine.observability();
     const ace::HeatProfile& heat = obs.heat();
 
     // Cross-check: the heat profile records references at the same point as
@@ -521,7 +520,7 @@ int main(int argc, char** argv) {
     }
 
     ace::ExportContext ctx;
-    ctx.tracer = obs.tracing() || obs.tracer().total_emitted() > 0 ? &obs.tracer() : nullptr;
+    ctx.tracer = obs.tracing() ? &obs.tracer() : nullptr;
     ctx.policy = policy_name.c_str();
     ctx.app = app_name.c_str();
 

@@ -321,7 +321,7 @@ std::string RunInProcess(const RunSpec& spec) {
     so.interval_ns = g_sample_interval_ns;
     so.tool = "ace_soak";
     sampler = std::make_unique<ace::LiveSampler>(so, &live_writer);
-    machine.observability().EnableHeat();
+    machine.EnableHeat();
     sampler->SetSource(&ace::Machine::LiveCaptureThunk, &machine);
     ace::LiveRunMeta meta;
     meta.app = spec.app;
