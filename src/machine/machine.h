@@ -242,8 +242,9 @@ class Machine {
   // bitmask).
   ReplicaManager* replica_manager() { return replica_.get(); }
   RecoveryManager* recovery() { return recovery_.get(); }
-  std::uint64_t fault_seed() const { return options_.fault_seed; }
-  const PolicySpec& policy_spec() const { return options_.policy; }
+  // The options the machine was built with (the ACE_TLB and ACE_TLB_VERIFY overrides
+  // are not applied here: tlb_enabled() reports the switch in force).
+  const Options& options() const { return options_; }
 
   // Typed policy accessors (nullptr if the machine runs a different policy).
   MoveLimitPolicy* move_limit_policy();

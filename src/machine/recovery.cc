@@ -65,7 +65,7 @@ void RecoveryManager::OnCorruptPage(const ChaosEvent& event, ProcId proc) {
       }
     }
   }
-  const std::uint64_t seed = CorruptionSeed(machine_->fault_seed(), event);
+  const std::uint64_t seed = CorruptionSeed(machine_->options().fault_seed, event);
   machine_->numa_manager().CorruptAndScrubNode(node, seed, event.permille, actor);
 }
 

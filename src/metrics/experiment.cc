@@ -8,7 +8,7 @@
 namespace ace {
 
 MachineConfig EffectiveConfig(const ExperimentOptions& options) {
-  MachineConfig config = options.config;
+  MachineConfig config = options.machine.config;
   if (options.gl_ratio > 0.0) {
     config.latency.global_fetch_ns =
         static_cast<TimeNs>(config.latency.local_fetch_ns * options.gl_ratio);
@@ -18,70 +18,45 @@ MachineConfig EffectiveConfig(const ExperimentOptions& options) {
   return config;
 }
 
-PlacementRun RunPlacement(App& app, const ExperimentOptions& options, PolicySpec policy,
-                          int num_processors, int num_threads) {
-  Machine::Options mo;
-  mo.config = EffectiveConfig(options);
-  mo.config.num_processors = num_processors;
-  mo.policy = policy;
-  mo.fault_plan = options.fault_plan;
-  mo.fault_seed = options.fault_seed;
-  mo.enable_tlb = options.enable_tlb;
-  Machine machine(mo);
-  if (options.watchdog.enabled()) {
-    machine.EnableTracing();
-  }
-  std::unique_ptr<RefTracer> tracer;
-  if (options.estimate_optimal) {
-    tracer = std::make_unique<RefTracer>(&machine);
-    tracer->EnableEpochTracking();
-  }
-
-  AppConfig cfg;
-  cfg.num_threads = num_threads;
-  cfg.scale = options.scale;
-  cfg.variant = options.variant;
-  cfg.runtime.scheduler = options.scheduler;
-  cfg.runtime.watchdog = options.watchdog;
-  cfg.serving = options.serving;
-
-  if (options.sampler != nullptr) {
-    // One feed segment per placement run. Heat profiling feeds the sampler's
-    // hot-page and policy-decision columns; it changes no counter, clock, or app
-    // result (the obs equivalence tests prove it).
+PlacementRun RunOnMachine(App& app, Machine& machine, const ExperimentOptions& options) {
+  LiveSampler* sampler = options.app.runtime.sampler;
+  if (sampler != nullptr) {
+    // One feed segment per run. Heat profiling feeds the sampler's hot-page and
+    // policy-decision columns; it changes no counter, clock, or app result (the obs
+    // equivalence tests prove it).
     machine.EnableHeat();
-    options.sampler->SetSource(&Machine::LiveCaptureThunk, &machine);
+    sampler->SetSource(&Machine::LiveCaptureThunk, &machine);
+    const Machine::Options& mo = machine.options();
     LiveRunMeta meta;
     meta.app = app.name();
-    meta.policy = policy.Name();
-    meta.procs = num_processors;
-    meta.threads = num_threads;
+    meta.policy = mo.policy.Name();
+    meta.procs = mo.config.num_processors;
+    meta.threads = options.app.num_threads;
     meta.pages = mo.config.global_pages;
     meta.page_size = mo.config.page_size;
-    meta.seed = options.fault_seed;
-    meta.fault_plan = options.fault_plan.Format();
+    meta.seed = mo.fault_seed;
+    meta.fault_plan = mo.fault_plan.Format();
     meta.tlb = machine.tlb_enabled();
     meta.tag = options.live_tag;
-    options.sampler->BeginRun(std::move(meta));
-    cfg.runtime.sampler = options.sampler;
+    sampler->BeginRun(std::move(meta));
   }
 
   PlacementRun run;
   try {
-    run.app = app.Run(machine, cfg);
+    run.app = app.Run(machine, options.app);
   } catch (const RunKilledError& e) {
-    if (options.sampler != nullptr) {
-      options.sampler->EndRun(e.reason());  // "watchdog-deadline" | "watchdog-livelock"
+    if (sampler != nullptr) {
+      sampler->EndRun(e.reason());  // "watchdog-deadline" | "watchdog-livelock"
     }
     throw;
   } catch (...) {
-    if (options.sampler != nullptr) {
-      options.sampler->EndRun("exception");
+    if (sampler != nullptr) {
+      sampler->EndRun("exception");
     }
     throw;
   }
-  if (options.sampler != nullptr) {
-    options.sampler->EndRun(run.app.ok ? "ok" : "failed");
+  if (sampler != nullptr) {
+    sampler->EndRun(run.app.ok ? "ok" : "failed");
   }
   run.user_sec = static_cast<double>(machine.clocks().TotalUser()) * 1e-9;
   run.system_sec = static_cast<double>(machine.clocks().TotalSystem()) * 1e-9;
@@ -92,6 +67,22 @@ PlacementRun RunPlacement(App& app, const ExperimentOptions& options, PolicySpec
   if (const ReconsiderPolicy* reconsider = machine.reconsider_policy()) {
     run.unpin_events = reconsider->unpin_events();
   }
+  return run;
+}
+
+PlacementRun RunPlacement(App& app, const ExperimentOptions& options) {
+  Machine::Options mo = options.machine;
+  mo.config = EffectiveConfig(options);
+  Machine machine(mo);
+  if (options.app.runtime.watchdog.enabled()) {
+    machine.EnableTracing();
+  }
+  std::unique_ptr<RefTracer> tracer;
+  if (options.estimate_optimal) {
+    tracer = std::make_unique<RefTracer>(&machine);
+    tracer->EnableEpochTracking();
+  }
+  PlacementRun run = RunOnMachine(app, machine, options);
   if (tracer != nullptr) {
     run.optimal = tracer->EstimateOptimal();
   }
@@ -107,17 +98,19 @@ ExperimentResult RunExperiment(const std::string& app_name, const ExperimentOpti
   result.gl_ratio = app->ModelGL(EffectiveConfig(options).latency);
 
   // Tnuma: the automatic policy (the only run traced for the optimal estimate).
-  result.numa = RunPlacement(*app, options, options.policy, options.config.num_processors,
-                             options.num_threads);
-  ExperimentOptions untraced = options;
-  untraced.estimate_optimal = false;
+  result.numa = RunPlacement(*app, options);
   // Tglobal: all data pages in global memory.
-  result.global = RunPlacement(*app, untraced, PolicySpec::AllGlobal(),
-                               options.config.num_processors, options.num_threads);
+  ExperimentOptions global = options;
+  global.estimate_optimal = false;
+  global.machine.policy = PolicySpec::AllGlobal();
+  result.global = RunPlacement(*app, global);
   // Tlocal: one thread on a one-processor machine; with a single processor the
   // automatic policy never moves a page, so all data stays local.
-  result.local = RunPlacement(*app, untraced, PolicySpec::MoveLimit(options.policy.move_threshold),
-                              /*num_processors=*/1, /*num_threads=*/1);
+  ExperimentOptions local = global;
+  local.machine.policy = PolicySpec::MoveLimit(options.machine.policy.move_threshold);
+  local.machine.config.num_processors = 1;
+  local.app.num_threads = 1;
+  result.local = RunPlacement(*app, local);
 
   result.model = SolveModel(result.numa.user_sec, result.global.user_sec,
                             result.local.user_sec, result.gl_ratio);

@@ -7,7 +7,13 @@
 //   Tlocal  — total user time of a single-threaded run on a single-processor system,
 //             where all data is necessarily local;
 //   Snuma / Sglobal — the corresponding total system times (Table 4).
-// Alpha, beta, gamma are then derived with the analytic model.
+// Alpha, beta, gamma are then derived with the analytic model. The three runs are one
+// program on one machine configuration and differ only in placement.
+//
+// It is also the one run path of the tools: RunOnMachine runs an app on a machine the
+// caller built. The sweep runner and `ace_run --experiment` reach it through
+// RunPlacement; ace_run's single run and ace_soak build their machine from
+// ExperimentOptions::machine, attach their own observers, and call it directly.
 
 #ifndef SRC_METRICS_EXPERIMENT_H_
 #define SRC_METRICS_EXPERIMENT_H_
@@ -22,50 +28,35 @@
 
 namespace ace {
 
-class LiveSampler;
-
+// One placement run's setup, and the numa run's for RunExperiment. Everything a
+// machine or an application takes is set on their own option structs; the fields
+// after them are the experiment's own.
 struct ExperimentOptions {
-  MachineConfig config;         // base machine (processor count = parallel runs)
-  int num_threads = 7;          // worker threads for the numa/global runs
-  double scale = 1.0;           // workload scale
-  int variant = 0;              // app variant
-  // The numa run's policy. The local run keeps move-limit at the same threshold
-  // (on one processor no page ever moves).
-  PolicySpec policy = PolicySpec::MoveLimit(4);
-  SchedulerKind scheduler = SchedulerKind::kAffinity;
+  // The machine: config (its processor count is the parallel runs'), the numa run's
+  // policy, fault plan and seed, pager and software TLB. RunExperiment derives the
+  // global run (all-global policy) and the local run (one processor, move-limit at
+  // the same threshold) from it.
+  Machine::Options machine;
+  // The workload and its runtime: threads, scale, variant, serving knobs, scheduler,
+  // watchdog and live sampler. When `app.runtime.sampler` is set, every placement
+  // run becomes one ace-live-v1 segment (RunOnMachine opens and closes it); the
+  // sampler is not owned. Under RunPlacement a watchdog limit also enables event
+  // tracing, so a kill report can name the ping-ponging page; tracing never changes
+  // virtual time.
+  AppConfig app;
   // When > 0, scale the global-memory latencies to this ratio over the local ones
   // (the section 4.4 G/L sensitivity knob). 0 keeps the machine's default latencies.
   double gl_ratio = 0.0;
-  // Deterministic fault injection for every placement run (empty = disarmed).
-  FaultPlan fault_plan;
-  std::uint64_t fault_seed = 0;
-  // Software-TLB fast path (src/machine/tlb.h). Off-by-default nowhere: both
-  // settings must produce byte-identical metrics; the differential equivalence suite
-  // (tests/tlb_equivalence_test.cc) runs both ways through this knob. The ACE_TLB
-  // environment variable still overrides at Machine construction.
-  bool enable_tlb = true;
-  // Hung-run limits for the runtime (disabled by default). When armed, event tracing
-  // is enabled on the machine so a kill report can name the ping-ponging page and the
-  // last trace events; tracing never changes virtual time, so metrics are unaffected.
-  WatchdogLimits watchdog;
-  // Live telemetry (src/obs/sampler.h). When set, every placement run becomes one
-  // ace-live-v1 segment: RunPlacement binds the machine as the capture source, enables
-  // heat profiling (the sampler's hot-page and decision columns), hooks the sampler
-  // into the runtime's dispatch loop, and closes the segment with the run's outcome.
-  // Not owned. Counters and app results are byte-identical with and without it.
-  LiveSampler* sampler = nullptr;
   // Free-form label echoed as "tag" in each segment's meta (bench cell id, soak seed).
   std::string live_tag;
-  // Serving-workload knobs, forwarded into AppConfig (ignored by the batch apps).
-  ServingOptions serving;
   // Record per-page write epochs during the run and estimate the optimal placement
   // from them (section 3.1's Toptimal; src/trace/optimal.h). RunExperiment traces
   // only its numa run.
   bool estimate_optimal = false;
 };
 
-// The machine config `options` actually runs with: `config` with the G/L latency
-// override applied (identity when gl_ratio is 0).
+// The machine config `options` actually runs with: `machine.config` with the G/L
+// latency override applied (identity when gl_ratio is 0).
 MachineConfig EffectiveConfig(const ExperimentOptions& options);
 
 // One placement run of one application.
@@ -96,9 +87,16 @@ struct ExperimentResult {
   bool AllOk() const { return numa.app.ok && global.app.ok && local.app.ok; }
 };
 
-// Run one application under one policy/machine combination.
-PlacementRun RunPlacement(App& app, const ExperimentOptions& options, PolicySpec policy,
-                          int num_processors, int num_threads);
+// Run `app` once on `machine`, which the caller built from `options.machine` and
+// may have attached observers to. This is the one place a run binds the live
+// sampler: it opens a segment described by the machine's own options (the plan in
+// its canonical FaultPlan::Format() text), closes it with the run's outcome on every
+// exit, exceptions included, and reads back times, stats, TLB counters and unpins.
+PlacementRun RunOnMachine(App& app, Machine& machine, const ExperimentOptions& options);
+
+// Build the machine `options` describe (with the G/L override), arm its watchdog
+// tracing and the optimal-placement tracer, and RunOnMachine.
+PlacementRun RunPlacement(App& app, const ExperimentOptions& options);
 
 // Run the full three-placement experiment for `app_name`.
 ExperimentResult RunExperiment(const std::string& app_name, const ExperimentOptions& options);

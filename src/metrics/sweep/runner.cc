@@ -78,26 +78,27 @@ void AppendCounterGroup(CounterGroup group, const MachineStats& numa,
 ExperimentOptions OptionsForCell(const SweepCell& cell, const MachineConfig& base_config,
                                  const WatchdogLimits& watchdog, LiveSampler* sampler) {
   ExperimentOptions options;
-  options.config = base_config;
-  options.config.num_processors = cell.threads;
+  MachineConfig& config = options.machine.config;
+  config = base_config;
+  config.num_processors = cell.threads;
   if (cell.page_size != base_config.page_size) {
     // Constant total memory: the base config's global and per-processor local bytes.
-    options.config.page_size = cell.page_size;
-    options.config.global_pages = static_cast<std::uint32_t>(
+    config.page_size = cell.page_size;
+    config.global_pages = static_cast<std::uint32_t>(
         std::uint64_t{base_config.global_pages} * base_config.page_size / cell.page_size);
-    options.config.local_pages_per_proc = static_cast<std::uint32_t>(
+    config.local_pages_per_proc = static_cast<std::uint32_t>(
         std::uint64_t{base_config.local_pages_per_proc} * base_config.page_size /
         cell.page_size);
   }
-  options.num_threads = cell.threads;
-  options.scale = cell.scale;
-  options.variant = cell.variant;
-  options.policy = cell.policy;
-  options.scheduler = cell.scheduler;
+  options.machine.policy = cell.policy;
+  options.app.num_threads = cell.threads;
+  options.app.scale = cell.scale;
+  options.app.variant = cell.variant;
+  options.app.runtime.scheduler = cell.scheduler;
+  options.app.runtime.watchdog = watchdog;
+  options.app.runtime.sampler = sampler;
   options.gl_ratio = cell.gl_ratio;
   options.estimate_optimal = cell.mode == CellMode::kOptimal;
-  options.watchdog = watchdog;
-  options.sampler = sampler;
   if (sampler != nullptr) {
     // Every placement run of this cell becomes one feed segment; the tag lets a
     // reader map segments back to matrix coordinates.
@@ -105,14 +106,14 @@ ExperimentOptions OptionsForCell(const SweepCell& cell, const MachineConfig& bas
   }
   if (!cell.fault_plan.empty()) {
     std::string error;
-    ACE_CHECK_MSG(FaultPlan::Parse(cell.fault_plan, &options.fault_plan, &error),
+    ACE_CHECK_MSG(FaultPlan::Parse(cell.fault_plan, &options.machine.fault_plan, &error),
                   "invalid fault plan in sweep cell");
-    options.fault_seed = cell.fault_seed;
+    options.machine.fault_seed = cell.fault_seed;
   }
   if (cell.mode == CellMode::kServing) {
-    options.serving.tenants = cell.tenants;
-    options.serving.zipf_skew = cell.zipf_skew;
-    options.serving.churn_phases = cell.churn;
+    options.app.serving.tenants = cell.tenants;
+    options.app.serving.zipf_skew = cell.zipf_skew;
+    options.app.serving.churn_phases = cell.churn;
   }
   return options;
 }
@@ -129,7 +130,7 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
   if (cell.mode == CellMode::kNumaOnly) {
     std::unique_ptr<App> app = CreateAppByName(cell.app);
     ACE_CHECK_MSG(app != nullptr, "unknown application in sweep cell");
-    PlacementRun run = RunPlacement(*app, options, cell.policy, cell.threads, cell.threads);
+    PlacementRun run = RunPlacement(*app, options);
     result.ok = run.app.ok;
     result.detail = run.app.detail;
     result.metrics.emplace_back("t_numa", run.user_sec);
@@ -146,9 +147,10 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
     // all-global baseline, scored per policy on the app's latency metrics. (No
     // single-threaded Tlocal leg: an open-loop latency distribution on one shard is
     // not comparable to the sharded runs, unlike batch total user time.)
-    PlacementRun numa = RunPlacement(*app, options, cell.policy, cell.threads, cell.threads);
-    PlacementRun global = RunPlacement(*app, options, PolicySpec::AllGlobal(),
-                                       cell.threads, cell.threads);
+    PlacementRun numa = RunPlacement(*app, options);
+    ExperimentOptions all_global = options;
+    all_global.machine.policy = PolicySpec::AllGlobal();
+    PlacementRun global = RunPlacement(*app, all_global);
     result.ok = numa.app.ok && global.app.ok;
     result.detail = numa.app.detail;
     result.metrics.emplace_back("t_numa", numa.user_sec);
@@ -168,7 +170,7 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
     // Chaos accounting, emitted only for cells whose plan carries chaos events so
     // chaos-free cell JSON (and its committed baselines) is byte-identical to
     // before chaos existed.
-    if (!options.fault_plan.chaos.empty()) {
+    if (!options.machine.fault_plan.chaos.empty()) {
       AppendCounterGroup(kChaosCounters, numa.stats, global.stats, result.metrics);
     }
     // Recovery accounting, emitted only when the plan carries a *permanent* failure
@@ -176,7 +178,7 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
     // transient-chaos baselines (serving-chaos) stay byte-identical too. lost_pages
     // in a committed baseline is the no-undetected-loss contract: a nonzero drift
     // means an owned page died without a mirror or journal to restore it from.
-    if (options.fault_plan.has_durable_chaos()) {
+    if (options.machine.fault_plan.has_durable_chaos()) {
       AppendCounterGroup(kDurabilityCounters, numa.stats, global.stats, result.metrics);
     }
     return result;

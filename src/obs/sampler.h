@@ -14,9 +14,9 @@
 // a sampled run byte-identical to an unsampled one, and the watchdog reads the
 // machine's counters directly, so a sampled run trips its livelock budget exactly
 // where an unsampled one does. The layering follows the repo's
-// function-pointer-plus-context idiom (Machine::RefObserver,
-// Observability::StateListener): obs stays independent of the machine layer; the
-// machine implements the capture and hands the sampler a thunk.
+// function-pointer-plus-context idiom (as Machine::RefObserver does): obs stays
+// independent of the machine layer; the machine implements the capture and hands the
+// sampler a thunk.
 
 #ifndef SRC_OBS_SAMPLER_H_
 #define SRC_OBS_SAMPLER_H_

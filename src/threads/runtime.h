@@ -12,7 +12,7 @@
 // processor for its lifetime ("we modified the Mach scheduler to bind each newly
 // created process to a processor"); the kMigrating mode models the original Mach
 // scheduler where "processes mov[ed] between processors far too often", for the
-// affinity ablation bench.
+// `ablations` suite's `/migrating` cells.
 
 #ifndef SRC_THREADS_RUNTIME_H_
 #define SRC_THREADS_RUNTIME_H_

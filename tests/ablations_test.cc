@@ -2,64 +2,70 @@
 // same cells `ace_bench --suite ablations --render` shows and
 // bench/baselines/BENCH_ablations.json gates exactly). The baseline pins every number;
 // these tests pin what the numbers mean, with bounds taken from the measured values
-// (quoted in each test) and never chosen to make a failing cell pass. Each test runs
-// only the suite cells its claim reads, so the tests can run in parallel.
+// (quoted in each test) and never chosen to make a failing cell pass. They read the
+// suite's results from the JSON its regression gate writes (ctest fixture
+// `ablations_render`), so one tier-1 run runs the suite once.
 
 #include <cmath>
-#include <functional>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "src/metrics/sweep/matrix.h"
-#include "src/metrics/sweep/runner.h"
+#include "src/obs/json_lite.h"
 
 namespace ace {
 namespace {
 
 class Cells {
  public:
-  // Runs the ablations suite's cells that `wanted` selects.
-  explicit Cells(const std::function<bool(const SweepCell&)>& wanted) {
-    std::vector<SweepCell> cells;
-    for (const SweepCell& cell : MakeSuite("ablations").cells) {
-      if (wanted(cell)) {
-        cells.push_back(cell);
-      }
+  // Loads the cells of ACE_ABLATIONS_JSON, the `ace-bench-v1` file that ctest
+  // sweep_ablations_regression_gate writes. Doubles there print as %.17g, so every
+  // value reads back exactly as the run produced it.
+  Cells() {
+    std::ifstream in(ACE_ABLATIONS_JSON);
+    if (!in) {
+      ADD_FAILURE() << "cannot read " << ACE_ABLATIONS_JSON
+                    << ": it is written by ctest sweep_ablations_regression_gate (fixture "
+                       "ablations_render), which must run first";
+      return;
     }
-    SweepOptions options;
-    options.workers = 2;
-    for (CellResult& result : RunSweep("ablations", cells, options).cells) {
-      EXPECT_TRUE(result.ok) << result.cell.Key() << ": " << result.detail;
-      std::string key = result.cell.Key();
-      results_.emplace(std::move(key), std::move(result));
+    std::stringstream text;
+    text << in.rdbuf();
+    std::string error;
+    if (!ParseJson(text.str(), &doc_, &error)) {
+      ADD_FAILURE() << ACE_ABLATIONS_JSON << ": " << error;
+      return;
+    }
+    if (const JsonValue* cells = doc_.Find("cells"); cells != nullptr) {
+      for (const JsonValue& cell : cells->items) {
+        cells_.emplace(cell.StringOr("key", ""), &cell);
+      }
     }
   }
 
+  // `metric` of the cell `key`, which must have run ok.
   double operator()(const std::string& key, const char* metric) const {
-    auto it = results_.find(key);
-    if (it == results_.end()) {
+    auto it = cells_.find(key);
+    if (it == cells_.end()) {
       ADD_FAILURE() << "no ablations cell " << key;
       return std::nan("");
     }
-    double value = it->second.MetricOr(metric, std::nan(""));
-    EXPECT_FALSE(std::isnan(value)) << key << " has no metric " << metric;
-    return value;
+    const JsonValue* ok = it->second->Find("ok");
+    EXPECT_TRUE(ok != nullptr && ok->boolean) << key << " did not run ok";
+    const JsonValue* metrics = it->second->Find("metrics");
+    const JsonValue* value = metrics != nullptr ? metrics->Find(metric) : nullptr;
+    double number = value != nullptr && value->is_number() ? value->number : std::nan("");
+    EXPECT_FALSE(std::isnan(number)) << key << " has no metric " << metric;
+    return number;
   }
 
  private:
-  std::map<std::string, CellResult> results_;
+  JsonValue doc_;
+  std::map<std::string, const JsonValue*> cells_;
 };
-
-bool IsApp(const SweepCell& cell, std::initializer_list<const char*> apps) {
-  for (const char* app : apps) {
-    if (cell.app == app) {
-      return true;
-    }
-  }
-  return false;
-}
 
 const char* const kSuiteApps[] = {"IMatMult", "Primes2", "Primes3", "FFT", "PlyTrace"};
 
@@ -70,10 +76,7 @@ std::string NumaKey(const std::string& app, const std::string& axes = "") {
 // Section 4.2: Primes2's alpha(ref) .64 -> .97 with private divisor copies, and
 // page-padded PlyTrace tiles pin 2 pages instead of 17.
 TEST(Ablations, FalseSharingFixesRaiseLocality) {
-  Cells c([](const SweepCell& cell) {
-    return cell.mode == CellMode::kFullExperiment && cell.scale == 1.0 &&
-           IsApp(cell, {"Primes2", "PlyTrace"});
-  });
+  Cells c;
   EXPECT_LT(c("Primes2/t7/s1/mt4/gl0/v1", "measured_alpha"), 0.70);
   EXPECT_GT(c("Primes2/t7/s1/mt4/gl0", "measured_alpha"), 0.95);
   EXPECT_GE(c("PlyTrace/t7/s1/mt4/gl0", "pages_pinned"), 10);
@@ -83,7 +86,7 @@ TEST(Ablations, FalseSharingFixesRaiseLocality) {
 // Sections 4.2 and 5: laying the data out as the advisor classified it from a traced
 // naive run wins 2.19x (0.0837 s -> 0.0383 s) and lifts alpha(ref) from .007 to .979.
 TEST(Ablations, AdvisedLayoutSegregatesAutomatically) {
-  Cells c([](const SweepCell& cell) { return cell.app == "AdvisedLayout"; });
+  Cells c;
   const std::string naive = NumaKey("AdvisedLayout");
   const std::string advised = NumaKey("AdvisedLayout", "/v1");
   EXPECT_GE(c(naive, "t_numa") / c(advised, "t_numa"), 2.0);
@@ -96,7 +99,7 @@ TEST(Ablations, AdvisedLayoutSegregatesAutomatically) {
 // pragma moves nothing (0.025 s), and a mistaken cacheable hint never pins and moves
 // 1425 times (4.36 s).
 TEST(Ablations, NoncacheablePragmaSkipsWarmupMoves) {
-  Cells c([](const SweepCell& cell) { return cell.app == "SharedPragma"; });
+  Cells c;
   auto moves = [&](const std::string& key) {
     return c(key, "page_copies") + c(key, "page_syncs");
   };
@@ -116,11 +119,7 @@ TEST(Ablations, NoncacheablePragmaSkipsWarmupMoves) {
 // Section 4.7: without affinity every app is slower (1.06-1.41x) and its locality
 // collapses (alpha(ref) .00-.05, against .94-1.00 with affinity).
 TEST(Ablations, MigratingSchedulerCollapsesLocality) {
-  Cells c([](const SweepCell& cell) {
-    return cell.mode == CellMode::kNumaOnly &&
-           cell.policy.kind == PolicySpec::Kind::kMoveLimit &&
-           IsApp(cell, {"Primes1", "Primes2", "IMatMult", "PlyTrace"});
-  });
+  Cells c;
   for (const char* app : {"Primes1", "Primes2", "IMatMult", "PlyTrace"}) {
     SCOPED_TRACE(app);
     EXPECT_GE(c(NumaKey(app, "/migrating"), "t_numa") / c(NumaKey(app), "t_numa"), 1.05);
@@ -132,12 +131,7 @@ TEST(Ablations, MigratingSchedulerCollapsesLocality) {
 // Section 4.3: reconsidering pins wins 1.44x on the phase-change workload, unpinning
 // each of its 14 setup pages, and changes the suite's Tnuma by at most 0.03%.
 TEST(Ablations, ReconsiderPaysOnlyForPhaseChange) {
-  Cells c([](const SweepCell& cell) {
-    return cell.mode == CellMode::kNumaOnly && cell.scheduler == SchedulerKind::kAffinity &&
-           (cell.policy.kind == PolicySpec::Kind::kMoveLimit ||
-            cell.policy.kind == PolicySpec::Kind::kReconsider) &&
-           IsApp(cell, {"PhaseChange", "IMatMult", "Primes2", "Primes3", "FFT", "PlyTrace"});
-  });
+  Cells c;
   const std::string reconsider = "/reconsider20ms";
   EXPECT_GE(c(NumaKey("PhaseChange"), "t_numa") /
                 c(NumaKey("PhaseChange", reconsider), "t_numa"),
@@ -154,11 +148,7 @@ TEST(Ablations, ReconsiderPaysOnlyForPhaseChange) {
 // come from the home and wins from 60% up; on the suite it is never faster
 // (1.00-1.12x the move-limit Tnuma).
 TEST(Ablations, RemoteHomingPaysOnlyForLopsidedPages) {
-  Cells c([](const SweepCell& cell) {
-    return cell.mode == CellMode::kNumaOnly && cell.scheduler == SchedulerKind::kAffinity &&
-           cell.policy.kind != PolicySpec::Kind::kReconsider &&
-           IsApp(cell, {"RemoteMix", "IMatMult", "Primes2", "Primes3", "FFT", "PlyTrace"});
-  });
+  Cells c;
   for (int heavy : {10, 25, 40, 50, 60, 70, 80, 90, 99}) {
     SCOPED_TRACE(heavy);
     std::string v = "/v" + std::to_string(heavy);
@@ -182,7 +172,7 @@ TEST(Ablations, RemoteHomingPaysOnlyForLopsidedPages) {
 // system calls (6 private pages pinned: every worker's but the master's own); the
 // ad hoc fix restores 1.000 with no pins.
 TEST(Ablations, UnixMasterReferencesPinPrivatePages) {
-  Cells c([](const SweepCell& cell) { return cell.app == "UnixMaster"; });
+  Cells c;
   for (const char* variant : {"/v2", "/v5", "/v10"}) {
     SCOPED_TRACE(variant);
     EXPECT_NEAR(c(NumaKey("UnixMaster", variant), "measured_alpha"), 0.147, 0.005);
@@ -198,7 +188,7 @@ TEST(Ablations, UnixMasterReferencesPinPrivatePages) {
 // Section 4.7: bouncing the job without its pages pins all 24 of them; moving the
 // pages with it keeps every reference local and pins nothing.
 TEST(Ablations, LoadBalancingMustMovePages) {
-  Cells c([](const SweepCell& cell) { return cell.app == "LoadBalance"; });
+  Cells c;
   const std::string base = "LoadBalance/t2/s1/mt4/gl0";
   EXPECT_EQ(c(base + "/v1/numa-only", "pages_pinned"), 24);
   EXPECT_LT(c(base + "/v1/numa-only", "measured_alpha"), 0.5);
@@ -212,7 +202,7 @@ TEST(Ablations, LoadBalancingMustMovePages) {
 // Page size: PlyTrace's gamma never decreases with the page (1.003 at 512 bytes to
 // 1.075 at 16 KB), while Primes1, with no false sharing, stays at 1.000.
 TEST(Ablations, FalseSharingGrowsWithPageSize) {
-  Cells c([](const SweepCell& cell) { return cell.scale == 0.5; });
+  Cells c;
   double previous = 0.0;
   for (const char* ps : {"/ps512", "/ps1024", "/ps2048", "", "/ps8192", "/ps16384"}) {
     SCOPED_TRACE(ps);
@@ -228,7 +218,7 @@ TEST(Ablations, FalseSharingGrowsWithPageSize) {
 // Section 3.1: by user time alone, the paper's measure, the simple policy is within
 // the estimate's precision of Toptimal (printed 0.99-1.00) on the six real apps.
 TEST(Ablations, UserTimeMatchesToptimal) {
-  Cells c([](const SweepCell& cell) { return cell.mode == CellMode::kOptimal; });
+  Cells c;
   for (const char* app : {"IMatMult", "Primes1", "Primes2", "Primes3", "FFT", "PlyTrace"}) {
     SCOPED_TRACE(app);
     EXPECT_LT(c(std::string(app) + "/t7/s1/mt4/gl0/optimal", "opt_user_ratio"), 1.005);

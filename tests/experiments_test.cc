@@ -11,9 +11,9 @@ namespace {
 
 ExperimentOptions SmallExperiment() {
   ExperimentOptions options;
-  options.num_threads = 5;
-  options.config.num_processors = 5;
-  options.scale = 0.3;
+  options.machine.config.num_processors = 5;
+  options.app.num_threads = 5;
+  options.app.scale = 0.3;
   return options;
 }
 
@@ -68,9 +68,9 @@ TEST(Reproduction, Primes3SharingIsIrreducible) {
 TEST(Reproduction, FalseSharingFixRaisesAlpha) {
   // Section 4.2: privatizing primes2's divisor vector raised alpha 0.66 -> 1.00.
   ExperimentOptions options = SmallExperiment();
-  options.variant = 1;  // shared divisors
+  options.app.variant = 1;  // shared divisors
   ExperimentResult shared = RunExperiment("Primes2", options);
-  options.variant = 0;  // private copies
+  options.app.variant = 0;  // private copies
   ExperimentResult fixed = RunExperiment("Primes2", options);
   ASSERT_TRUE(shared.AllOk() && fixed.AllOk());
   EXPECT_GT(fixed.model.alpha, shared.model.alpha + 0.2);
@@ -81,10 +81,10 @@ TEST(Reproduction, PaddingRemovesPlyTracePins) {
   // Section 4.2: page-sized padding separates falsely shared objects.
   ExperimentOptions options = SmallExperiment();
   std::unique_ptr<App> app = CreateAppByName("PlyTrace");
-  options.variant = 0;
-  PlacementRun packed = RunPlacement(*app, options, PolicySpec::MoveLimit(4), 5, 5);
-  options.variant = 1;
-  PlacementRun padded = RunPlacement(*app, options, PolicySpec::MoveLimit(4), 5, 5);
+  options.app.variant = 0;
+  PlacementRun packed = RunPlacement(*app, options);
+  options.app.variant = 1;
+  PlacementRun padded = RunPlacement(*app, options);
   ASSERT_TRUE(packed.app.ok && padded.app.ok);
   EXPECT_LT(padded.pages_pinned, packed.pages_pinned);
   EXPECT_GE(padded.measured_alpha, packed.measured_alpha);
@@ -110,8 +110,10 @@ TEST(Reproduction, MoveLimitBeatsNeverPinOnSharingHeavyApp) {
   // Section 2.3.2 rationale: without the pin threshold, writably-shared pages thrash.
   ExperimentOptions options = SmallExperiment();
   std::unique_ptr<App> app = CreateAppByName("Primes3");
-  PlacementRun limited = RunPlacement(*app, options, PolicySpec::MoveLimit(4), 5, 5);
-  PlacementRun never_pin = RunPlacement(*app, options, PolicySpec::MoveLimit(1 << 30), 5, 5);
+  options.machine.policy = PolicySpec::MoveLimit(4);
+  PlacementRun limited = RunPlacement(*app, options);
+  options.machine.policy = PolicySpec::MoveLimit(1 << 30);
+  PlacementRun never_pin = RunPlacement(*app, options);
   ASSERT_TRUE(limited.app.ok && never_pin.app.ok);
   EXPECT_LT(limited.user_sec * 2, never_pin.user_sec);
 }
@@ -120,10 +122,10 @@ TEST(Reproduction, AffinityMattersOnNuma) {
   // Section 4.7: the migrating scheduler destroys locality.
   ExperimentOptions options = SmallExperiment();
   std::unique_ptr<App> app = CreateAppByName("Primes2");
-  options.scheduler = SchedulerKind::kAffinity;
-  PlacementRun affinity = RunPlacement(*app, options, PolicySpec::MoveLimit(4), 5, 5);
-  options.scheduler = SchedulerKind::kMigrating;
-  PlacementRun migrating = RunPlacement(*app, options, PolicySpec::MoveLimit(4), 5, 5);
+  options.app.runtime.scheduler = SchedulerKind::kAffinity;
+  PlacementRun affinity = RunPlacement(*app, options);
+  options.app.runtime.scheduler = SchedulerKind::kMigrating;
+  PlacementRun migrating = RunPlacement(*app, options);
   ASSERT_TRUE(affinity.app.ok && migrating.app.ok);
   EXPECT_GT(affinity.measured_alpha, migrating.measured_alpha + 0.3);
   EXPECT_LT(affinity.user_sec, migrating.user_sec);

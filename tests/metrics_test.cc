@@ -64,9 +64,9 @@ TEST(Model, DegenerateZeroLocalTime) {
 
 TEST(Experiment, RunsThreePlacementsAndDerivesModel) {
   ExperimentOptions options;
-  options.num_threads = 3;
-  options.config.num_processors = 3;
-  options.scale = 0.2;
+  options.machine.config.num_processors = 3;
+  options.app.num_threads = 3;
+  options.app.scale = 0.2;
   ExperimentResult r = RunExperiment("Primes2", options);
   EXPECT_TRUE(r.AllOk());
   // Structure: Tglobal >= Tnuma >= ~Tlocal for a well-placed app.
@@ -80,9 +80,9 @@ TEST(Experiment, RunsThreePlacementsAndDerivesModel) {
 
 TEST(Experiment, LocalRunUsesOneProcessor) {
   ExperimentOptions options;
-  options.num_threads = 3;
-  options.config.num_processors = 3;
-  options.scale = 0.1;
+  options.machine.config.num_processors = 3;
+  options.app.num_threads = 3;
+  options.app.scale = 0.1;
   ExperimentResult r = RunExperiment("ParMult", options);
   EXPECT_TRUE(r.local.app.ok);
   // All of Tlocal's references must have been local.

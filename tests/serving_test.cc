@@ -291,16 +291,16 @@ TEST(ServingSweep, TlbOnOffLatenciesAreByteIdentical) {
   std::unique_ptr<App> app = CreateAppByName("Serving");
   ASSERT_NE(app, nullptr);
   ExperimentOptions options;
-  options.num_threads = 4;
-  options.config.num_processors = 4;
-  options.scale = 0.25;
-  options.serving.tenants = 4;
-  options.serving.zipf_skew = 1.1;
+  options.machine.config.num_processors = 4;
+  options.app.num_threads = 4;
+  options.app.scale = 0.25;
+  options.app.serving.tenants = 4;
+  options.app.serving.zipf_skew = 1.1;
 
-  options.enable_tlb = true;
-  PlacementRun on = RunPlacement(*app, options, PolicySpec::MoveLimit(4), 4, 4);
-  options.enable_tlb = false;
-  PlacementRun off = RunPlacement(*app, options, PolicySpec::MoveLimit(4), 4, 4);
+  options.machine.enable_tlb = true;
+  PlacementRun on = RunPlacement(*app, options);
+  options.machine.enable_tlb = false;
+  PlacementRun off = RunPlacement(*app, options);
 
   EXPECT_TRUE(on.app.ok);
   EXPECT_TRUE(off.app.ok);

@@ -52,9 +52,9 @@ std::vector<NamedPolicy> Policies() {
 
 ExperimentOptions SmallOptions() {
   ExperimentOptions options;
-  options.num_threads = 4;
-  options.config.num_processors = 4;
-  options.scale = 0.25;
+  options.machine.config.num_processors = 4;
+  options.app.num_threads = 4;
+  options.app.scale = 0.25;
   return options;
 }
 
@@ -80,12 +80,11 @@ void RunDifferential(const std::string& app_name, const NamedPolicy& policy,
   std::unique_ptr<App> app_off = CreateAppByName(app_name);
   ASSERT_NE(app_on, nullptr);
 
-  options.enable_tlb = true;
-  PlacementRun on = RunPlacement(*app_on, options, policy.spec,
-                                 options.config.num_processors, options.num_threads);
-  options.enable_tlb = false;
-  PlacementRun off = RunPlacement(*app_off, options, policy.spec,
-                                  options.config.num_processors, options.num_threads);
+  options.machine.policy = policy.spec;
+  options.machine.enable_tlb = true;
+  PlacementRun on = RunPlacement(*app_on, options);
+  options.machine.enable_tlb = false;
+  PlacementRun off = RunPlacement(*app_off, options);
 
   std::string label = app_name + "/" + policy.name;
   EXPECT_TRUE(on.app.ok) << label;
@@ -96,7 +95,7 @@ void RunDifferential(const std::string& app_name, const NamedPolicy& policy,
     EXPECT_GT(on.tlb.hits, 0u) << label << ": fast path never engaged";
   }
   EXPECT_EQ(off.tlb.hits, 0u) << label << ": TLB-off run used the TLB";
-  EXPECT_EQ(on.stats.chaos_events > 0, !options.fault_plan.chaos.empty())
+  EXPECT_EQ(on.stats.chaos_events > 0, !options.machine.fault_plan.chaos.empty())
       << label << ": a chaos plan must apply transitions, a chaos-free one none";
   ExpectRunsIdentical(on, off, label);
 }
@@ -129,9 +128,9 @@ INSTANTIATE_TEST_SUITE_P(AllApps, TlbEquivalence, ::testing::ValuesIn(AllAppName
 TEST(TlbEquivalenceModel, DerivedModelParametersIdentical) {
   for (const char* app : {"IMatMult", "Primes3"}) {
     ExperimentOptions options = SmallOptions();
-    options.enable_tlb = true;
+    options.machine.enable_tlb = true;
     ExperimentResult on = RunExperiment(app, options);
-    options.enable_tlb = false;
+    options.machine.enable_tlb = false;
     ExperimentResult off = RunExperiment(app, options);
 
     EXPECT_EQ(on.model.alpha_defined, off.model.alpha_defined) << app;
@@ -154,8 +153,8 @@ TEST(TlbEquivalenceModel, DerivedModelParametersIdentical) {
 void RunChaosDifferential(const char* plan) {
   ExperimentOptions options = SmallOptions();
   std::string error;
-  ASSERT_TRUE(FaultPlan::Parse(plan, &options.fault_plan, &error)) << error;
-  options.fault_seed = 1;
+  ASSERT_TRUE(FaultPlan::Parse(plan, &options.machine.fault_plan, &error)) << error;
+  options.machine.fault_seed = 1;
   RunDifferential("Serving", {plan, PolicySpec::MoveLimit(1)}, options);
 }
 
@@ -187,12 +186,12 @@ TEST(TlbCounters, StreamingAppsArePinnedUnderMoveLimit) {
       {"IMatMult", 12730, 12691, 39, 72},
       {"Primes2", 106713, 106661, 52, 96},
   };
-  const ExperimentOptions options = SmallOptions();
+  ExperimentOptions options = SmallOptions();
+  options.machine.policy = PolicySpec::MoveLimit(4);
   for (const Pin& pin : pins) {
     std::unique_ptr<App> app = CreateAppByName(pin.app);
     ASSERT_NE(app, nullptr) << pin.app;
-    const PlacementRun run = RunPlacement(*app, options, PolicySpec::MoveLimit(4),
-                                          options.config.num_processors, options.num_threads);
+    const PlacementRun run = RunPlacement(*app, options);
     EXPECT_TRUE(run.app.ok) << pin.app << ": " << run.app.detail;
     EXPECT_EQ(run.stats.TotalRefs().Total(), pin.refs) << pin.app;
     EXPECT_EQ(run.tlb.hits, pin.hits) << pin.app;

@@ -70,6 +70,8 @@ void Usage() {
       "                         stays byte-comparable across --no-tlb\n"
       "  --optimal              print the optimal-placement comparison\n"
       "  --experiment           run all three placements and print the model row\n"
+      "                         (--plan, --seed and --pager apply to each; the\n"
+      "                         single-run reports above and below do not)\n"
       "observability (src/obs; all options also accept --opt=value):\n"
       "  --trace-out FILE       write a Chrome trace-event JSON (Perfetto-loadable)\n"
       "  --heat-csv FILE        write the per-page heat table as CSV\n"
@@ -272,6 +274,13 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (experiment && (trace || optimal || tlb_stats || !trace_out.empty() ||
+                     !heat_csv.empty() || !report_list.empty())) {
+    std::fprintf(stderr, "--trace, --optimal, --tlb-stats, --trace-out, --heat-csv and "
+                         "--report apply to a single run, not to --experiment\n");
+    return 2;
+  }
+
   std::unique_ptr<ace::App> app = ace::CreateAppByName(app_name);
   if (app == nullptr) {
     std::fprintf(stderr, "unknown application '%s' (try --list)\n", app_name.c_str());
@@ -296,91 +305,31 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // One setup for the single run and for each of --experiment's three.
   ace::ExperimentOptions options;
-  options.num_threads = threads;
-  options.scale = scale;
-  options.variant = variant;
-  options.policy = *policy;
-  options.config.num_processors = threads;
-  options.config.page_size = page_size;
-  options.config.global_pages = global_pages;
-  options.scheduler =
-      scheduler == "migrating" ? ace::SchedulerKind::kMigrating : ace::SchedulerKind::kAffinity;
-  options.serving = serving;
-
-  options.enable_tlb = !no_tlb;
-
-  if (experiment) {
-    // With --live-out the three placement runs become three feed segments, all
-    // through one writer (RunPlacement opens/closes each segment).
-    ace::LiveStreamWriter live_writer;
-    std::unique_ptr<ace::LiveSampler> sampler;
-    if (!live_out.empty()) {
-      if (!live_writer.Open(live_out, /*append=*/false)) {
-        std::fprintf(stderr, "cannot open %s for live output\n", live_out.c_str());
-        return 1;
-      }
-      ace::LiveSampler::Options so;
-      so.interval_ns = sample_interval;
-      so.hot_pages = static_cast<std::size_t>(top_n);
-      so.tool = "ace_run";
-      sampler = std::make_unique<ace::LiveSampler>(so, &live_writer);
-      options.sampler = sampler.get();
-    }
-    ace::ExperimentResult r = ace::RunExperiment(app_name, options);
-    ace::TextTable table({"Application", "Tglobal", "Tnuma", "Tlocal", "alpha", "beta",
-                          "gamma", "alpha(ref)", "verified"});
-    table.AddRow({app_name, ace::Fmt("%.3f", r.global.user_sec),
-                  ace::Fmt("%.3f", r.numa.user_sec), ace::Fmt("%.3f", r.local.user_sec),
-                  r.model.alpha_defined ? ace::Fmt("%.2f", r.model.alpha) : "na",
-                  ace::Fmt("%.2f", r.model.beta), ace::Fmt("%.2f", r.model.gamma),
-                  ace::Fmt("%.2f", r.numa.measured_alpha), r.AllOk() ? "ok" : "FAILED"});
-    table.Print();
-    if (sampler != nullptr) {
-      live_writer.Close();
-      if (!live_writer.ok()) {
-        std::fprintf(stderr, "error writing live feed %s\n", live_out.c_str());
-        return 1;
-      }
-      std::printf("live feed:      %s (3 segments)\n", live_out.c_str());
-    }
-    return r.AllOk() ? 0 : 1;
-  }
-
-  ace::Machine::Options mo;
-  mo.config = options.config;
-  mo.policy = *policy;
-  mo.enable_pager = pager;
-  mo.enable_tlb = !no_tlb;
-  mo.fault_seed = seed;
+  options.machine.config.num_processors = threads;
+  options.machine.config.page_size = page_size;
+  options.machine.config.global_pages = global_pages;
+  options.machine.policy = *policy;
+  options.machine.enable_pager = pager;
+  options.machine.enable_tlb = !no_tlb;
+  options.machine.fault_seed = seed;
   if (!plan_text.empty()) {
     std::string error;
-    if (!ace::FaultPlan::Parse(plan_text, &mo.fault_plan, &error)) {
+    if (!ace::FaultPlan::Parse(plan_text, &options.machine.fault_plan, &error)) {
       std::fprintf(stderr, "bad --plan: %s\n", error.c_str());
       return 2;
     }
   }
-  ace::Machine machine(mo);
+  options.app.num_threads = threads;
+  options.app.scale = scale;
+  options.app.variant = variant;
+  options.app.serving = serving;
+  options.app.runtime.scheduler =
+      scheduler == "migrating" ? ace::SchedulerKind::kMigrating : ace::SchedulerKind::kAffinity;
+  options.live_tag = serving_desc;
 
-  const bool want_obs = !trace_out.empty() || !heat_csv.empty() || !report_list.empty();
-  if (want_obs) {
-    machine.EnableHeat();
-    if (!trace_out.empty()) {
-      machine.EnableTracing(trace_buffer);
-    }
-  }
-
-  std::unique_ptr<ace::RefTracer> tracer;
-  if (trace || optimal) {
-    tracer = std::make_unique<ace::RefTracer>(&machine);
-    if (optimal) {
-      tracer->EnableEpochTracking();
-    }
-  }
-
-  // Live telemetry: stream an ace-live-v1 segment while the app runs. Heat profiling
-  // feeds the hot-page and decision columns; counters and results stay byte-identical
-  // to an unsampled run (tests/live_sampler_test.cc).
+  // Live telemetry: every run streams one ace-live-v1 segment through this writer.
   ace::LiveStreamWriter live_writer;
   std::unique_ptr<ace::LiveSampler> sampler;
   if (!live_out.empty()) {
@@ -393,35 +342,54 @@ int main(int argc, char** argv) {
     so.hot_pages = static_cast<std::size_t>(top_n);
     so.tool = "ace_run";
     sampler = std::make_unique<ace::LiveSampler>(so, &live_writer);
+    options.app.runtime.sampler = sampler.get();
+  }
+  auto close_feed = [&]() {
+    live_writer.Close();
+    if (!live_writer.ok()) {
+      std::fprintf(stderr, "error writing live feed %s\n", live_out.c_str());
+      return false;
+    }
+    return true;
+  };
+
+  if (experiment) {
+    ace::ExperimentResult r = ace::RunExperiment(app_name, options);
+    ace::TextTable table({"Application", "Tglobal", "Tnuma", "Tlocal", "alpha", "beta",
+                          "gamma", "alpha(ref)", "verified"});
+    table.AddRow({app_name, ace::Fmt("%.3f", r.global.user_sec),
+                  ace::Fmt("%.3f", r.numa.user_sec), ace::Fmt("%.3f", r.local.user_sec),
+                  r.model.alpha_defined ? ace::Fmt("%.2f", r.model.alpha) : "na",
+                  ace::Fmt("%.2f", r.model.beta), ace::Fmt("%.2f", r.model.gamma),
+                  ace::Fmt("%.2f", r.numa.measured_alpha), r.AllOk() ? "ok" : "FAILED"});
+    table.Print();
+    if (sampler != nullptr) {
+      if (!close_feed()) {
+        return 1;
+      }
+      std::printf("live feed:      %s (3 segments)\n", live_out.c_str());
+    }
+    return r.AllOk() ? 0 : 1;
+  }
+
+  ace::Machine machine(options.machine);
+  const bool want_obs = !trace_out.empty() || !heat_csv.empty() || !report_list.empty();
+  if (want_obs) {
     machine.EnableHeat();
-    sampler->SetSource(&ace::Machine::LiveCaptureThunk, &machine);
-    ace::LiveRunMeta meta;
-    meta.app = app_name;
-    meta.policy = policy_name;
-    meta.procs = threads;
-    meta.threads = threads;
-    meta.pages = global_pages;
-    meta.page_size = page_size;
-    meta.seed = seed;
-    meta.fault_plan = plan_text;
-    meta.tlb = machine.tlb_enabled();
-    meta.tag = serving_desc;
-    sampler->BeginRun(std::move(meta));
+    if (!trace_out.empty()) {
+      machine.EnableTracing(trace_buffer);
+    }
+  }
+  std::unique_ptr<ace::RefTracer> tracer;
+  if (trace || optimal) {
+    tracer = std::make_unique<ace::RefTracer>(&machine);
+    if (optimal) {
+      tracer->EnableEpochTracking();
+    }
   }
 
-  ace::AppConfig cfg;
-  cfg.num_threads = threads;
-  cfg.scale = scale;
-  cfg.variant = variant;
-  cfg.serving = serving;
-  cfg.runtime.scheduler = options.scheduler;
-  cfg.runtime.sampler = sampler.get();
-  ace::AppResult result = app->Run(machine, cfg);
-
-  if (sampler != nullptr) {
-    sampler->EndRun(result.ok ? "ok" : "failed");
-  }
-
+  const ace::PlacementRun run = ace::RunOnMachine(*app, machine, options);
+  const ace::AppResult& result = run.app;
   std::printf("app:            %s (%s)\n", app_name.c_str(), result.detail.c_str());
   std::printf("policy:         %s (threshold %d)\n", policy_name.c_str(), threshold);
   std::printf("machine:        %d processors, %u-byte pages, %u global pages%s\n", threads,
@@ -432,9 +400,8 @@ int main(int argc, char** argv) {
   if (!serving_desc.empty()) {
     std::printf("serving:        %s\n", serving_desc.c_str());
   }
-  std::printf("user time:      %.4f s   system time: %.4f s\n",
-              machine.clocks().TotalUser() * 1e-9, machine.clocks().TotalSystem() * 1e-9);
-  const ace::MachineStats& s = machine.stats();
+  std::printf("user time:      %.4f s   system time: %.4f s\n", run.user_sec, run.system_sec);
+  const ace::MachineStats& s = run.stats;
   std::printf("local fraction: %.3f\n", s.MeasuredAlpha());
   std::printf("faults:         %llu   copies: %llu   syncs: %llu   moves: %llu   pinned: %llu\n",
               (unsigned long long)s.page_faults, (unsigned long long)s.page_copies,
@@ -478,7 +445,7 @@ int main(int argc, char** argv) {
                 machine.recovery()->dead_nodes());
   }
   if (tlb_stats) {
-    const ace::TlbStats t = machine.tlb_stats();
+    const ace::TlbStats& t = run.tlb;
     std::printf("tlb:            %s%s\n",
                 ace::FormatTlbCounters(t.hits, t.misses, t.fills, t.conflict_evictions,
                                        t.shootdown_pages, t.shootdown_hits,
@@ -487,9 +454,7 @@ int main(int argc, char** argv) {
                 machine.tlb_enabled() ? "" : " (tlb disabled)");
   }
   if (sampler != nullptr) {
-    live_writer.Close();
-    if (!live_writer.ok()) {
-      std::fprintf(stderr, "error writing live feed %s\n", live_out.c_str());
+    if (!close_feed()) {
       return 1;
     }
     std::printf("live feed:      %s (%llu samples, every %lld ns)\n", live_out.c_str(),

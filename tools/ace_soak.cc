@@ -55,6 +55,7 @@
 #include "src/apps/app.h"
 #include "src/inject/fault_plan.h"
 #include "src/machine/machine.h"
+#include "src/metrics/experiment.h"
 #include "src/common/splitmix64.h"
 #include "src/metrics/sweep/report.h"
 #include "src/metrics/sweep/runner.h"
@@ -284,32 +285,30 @@ std::string RunInProcess(const RunSpec& spec) {
   if (app == nullptr) {
     return "unknown application '" + spec.app + "'";
   }
-  ace::Machine::Options mo;
-  mo.config.num_processors = spec.threads;
-  mo.config.global_pages = spec.global_pages;
   std::optional<ace::PolicySpec> policy = ace::PolicySpec::FromName(spec.policy, spec.threshold);
   if (!policy) {
     std::fprintf(stderr, "unknown policy '%s'\n", spec.policy.c_str());
     std::exit(2);
   }
-  mo.policy = *policy;
-  mo.enable_pager = spec.pager;
-  mo.enable_tlb = spec.tlb;
-  mo.tlb_verify = spec.tlb ? 1 : -1;  // poison cross-check on: stale entries abort
-  mo.fault_plan = spec.plan;
-  mo.fault_seed = spec.fault_seed;
-  ace::Machine machine(mo);
-
-  ace::AppConfig cfg;
-  cfg.num_threads = spec.threads;
-  cfg.scale = spec.scale;
-  cfg.variant = spec.variant;
-  cfg.runtime.scheduler =
+  ace::ExperimentOptions options;
+  options.machine.config.num_processors = spec.threads;
+  options.machine.config.global_pages = spec.global_pages;
+  options.machine.policy = *policy;
+  options.machine.enable_pager = spec.pager;
+  options.machine.enable_tlb = spec.tlb;
+  options.machine.tlb_verify = spec.tlb ? 1 : -1;  // poison cross-check on: stale entries abort
+  options.machine.fault_plan = spec.plan;
+  options.machine.fault_seed = spec.fault_seed;
+  options.app.num_threads = spec.threads;
+  options.app.scale = spec.scale;
+  options.app.variant = spec.variant;
+  options.app.runtime.scheduler =
       spec.migrating ? ace::SchedulerKind::kMigrating : ace::SchedulerKind::kAffinity;
   // Serving draws: a bounded request budget and a per-seed client population, both
   // reproduced exactly by the replay command line.
-  cfg.serving.requests = spec.serving_requests;
-  cfg.serving.seed = spec.fault_seed;
+  options.app.serving.requests = spec.serving_requests;
+  options.app.serving.seed = spec.fault_seed;
+  options.live_tag = "seed=" + std::to_string(spec.fault_seed);
 
   ace::LiveStreamWriter live_writer;
   std::unique_ptr<ace::LiveSampler> sampler;
@@ -321,34 +320,18 @@ std::string RunInProcess(const RunSpec& spec) {
     so.interval_ns = g_sample_interval_ns;
     so.tool = "ace_soak";
     sampler = std::make_unique<ace::LiveSampler>(so, &live_writer);
-    machine.EnableHeat();
-    sampler->SetSource(&ace::Machine::LiveCaptureThunk, &machine);
-    ace::LiveRunMeta meta;
-    meta.app = spec.app;
-    meta.policy = spec.policy;
-    meta.procs = spec.threads;
-    meta.threads = spec.threads;
-    meta.pages = spec.global_pages;
-    meta.page_size = mo.config.page_size;
-    meta.seed = spec.fault_seed;
-    meta.fault_plan = spec.plan.Format();
-    meta.tlb = machine.tlb_enabled();
-    meta.tag = "seed=" + std::to_string(spec.fault_seed);
-    sampler->BeginRun(std::move(meta));
-    cfg.runtime.sampler = sampler.get();
+    options.app.runtime.sampler = sampler.get();
   }
 
-  ace::AppResult result = app->Run(machine, cfg);
-  if (sampler != nullptr) {
-    sampler->EndRun(result.ok ? "ok" : "failed");
-  }
-
+  ace::Machine machine(options.machine);
+  const ace::PlacementRun run = ace::RunOnMachine(*app, machine, options);
+  const ace::AppResult& result = run.app;
   if (!result.ok) {
     return "application verification failed: " + result.detail;
   }
   machine.numa_manager().VerifyAllInvariants();
 
-  const ace::MachineStats& s = machine.stats();
+  const ace::MachineStats& s = run.stats;
   auto fail = [](const char* what, std::uint64_t a, std::uint64_t b) {
     char buf[160];
     std::snprintf(buf, sizeof buf, "counter identity violated: %s (%llu vs %llu)", what,
@@ -373,7 +356,7 @@ std::string RunInProcess(const RunSpec& spec) {
   }
   // The machine's TLB switch, not the spec's: ACE_TLB in the environment overrides
   // the spec at Machine construction.
-  const ace::TlbStats& t = machine.tlb_stats();
+  const ace::TlbStats& t = run.tlb;
   if (machine.tlb_enabled()) {
     // Every fill follows a miss, with or without injected faults in the resolve path.
     if (t.fills > t.misses) {
@@ -408,9 +391,9 @@ std::string RunInProcess(const RunSpec& spec) {
   } else {
     // Every journal opens with a full-frame mirror write before any word-sized
     // appends, so the byte count can never undercut the open count.
-    if (s.journal_bytes < s.replicated_pages * mo.config.page_size) {
+    if (s.journal_bytes < s.replicated_pages * machine.page_size()) {
       return fail("journal_bytes >= replicated_pages * page_size", s.journal_bytes,
-                  s.replicated_pages * mo.config.page_size);
+                  s.replicated_pages * machine.page_size());
     }
     // Every detected corruption ends in a repair or an accounted loss; kills add
     // recoveries and losses of their own, so detection can never exceed the sum.
@@ -698,8 +681,10 @@ int main(int argc, char** argv) {
     std::printf("wrote %s (%zu quarantined)\n", failures_json.c_str(), quarantine.size());
   }
 
-  std::printf("soak: %llu run(s), %zu violation(s), %.1fs\n",
-              static_cast<unsigned long long>(ran), quarantine.size(), elapsed());
+  std::printf("soak: %llu run(s), %zu violation(s)\n", static_cast<unsigned long long>(ran),
+              quarantine.size());
+  // Host time goes to stderr, so the stdout of two soaks can be compared with cmp.
+  std::fprintf(stderr, "soak: %.1fs wall\n", elapsed());
   if (!g_live_out.empty()) {
     std::printf("live feed: %s (one segment per run; validate with ace_top --validate)\n",
                 g_live_out.c_str());
