@@ -44,7 +44,8 @@ struct ConformConfig {
   // exactly the discipline Machine's TLB relies on. After every operation each cached
   // entry is checked against the manager's protocol state; a stale entry — a state
   // transition that should have shot the translation down but didn't — is a
-  // divergence. ace_conform and the soak flip this per seed (the ACE_TLB analog).
+  // divergence. ace_conform flips this per seed, as ace_soak flips
+  // Machine::Options::enable_tlb.
   bool tlb = false;
   // Arm the durability substrate on the real side (a ReplicaManager with an
   // effectively unbounded journal — the RefModel's mirror assumes every owned page

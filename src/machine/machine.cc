@@ -1,8 +1,8 @@
 #include "src/machine/machine.h"
 
-#include <cstdlib>
-#include <cstring>
+#include <cstdio>
 
+#include "src/common/run_killed.h"
 #include "src/machine/chaos.h"
 #include "src/machine/recovery.h"
 #include "src/numa/replica_manager.h"
@@ -10,21 +10,16 @@
 
 namespace ace {
 
+#ifdef ACE_CHECK_INVARIANTS
+const bool kInvariantChecksBuild = true;
+#else
+const bool kInvariantChecksBuild = false;
+#endif
+
 namespace {
 // An access can fault at most twice before succeeding (no-mapping then protection, or
 // a Rosetta displacement refault); more retries indicate a protocol livelock.
 constexpr int kMaxFaultRetries = 4;
-
-// ACE_TLB / ACE_TLB_VERIFY: unset or empty keeps `fallback`; "0", "off" or "false"
-// disables; anything else enables.
-bool EnvToggle(const char* name, bool fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') {
-    return fallback;
-  }
-  return std::strcmp(v, "0") != 0 && std::strcmp(v, "off") != 0 &&
-         std::strcmp(v, "false") != 0;
-}
 }  // namespace
 
 Machine::Machine(Options options)
@@ -36,15 +31,8 @@ Machine::Machine(Options options)
       phys_(options_.config),
       obs_(options_.config.num_processors, options_.config.global_pages, &clocks_) {
   options_.config.Validate();
-  tlb_on_ = EnvToggle("ACE_TLB", options_.enable_tlb);
-#ifdef ACE_TLB_VERIFY_DEFAULT
-  const bool verify_default = true;
-#else
-  const bool verify_default = false;
-#endif
-  tlb_verify_on_ = EnvToggle(
-      "ACE_TLB_VERIFY",
-      options_.tlb_verify < 0 ? verify_default : options_.tlb_verify != 0);
+  tlb_on_ = options_.enable_tlb;
+  tlb_verify_on_ = options_.tlb_verify;
   if (options_.custom_policy != nullptr) {
     active_policy_ = options_.custom_policy;
   } else {
@@ -163,7 +151,7 @@ AccessStatus Machine::Access(Task& task, ProcId proc, VirtAddr va, AccessKind ki
       LogicalPage lp = kNoLogicalPage;
       if (tlb_on_ || obs_.heat_on() || replica_ != nullptr) {
         // The durability subsystem needs the logical page for its store hook even
-        // when both the TLB and heat profiling are off (ACE_TLB=0 equivalence).
+        // when both the TLB and heat profiling are off (the TLB-off equivalence).
         lp = pmap_->LookupLogicalPage(proc, vpage);
       }
       CompleteAccess(proc, va, kind, value, cls, options_.config.latency.Cost(cls, kind),
@@ -197,13 +185,29 @@ AccessStatus Machine::Access(Task& task, ProcId proc, VirtAddr va, AccessKind ki
 std::uint32_t Machine::LoadWordSlow(Task& task, ProcId proc, VirtAddr va) {
   std::uint32_t value = 0;
   AccessStatus s = Access(task, proc, va, AccessKind::kFetch, &value);
+  if (s == AccessStatus::kOutOfMemory) {
+    ThrowOutOfMemory("LoadWord", proc, va);
+  }
   ACE_CHECK_MSG(s == AccessStatus::kOk, "LoadWord failed");
   return value;
 }
 
 void Machine::StoreWordSlow(Task& task, ProcId proc, VirtAddr va, std::uint32_t value) {
   AccessStatus s = Access(task, proc, va, AccessKind::kStore, &value);
+  if (s == AccessStatus::kOutOfMemory) {
+    ThrowOutOfMemory("StoreWord", proc, va);
+  }
   ACE_CHECK_MSG(s == AccessStatus::kOk, "StoreWord failed");
+}
+
+void Machine::ThrowOutOfMemory(const char* op, ProcId proc, VirtAddr va) const {
+  char detail[160];
+  std::snprintf(detail, sizeof detail,
+                "%s of va 0x%llx on processor %d: the logical page pool (%u pages) is "
+                "exhausted%s",
+                op, static_cast<unsigned long long>(va), static_cast<int>(proc),
+                options_.config.global_pages, pager_ != nullptr ? "" : " and no pager runs");
+  throw RunKilledError("out-of-memory", detail);
 }
 
 TimeNs Machine::DilateOffNode(ProcId proc, TimeNs cost) const {

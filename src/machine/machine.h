@@ -52,6 +52,9 @@ class ChaosController;
 class RecoveryManager;
 struct LiveSample;
 
+// True when the library was built with ACE_CHECK_INVARIANTS (defined in machine.cc).
+extern const bool kInvariantChecksBuild;
+
 // Which NUMA policy the machine boots with.
 struct PolicySpec {
   enum class Kind {
@@ -141,14 +144,11 @@ class Machine {
     std::uint32_t journal_page_cap = 4096;
     // The software-TLB fast path (src/machine/tlb.h). On by default; results are
     // byte-identical either way (the differential equivalence suite enforces it), so
-    // turning it off is only useful for that very comparison. The environment
-    // variable ACE_TLB ("0"/"off"/"1"/"on") overrides this at Machine construction,
-    // letting any existing test or tool run both ways unmodified.
+    // turning it off is only useful for that very comparison.
     bool enable_tlb = true;
     // Cross-check every TLB hit against the MMU and ACE_CHECK-abort on a stale entry
-    // (the debug poison mode). -1 = default: on when the library was built with
-    // ACE_CHECK_INVARIANTS, off otherwise; 0/1 force. ACE_TLB_VERIFY overrides.
-    int tlb_verify = -1;
+    // (the debug poison mode). On by default in ACE_CHECK_INVARIANTS builds.
+    bool tlb_verify = kInvariantChecksBuild;
   };
 
   explicit Machine(Options options);
@@ -164,7 +164,8 @@ class Machine {
   // --- the reference path --------------------------------------------------------------
   // 32-bit load/store as issued by processor `proc`. Aborts (ACE_CHECK) on bad
   // addresses — simulated programs are expected to be correct; use TryAccess for
-  // fault-status tests. Inline: a software-TLB hit completes here without entering
+  // fault-status tests. Throws RunKilledError("out-of-memory") when the page pool
+  // cannot back the access. Inline: a software-TLB hit completes here without entering
   // the pmap/NUMA resolve at all.
   std::uint32_t LoadWord(Task& task, ProcId proc, VirtAddr va) {
     std::uint32_t value = 0;
@@ -242,8 +243,7 @@ class Machine {
   // bitmask).
   ReplicaManager* replica_manager() { return replica_.get(); }
   RecoveryManager* recovery() { return recovery_.get(); }
-  // The options the machine was built with (the ACE_TLB and ACE_TLB_VERIFY overrides
-  // are not applied here: tlb_enabled() reports the switch in force).
+  // The options the machine was built with.
   const Options& options() const { return options_; }
 
   // Typed policy accessors (nullptr if the machine runs a different policy).
@@ -330,6 +330,10 @@ class Machine {
   // behind the inline TLB probe in LoadWord/StoreWord.
   std::uint32_t LoadWordSlow(Task& task, ProcId proc, VirtAddr va);
   void StoreWordSlow(Task& task, ProcId proc, VirtAddr va, std::uint32_t value);
+  // An exhausted page pool ends the run with the named outcome "out-of-memory" (a
+  // RunKilledError): the machine is too small for the workload. A bad address or a
+  // protection violation stays an ACE_CHECK, because it is an application bug.
+  [[noreturn]] void ThrowOutOfMemory(const char* op, ProcId proc, VirtAddr va) const;
 
   // Poison mode: cross-check a hitting entry against the MMU and mapping directory;
   // ACE_CHECK-aborts if the entry is stale in any field.
@@ -401,7 +405,7 @@ class Machine {
   std::uint32_t page_shift_;
   std::uint32_t page_mask_;
 
-  // Resolved at construction (Options + ACE_TLB / ACE_TLB_VERIFY environment).
+  // Copies of options_.enable_tlb / tlb_verify beside the other hit-path fields.
   bool tlb_on_ = true;
   bool tlb_verify_on_ = false;
 

@@ -46,7 +46,7 @@ PlacementRun RunOnMachine(App& app, Machine& machine, const ExperimentOptions& o
     run.app = app.Run(machine, options.app);
   } catch (const RunKilledError& e) {
     if (sampler != nullptr) {
-      sampler->EndRun(e.reason());  // "watchdog-deadline" | "watchdog-livelock"
+      sampler->EndRun(e.reason());  // "watchdog-*" | "out-of-memory"
     }
     throw;
   } catch (...) {

@@ -24,8 +24,9 @@ struct ModelParams {
   double alpha = 0.0;
   double beta = 0.0;
   double gamma = 1.0;
-  // True when alpha is meaningless because the application makes (essentially) no
-  // data references (the paper prints "na" for ParMult).
+  // False when alpha is undefined, printed "na" (as the paper prints it for ParMult):
+  // the application makes (essentially) no data references, or Tnuma lies outside
+  // [Tlocal, Tglobal], where eq. 4 has no meaning as a fraction.
   bool alpha_defined = true;
 };
 
@@ -44,8 +45,14 @@ inline ModelParams SolveModel(double t_numa, double t_global, double t_local,
     p.beta = 0.0;
     return p;
   }
-  p.alpha = (t_global - t_numa) / denom;
   p.beta = (denom / t_local) * (1.0 / (gl_ratio - 1.0));
+  // Eq. 4 assumes the NUMA placement lands between its two bounds. A run slower than
+  // all-global (say, under a fault plan) or faster than all-local has no alpha.
+  if (t_numa < t_local || t_numa > t_global) {
+    p.alpha_defined = false;
+    return p;
+  }
+  p.alpha = (t_global - t_numa) / denom;
   return p;
 }
 

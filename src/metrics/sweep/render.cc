@@ -328,7 +328,8 @@ SweepCell Cell(const char* app, CellMode mode, int variant = 0,
   return cell;
 }
 
-std::vector<AblationView> AblationViews(const MachineConfig& machine) {
+std::vector<AblationView> AblationViews() {
+  const MachineConfig machine;
   const PolicySpec reconsider = PolicySpec::Reconsider(4, 20'000'000);
   const PolicySpec remote_home = PolicySpec::RemoteHome(4);
   const CellMode numa = CellMode::kNumaOnly;
@@ -603,7 +604,7 @@ class CellIndex {
 std::string RenderAblationViews(const SweepResult& result, std::set<const CellResult*>* shown) {
   CellIndex index(result);
   std::string out;
-  for (const AblationView& view : AblationViews(result.base_config)) {
+  for (const AblationView& view : AblationViews()) {
     std::string tables;
     std::vector<const CellResult*> used;
     bool complete = true;
@@ -648,7 +649,7 @@ std::string RenderAblationViews(const SweepResult& result, std::set<const CellRe
 
 std::vector<SweepCell> AblationCells() {
   std::vector<SweepCell> cells;
-  for (const AblationView& view : AblationViews(MachineConfig{})) {
+  for (const AblationView& view : AblationViews()) {
     for (const ViewTable& table : view.tables) {
       for (const ViewRow& row : table.rows) {
         AppendUnique(cells, row.legs);
@@ -681,12 +682,13 @@ std::string RenderViews(const SweepResult& full_result) {
   std::string table3 = RenderTable3(result);
   std::string machine;
   if (!table3.empty()) {
+    const MachineConfig config;
     char line[160];
     std::snprintf(line, sizeof(line),
                   "machine: %d processors, page size %u, G/L fetch ratio %.2f, "
                   "pin threshold 4\n",
                   DefaultExperimentCells(result).front()->cell.threads,
-                  result.base_config.page_size, result.base_config.latency.FetchRatio());
+                  config.page_size, config.latency.FetchRatio());
     machine = line;
   }
   add("Table 3 view: measured user times and model parameters", machine, table3,

@@ -122,13 +122,15 @@ std::string SerializeSweep(const SweepResult& result, bool include_host) {
   AppendStringField(out, "schema", kBenchSchemaName, &first);
   AppendStringField(out, "suite", result.suite, &first);
 
+  // The machine every cell starts from (OptionsForCell applies the cell's overrides).
+  const MachineConfig machine;
   out += ",\"machine\":{";
   bool mfirst = true;
-  AppendField(out, "processors", result.base_config.num_processors, &mfirst);
-  AppendField(out, "page_size", result.base_config.page_size, &mfirst);
-  AppendField(out, "global_pages", result.base_config.global_pages, &mfirst);
-  AppendField(out, "local_pages_per_proc", result.base_config.local_pages_per_proc, &mfirst);
-  AppendField(out, "gl_fetch_ratio", result.base_config.latency.FetchRatio(), &mfirst);
+  AppendField(out, "processors", machine.num_processors, &mfirst);
+  AppendField(out, "page_size", machine.page_size, &mfirst);
+  AppendField(out, "global_pages", machine.global_pages, &mfirst);
+  AppendField(out, "local_pages_per_proc", machine.local_pages_per_proc, &mfirst);
+  AppendField(out, "gl_fetch_ratio", machine.latency.FetchRatio(), &mfirst);
   out += "}";
 
   if (include_host) {

@@ -12,7 +12,6 @@
 
 #include "src/apps/app.h"
 #include "src/common/check.h"
-#include "src/metrics/experiment.h"
 #include "src/metrics/sweep/pool.h"
 
 namespace ace {
@@ -75,20 +74,39 @@ void AppendCounterGroup(CounterGroup group, const MachineStats& numa,
   }
 }
 
-ExperimentOptions OptionsForCell(const SweepCell& cell, const MachineConfig& base_config,
-                                 const WatchdogLimits& watchdog, LiveSampler* sampler) {
+CellResult DiedResult(const SweepCell& cell, std::string kind, std::string detail) {
+  CellResult result;
+  result.cell = cell;
+  result.ok = false;
+  result.failure_kind = std::move(kind);
+  result.failure_detail = std::move(detail);
+  result.detail = result.failure_kind;
+  return result;
+}
+
+}  // namespace
+
+WatchdogLimits ScaledWatchdog(const WatchdogLimits& base, const SweepCell& cell) {
+  WatchdogLimits scaled = base;
+  if (base.deadline_ns > 0) {
+    double factor = cell.scale > 0.05 ? cell.scale : 0.05;
+    scaled.deadline_ns = static_cast<TimeNs>(static_cast<double>(base.deadline_ns) * factor);
+  }
+  return scaled;
+}
+
+ExperimentOptions OptionsForCell(const SweepCell& cell, const WatchdogLimits& watchdog,
+                                 LiveSampler* sampler) {
   ExperimentOptions options;
   MachineConfig& config = options.machine.config;
-  config = base_config;
   config.num_processors = cell.threads;
-  if (cell.page_size != base_config.page_size) {
-    // Constant total memory: the base config's global and per-processor local bytes.
-    config.page_size = cell.page_size;
+  if (cell.page_size != config.page_size) {
+    // Constant total memory: the default config's global and per-processor local bytes.
     config.global_pages = static_cast<std::uint32_t>(
-        std::uint64_t{base_config.global_pages} * base_config.page_size / cell.page_size);
+        std::uint64_t{config.global_pages} * config.page_size / cell.page_size);
     config.local_pages_per_proc = static_cast<std::uint32_t>(
-        std::uint64_t{base_config.local_pages_per_proc} * base_config.page_size /
-        cell.page_size);
+        std::uint64_t{config.local_pages_per_proc} * config.page_size / cell.page_size);
+    config.page_size = cell.page_size;
   }
   options.machine.policy = cell.policy;
   options.app.num_threads = cell.threads;
@@ -118,12 +136,7 @@ ExperimentOptions OptionsForCell(const SweepCell& cell, const MachineConfig& bas
   return options;
 }
 
-// The body of RunCell, free to throw (RunKilledError from the watchdog, anything
-// from application code); RunCell converts escapes into a died result.
-CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_config,
-                            const WatchdogLimits& watchdog, LiveSampler* sampler) {
-  ExperimentOptions options = OptionsForCell(cell, base_config, watchdog, sampler);
-
+CellResult RunCellUnguarded(const SweepCell& cell, const ExperimentOptions& options) {
   CellResult result;
   result.cell = cell;
 
@@ -220,31 +233,10 @@ CellResult RunCellUnguarded(const SweepCell& cell, const MachineConfig& base_con
   return result;
 }
 
-CellResult DiedResult(const SweepCell& cell, std::string kind, std::string detail) {
-  CellResult result;
-  result.cell = cell;
-  result.ok = false;
-  result.failure_kind = std::move(kind);
-  result.failure_detail = std::move(detail);
-  result.detail = result.failure_kind;
-  return result;
-}
-
-}  // namespace
-
-WatchdogLimits ScaledWatchdog(const WatchdogLimits& base, const SweepCell& cell) {
-  WatchdogLimits scaled = base;
-  if (base.deadline_ns > 0) {
-    double factor = cell.scale > 0.05 ? cell.scale : 0.05;
-    scaled.deadline_ns = static_cast<TimeNs>(static_cast<double>(base.deadline_ns) * factor);
-  }
-  return scaled;
-}
-
-CellResult RunCell(const SweepCell& cell, const MachineConfig& base_config,
-                   const WatchdogLimits& watchdog, LiveSampler* sampler) {
+CellResult RunCell(const SweepCell& cell, const WatchdogLimits& watchdog,
+                   LiveSampler* sampler) {
   try {
-    return RunCellUnguarded(cell, base_config, watchdog, sampler);
+    return RunCellUnguarded(cell, OptionsForCell(cell, watchdog, sampler));
   } catch (const RunKilledError& killed) {
     return DiedResult(cell, killed.reason(), killed.diagnostics());
   } catch (const std::exception& e) {
@@ -310,7 +302,6 @@ SweepResult RunSweep(const std::string& suite_name, const std::vector<SweepCell>
                      const SweepOptions& options) {
   SweepResult result;
   result.suite = suite_name;
-  result.base_config = options.base_config;
   result.cells.resize(cells.size());
 
   // A live sampler writes one sequential stream, so sampled sweeps serialize onto a
@@ -322,8 +313,7 @@ SweepResult RunSweep(const std::string& suite_name, const std::vector<SweepCell>
   ParallelFor(workers, cells.size(), [&](std::size_t i) {
     const SweepCell& cell = cells[i];
     CellResult& slot = result.cells[i];
-    slot = RunCell(cell, options.base_config, ScaledWatchdog(options.watchdog, cell),
-                   options.sampler);
+    slot = RunCell(cell, ScaledWatchdog(options.watchdog, cell), options.sampler);
 
     std::size_t completed = done.fetch_add(1, std::memory_order_relaxed) + 1;
     if (options.progress != nullptr) {

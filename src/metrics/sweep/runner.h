@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "src/metrics/experiment.h"
 #include "src/metrics/sweep/cell.h"
-#include "src/sim/machine_config.h"
 #include "src/threads/watchdog.h"
 
 namespace ace {
@@ -36,8 +36,7 @@ struct CellFailure {
 };
 
 struct SweepOptions {
-  int workers = 0;          // <= 0: hardware concurrency
-  MachineConfig base_config;  // per-cell overrides (threads, G/L ratio) apply on top
+  int workers = 0;  // <= 0: hardware concurrency
   // Progress callback (may be null). Called after each cell completes, from the
   // worker thread that ran it; `done` counts completions so far.
   void (*progress)(const CellResult& result, std::size_t done, std::size_t total) = nullptr;
@@ -66,7 +65,6 @@ struct HostStats {
 
 struct SweepResult {
   std::string suite;
-  MachineConfig base_config;
   std::vector<CellResult> cells;  // in the input cells' order, independent of dispatch
   HostStats host;
   std::vector<CellFailure> failures;  // quarantined cells, in cell order
@@ -82,13 +80,25 @@ struct SweepResult {
 };
 
 // Execute one cell in isolation. Exposed for tests and for callers that need a
-// single cell outside a sweep. With `watchdog` limits (already scaled; see
-// ScaledWatchdog), a kill or an exception escaping the application is captured
-// as a died result (failure_kind/failure_detail) instead of propagating. A non-null
-// `sampler` streams each placement run of the cell as an ace-live-v1 segment.
-CellResult RunCell(const SweepCell& cell, const MachineConfig& base_config,
-                   const WatchdogLimits& watchdog = WatchdogLimits{},
+// single cell outside a sweep. A kill (the `watchdog` limits, already scaled — see
+// ScaledWatchdog — or an exhausted page pool) or an exception escaping the
+// application is captured as a died result (failure_kind/failure_detail) instead of
+// propagating. A non-null `sampler` streams each placement run of the cell as an
+// ace-live-v1 segment.
+CellResult RunCell(const SweepCell& cell, const WatchdogLimits& watchdog = WatchdogLimits{},
                    LiveSampler* sampler = nullptr);
+
+// The options RunCell runs `cell` with: the default MachineConfig with the cell's
+// processor count and page size (at constant total memory), policy, workload,
+// scheduler, G/L ratio, fault plan and serving shape applied.
+ExperimentOptions OptionsForCell(const SweepCell& cell,
+                                 const WatchdogLimits& watchdog = WatchdogLimits{},
+                                 LiveSampler* sampler = nullptr);
+
+// RunCell's body: run `cell` with `options` (OptionsForCell's, or a copy a caller
+// edited) and collect its metrics. Free to throw — a RunKilledError or anything from
+// application code propagates.
+CellResult RunCellUnguarded(const SweepCell& cell, const ExperimentOptions& options);
 
 // How a forked child ended. `started` is false when pipe() or fork() failed and the
 // body never ran. Otherwise `signal` is the signal that killed the child (0 if it

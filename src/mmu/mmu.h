@@ -9,8 +9,8 @@
 //    mapping (paper section 2.1). This is the engine behind the consistency protocol.
 //
 //  * Rosetta allows only a single virtual address per physical page per processor
-//    (sections 2.1, 2.3.1). When enabled, entering a second virtual mapping for a
-//    frame silently displaces the first, producing a later refault.
+//    (sections 2.1, 2.3.1). Entering a second virtual mapping for a frame silently
+//    displaces the first, producing a later refault.
 
 #ifndef SRC_MMU_MMU_H_
 #define SRC_MMU_MMU_H_
@@ -62,8 +62,7 @@ struct TranslateResult {
 // One processor's MMU.
 class Mmu {
  public:
-  explicit Mmu(ProcId proc, bool rosetta_single_mapping)
-      : proc_(proc), rosetta_single_mapping_(rosetta_single_mapping) {}
+  explicit Mmu(ProcId proc) : proc_(proc) {}
 
   ProcId proc() const { return proc_; }
 
@@ -96,15 +95,13 @@ class Mmu {
     // cached copy is stale the moment this returns.
     Shootdown(vpage);
     EnterResult result;
-    if (rosetta_single_mapping_) {
-      auto rit = frame_to_vpage_.find(frame);
-      if (rit != frame_to_vpage_.end() && rit->second != vpage) {
-        result.displaced = true;
-        result.displaced_vpage = rit->second;
-        Shootdown(rit->second);
-        mappings_.erase(rit->second);
-        frame_to_vpage_.erase(rit);
-      }
+    auto rit = frame_to_vpage_.find(frame);
+    if (rit != frame_to_vpage_.end() && rit->second != vpage) {
+      result.displaced = true;
+      result.displaced_vpage = rit->second;
+      Shootdown(rit->second);
+      mappings_.erase(rit->second);
+      frame_to_vpage_.erase(rit);
     }
     // Replacing vpage's previous mapping (possibly to a different frame) is fine; drop
     // the stale reverse entry if any.
@@ -116,9 +113,7 @@ class Mmu {
       }
     }
     mappings_[vpage] = Entry{frame, prot};
-    if (rosetta_single_mapping_) {
-      frame_to_vpage_[frame] = vpage;
-    }
+    frame_to_vpage_[frame] = vpage;
     return result;
   }
 
@@ -129,11 +124,9 @@ class Mmu {
       return false;
     }
     Shootdown(vpage);
-    if (rosetta_single_mapping_) {
-      auto rit = frame_to_vpage_.find(it->second.frame);
-      if (rit != frame_to_vpage_.end() && rit->second == vpage) {
-        frame_to_vpage_.erase(rit);
-      }
+    auto rit = frame_to_vpage_.find(it->second.frame);
+    if (rit != frame_to_vpage_.end() && rit->second == vpage) {
+      frame_to_vpage_.erase(rit);
     }
     mappings_.erase(it);
     return true;
@@ -189,7 +182,6 @@ class Mmu {
   }
 
   ProcId proc_;
-  bool rosetta_single_mapping_;
   MmuShootdownSink* shootdown_sink_ = nullptr;
   std::unordered_map<VirtPage, Entry> mappings_;
   std::unordered_map<FrameRef, VirtPage, FrameRefHash> frame_to_vpage_;
@@ -198,10 +190,10 @@ class Mmu {
 // The set of MMUs in the machine, one per processor.
 class MmuArray {
  public:
-  MmuArray(int num_processors, bool rosetta_single_mapping) {
+  explicit MmuArray(int num_processors) {
     mmus_.reserve(static_cast<std::size_t>(num_processors));
     for (int p = 0; p < num_processors; ++p) {
-      mmus_.emplace_back(static_cast<ProcId>(p), rosetta_single_mapping);
+      mmus_.emplace_back(static_cast<ProcId>(p));
     }
   }
 

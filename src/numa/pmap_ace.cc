@@ -8,7 +8,7 @@ namespace ace {
 
 PmapAce::PmapAce(const MachineConfig& config, PhysicalMemory* phys, ProcClocks* clocks,
                  MachineStats* stats, IpcBus* bus, NumaPolicy* policy)
-    : mmus_(config.num_processors, config.rosetta_single_mapping),
+    : mmus_(config.num_processors),
       manager_(config, phys, clocks, stats, bus, policy, this),
       stats_(stats),
       num_processors_(config.num_processors),

@@ -1,6 +1,5 @@
 #include "src/serving/latency.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -67,58 +66,6 @@ std::uint64_t LatencyHistogram::PercentileNs(double p) const {
     }
   }
   return max_ns_;
-}
-
-void LatencyReservoir::Record(std::uint64_t ns) {
-  seen_++;
-  if (samples_.size() < capacity_) {
-    samples_.push_back(ns);
-    return;
-  }
-  const std::uint64_t j = rng_.Below(seen_);
-  if (j < capacity_) {
-    samples_[static_cast<std::size_t>(j)] = ns;
-  }
-}
-
-void LatencyReservoir::Merge(const LatencyReservoir& other) {
-  if (other.seen_ == 0) {
-    return;
-  }
-  if (seen_ == 0) {
-    seen_ = other.seen_;
-    samples_ = other.samples_;
-    return;
-  }
-  const std::uint64_t total = seen_ + other.seen_;
-  // Per slot, keep this side's value with probability seen_/total; otherwise draw a
-  // uniform sample from the other side's reservoir. Slots only this side fills (the
-  // other reservoir being smaller) are kept as-is.
-  const std::size_t common = std::min(samples_.size(), other.samples_.size());
-  for (std::size_t i = 0; i < common; ++i) {
-    const std::uint64_t pick = rng_.Below(total);
-    if (pick >= seen_) {
-      samples_[i] = other.samples_[rng_.Below(other.samples_.size())];
-    }
-  }
-  for (std::size_t i = samples_.size(); i < other.samples_.size(); ++i) {
-    samples_.push_back(other.samples_[i]);
-  }
-  seen_ = total;
-}
-
-std::uint64_t LatencyReservoir::SampleQuantileNs(double q) const {
-  if (samples_.empty()) {
-    return 0;
-  }
-  ACE_CHECK(q >= 0.0 && q <= 1.0);
-  std::vector<std::uint64_t> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  std::size_t idx = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-  if (idx >= sorted.size()) {
-    idx = sorted.size() - 1;
-  }
-  return sorted[idx];
 }
 
 }  // namespace ace

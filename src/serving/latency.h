@@ -1,20 +1,15 @@
-// Per-request latency recording: an HDR-style log-linear histogram plus a
-// fixed-capacity reservoir sample.
+// Per-request latency recording: an HDR-style log-linear histogram.
 //
 // All latencies are virtual-time nanoseconds, so every recorded value — and
 // therefore every percentile — is a deterministic integer: the same run produces
 // byte-identical latency metrics on any host, with the software TLB on or off, and
-// under any sweep worker count. The histogram is the source of the exported
-// percentiles; the reservoir keeps a bounded set of raw samples for inspection
-// (quantile cross-checks in tests, detail strings) without unbounded memory.
+// under any sweep worker count.
 
 #ifndef SRC_SERVING_LATENCY_H_
 #define SRC_SERVING_LATENCY_H_
 
 #include <cstdint>
 #include <vector>
-
-#include "src/serving/zipf.h"
 
 namespace ace {
 
@@ -62,32 +57,6 @@ class LatencyHistogram {
   std::uint64_t count_ = 0;
   std::uint64_t sum_ns_ = 0;
   std::uint64_t max_ns_ = 0;
-};
-
-// Fixed-capacity uniform reservoir (Vitter's algorithm R) over a latency stream,
-// with its own seeded rng so the sample is reproducible.
-class LatencyReservoir {
- public:
-  explicit LatencyReservoir(std::uint64_t seed, std::uint32_t capacity = 1024)
-      : rng_(seed), capacity_(capacity) {}
-
-  void Record(std::uint64_t ns);
-
-  // Fold `other` into this reservoir, preserving uniformity over the combined
-  // stream (each slot keeps this side's sample with probability n_this / n_total).
-  void Merge(const LatencyReservoir& other);
-
-  // The q-th quantile (q in [0, 1]) of the sampled values; 0 when empty.
-  std::uint64_t SampleQuantileNs(double q) const;
-
-  std::uint64_t seen() const { return seen_; }
-  const std::vector<std::uint64_t>& samples() const { return samples_; }
-
- private:
-  ServingRng rng_;
-  std::uint32_t capacity_;
-  std::uint64_t seen_ = 0;
-  std::vector<std::uint64_t> samples_;
 };
 
 }  // namespace ace

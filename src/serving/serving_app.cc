@@ -62,7 +62,7 @@ class ServingApp : public App {
     const ServingParams params = ResolveServingParams(config);
     const int tenants = params.tenants;
     const std::uint32_t keys = params.keys_per_tenant;
-    const std::uint32_t words = params.value_words;
+    const std::uint32_t words = kServingValueWords;
     const int threads = config.num_threads;
     const ServingWorkload wl = BuildServingWorkload(params, threads);
 
@@ -81,10 +81,6 @@ class ServingApp : public App {
     std::vector<std::vector<LatencyHistogram>> tenant_hist(
         static_cast<std::size_t>(threads),
         std::vector<LatencyHistogram>(static_cast<std::size_t>(tenants)));
-    std::vector<LatencyReservoir> reservoirs;
-    for (int tid = 0; tid < threads; ++tid) {
-      reservoirs.emplace_back(params.seed ^ (0xACE5EEDull + tid));
-    }
     std::vector<std::uint64_t> gets(threads, 0), puts(threads, 0), remotes(threads, 0),
         verify_failures(threads, 0);
     std::uint64_t scan_failures = 0;
@@ -198,7 +194,6 @@ class ServingApp : public App {
           }
           hist[tid].Record(latency_ns);
           tenant_hist[tid][r.tenant].Record(latency_ns);
-          reservoirs[tid].Record(latency_ns);
           if (slo_armed) {
             if (static_cast<TimeNs>(r.arrival_ns) >= chaos_begin &&
                 static_cast<TimeNs>(r.arrival_ns) < chaos_end) {
@@ -233,7 +228,6 @@ class ServingApp : public App {
 
     LatencyHistogram all;
     LatencyHistogram chaos_all, recovery_all;
-    LatencyReservoir sample(params.seed ^ 0x5EEDFACEull);
     std::vector<LatencyHistogram> per_tenant(static_cast<std::size_t>(tenants));
     std::uint64_t total_gets = 0, total_puts = 0, total_remote = 0, total_bad = 0;
     std::uint64_t total_timeouts = 0, total_retries = 0, total_shed = 0,
@@ -244,7 +238,6 @@ class ServingApp : public App {
       all.Merge(hist[tid]);
       chaos_all.Merge(chaos_hist[tid]);
       recovery_all.Merge(recovery_hist[tid]);
-      sample.Merge(reservoirs[tid]);
       for (int t = 0; t < tenants; ++t) {
         per_tenant[t].Merge(tenant_hist[tid][t]);
         ten_timeouts[t] += tenant_timeouts[tid][t];
@@ -324,10 +317,9 @@ class ServingApp : public App {
                     result.ok ? " verify ok" : " VERIFY FAILED");
     } else {
       std::snprintf(detail, sizeof(detail),
-                    "requests=%llu p50=%.3fms p99=%.3fms res_p50=%.3fms%s",
+                    "requests=%llu p50=%.3fms p99=%.3fms%s",
                     static_cast<unsigned long long>(all.count()),
                     ms(all.PercentileNs(50)), ms(all.PercentileNs(99)),
-                    ms(sample.SampleQuantileNs(0.5)),
                     result.ok ? " verify ok" : " VERIFY FAILED");
     }
     result.detail = detail;
@@ -336,9 +328,9 @@ class ServingApp : public App {
     return result;
   }
 
-  // Roughly 30% of requests are PUTs writing every value word; the rest fetch.
+  // PUTs write every value word; the rest fetch.
   double ModelGL(const LatencyModel& latency) const override {
-    return latency.MixRatio(0.3);
+    return latency.MixRatio(kServingPutPermille / 1000.0);
   }
 };
 

@@ -8,6 +8,17 @@
 namespace ace {
 namespace {
 
+// The rest of the request mix, in permille.
+constexpr std::uint32_t kRemotePermille = 100;  // off-home fraction of GETs
+constexpr std::uint32_t kHotPermille = 300;     // traffic share of the phase's hot tenant
+// Mean open-loop inter-arrival across all clients. Calibrated so a shard keeps up
+// with steady-state service (a 16-word request costs ~12-26 us depending on
+// placement) but the kernel-time storms after each churn phase — page moves cost
+// ~1.5 ms of copy time each — pile up real queueing tails. Burst blocks push the
+// instantaneous rate to 4x.
+constexpr std::uint64_t kBaseGapNs = 60'000;
+constexpr std::uint64_t kWarmupNs = 5'000;  // first arrival offset
+
 // Arrival-rate multipliers (permille of the base gap) drawn per burst block: 250
 // means 4x the base rate — a burst — while 2000 is a lull that lets queues drain.
 constexpr std::uint32_t kBurstGapPermille[] = {250, 500, 1000, 1000, 2000};
@@ -56,7 +67,7 @@ ServingWorkload BuildServingWorkload(const ServingParams& params, int num_thread
   ServingRng rng(params.seed * 0x2545F4914F6CDD1Dull + 0x9E3779B97F4A7C15ull);
   const ZipfSampler zipf(params.keys_per_tenant, params.zipf_skew);
 
-  std::uint64_t now_ns = params.warmup_ns;
+  std::uint64_t now_ns = kWarmupNs;
   std::uint32_t gap_permille = 1000;
   constexpr std::uint32_t kNumBurstChoices =
       sizeof(kBurstGapPermille) / sizeof(kBurstGapPermille[0]);
@@ -67,7 +78,7 @@ ServingWorkload BuildServingWorkload(const ServingParams& params, int num_thread
     }
     // gap = base * block multiplier * jitter in [0.5, 1.5), all integer ns.
     const std::uint64_t jitter_permille = 500 + rng.Below(1000);
-    now_ns += params.base_gap_ns * gap_permille * jitter_permille / 1'000'000;
+    now_ns += kBaseGapNs * gap_permille * jitter_permille / 1'000'000;
 
     const int phase = static_cast<int>(i * static_cast<std::uint64_t>(params.phases) /
                                        params.requests);
@@ -76,18 +87,18 @@ ServingWorkload BuildServingWorkload(const ServingParams& params, int num_thread
     req.arrival_ns = now_ns;
     // Tenant churn: the rotating hot tenant takes an outsized traffic share.
     const int hot_tenant = phase % params.tenants;
-    if (params.tenants > 1 && rng.Below(1000) < params.hot_permille) {
+    if (params.tenants > 1 && rng.Below(1000) < kHotPermille) {
       req.tenant = static_cast<std::uint16_t>(hot_tenant);
     } else {
       req.tenant = static_cast<std::uint16_t>(rng.Below(params.tenants));
     }
     req.key = PermuteKey(req.tenant, zipf.Sample(rng), params.keys_per_tenant);
-    req.is_put = rng.Below(1000) < params.put_permille ? 1 : 0;
+    req.is_put = rng.Below(1000) < kServingPutPermille ? 1 : 0;
 
     const int home = ServingHomeShard(req.tenant, phase, num_threads);
     int exec = home;
     if (req.is_put == 0 && num_threads > 1 &&
-        rng.Below(1000) < params.remote_permille) {
+        rng.Below(1000) < kRemotePermille) {
       req.remote = 1;
       exec = (home + 1 + static_cast<int>(rng.Below(num_threads - 1))) % num_threads;
       wl.remote_gets++;

@@ -31,24 +31,18 @@ namespace ace {
 
 struct AppConfig;
 
+// 32-bit words per value; every request reads or writes all of them.
+inline constexpr std::uint32_t kServingValueWords = 16;
+// PUT fraction of all requests, in permille.
+inline constexpr std::uint32_t kServingPutPermille = 300;
+
 struct ServingParams {
   int tenants = 4;
   std::uint32_t keys_per_tenant = 128;  // power of two
-  std::uint32_t value_words = 16;       // 32-bit words per value
   int phases = 3;
   std::uint64_t requests = 1500;
   double zipf_skew = 0.9;
   std::uint64_t seed = 1;
-  std::uint32_t put_permille = 300;     // PUT fraction of all requests
-  std::uint32_t remote_permille = 100;  // off-home fraction of GETs
-  std::uint32_t hot_permille = 300;     // traffic share of the phase's hot tenant
-  // Mean open-loop inter-arrival across all clients. Calibrated so a shard keeps
-  // up with steady-state service (a 16-word request costs ~12-26 us depending on
-  // placement) but the kernel-time storms after each churn phase — page moves cost
-  // ~1.5 ms of copy time each — pile up real queueing tails. Burst blocks push the
-  // instantaneous rate to 4x.
-  std::uint64_t base_gap_ns = 60'000;
-  std::uint64_t warmup_ns = 5'000;  // first arrival offset
 };
 
 // Fill a ServingParams from an AppConfig: explicit ServingOptions knobs win, the

@@ -90,10 +90,6 @@ struct MachineConfig {
   LatencyModel latency;
   KernelCostModel kernel;
 
-  // When true, the MMU models the Rosetta restriction of a single virtual address per
-  // physical page per processor (paper section 2.1/2.3.1).
-  bool rosetta_single_mapping = true;
-
   // Entries per processor in the software TLB fronting the reference path
   // (src/machine/tlb.h). Power of two. Purely a simulator-performance knob: hit or
   // miss, every counter and clock is byte-identical.

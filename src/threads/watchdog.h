@@ -14,17 +14,18 @@
 // zero-valued limits disable each check entirely, so the default costs nothing and
 // changes no scheduling decision). When a limit trips, the runtime kills the run:
 // every fiber is unwound with an internal exception at its next simulated-memory
-// operation, and Runtime::Run throws RunKilledError carrying a diagnosis that —
-// when the machine has event tracing enabled — includes the hottest ping-ponging
-// page and the last N trace events (the obs layer's bounded history).
+// operation, and Runtime::Run throws RunKilledError (src/common/run_killed.h)
+// carrying a diagnosis that — when the machine has event tracing enabled — includes
+// the hottest ping-ponging page and the last N trace events (the obs layer's bounded
+// history).
 
 #ifndef SRC_THREADS_WATCHDOG_H_
 #define SRC_THREADS_WATCHDOG_H_
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 
+#include "src/common/run_killed.h"
 #include "src/common/types.h"
 
 namespace ace {
@@ -50,25 +51,6 @@ struct WatchdogLimits {
   std::uint64_t move_budget = 0;
 
   bool enabled() const { return deadline_ns > 0 || move_budget > 0; }
-};
-
-// Thrown by Runtime::Run after every fiber has been unwound. `reason` is a stable
-// machine-readable kind ("watchdog-deadline" | "watchdog-livelock"); `diagnostics`
-// is the human-readable report (limit values, counters, ping-pong page, last trace
-// events).
-class RunKilledError : public std::runtime_error {
- public:
-  RunKilledError(std::string reason, std::string diagnostics)
-      : std::runtime_error(reason + ": " + diagnostics),
-        reason_(std::move(reason)),
-        diagnostics_(std::move(diagnostics)) {}
-
-  const std::string& reason() const { return reason_; }
-  const std::string& diagnostics() const { return diagnostics_; }
-
- private:
-  std::string reason_;
-  std::string diagnostics_;
 };
 
 // Build the kill report for `machine` at trip time: one summary line, then — when

@@ -123,7 +123,7 @@ TEST(CounterRegistry, MismatchTextNamesEveryCounter) {
 // leg ("g_"), in registry order, right after the placement counters.
 TEST(CounterRegistry, RunnerEmitsChaosAndDurabilityGroups) {
   const SweepCell cell = MakeSuite("serving-killnode").cells.at(0);
-  const CellResult result = RunCell(cell, MachineConfig{});
+  const CellResult result = RunCell(cell);
   ASSERT_TRUE(result.ok) << result.detail;
 
   std::vector<std::string> expected;

@@ -247,11 +247,11 @@ TEST(LiveDeterminism, SampledCellBytesMatchUnsampled) {
   cell.app = "IMatMult";
   cell.threads = 3;
   cell.scale = 0.1;
-  CellResult bare = RunCell(cell, MachineConfig{});
+  CellResult bare = RunCell(cell);
   LiveSampler::Options so;
   so.interval_ns = 1'000'000;
   LiveSampler sampler(so, /*sink=*/nullptr);  // bare sampler: capture without a feed
-  CellResult sampled = RunCell(cell, MachineConfig{}, WatchdogLimits{}, &sampler);
+  CellResult sampled = RunCell(cell, WatchdogLimits{}, &sampler);
   EXPECT_GT(sampler.segments(), 0u);
   EXPECT_EQ(SerializeCellObject(bare), SerializeCellObject(sampled));
 }
@@ -427,8 +427,8 @@ TEST(LiveWatchdog, LivelockTripIsTheSameWithAndWithoutASampler) {
   LiveSampler::Options so;
   so.interval_ns = 50'000'000;
   LiveSampler sampler(so, /*sink=*/nullptr);
-  CellResult sampled = RunCell(cell, MachineConfig{}, limits, &sampler);
-  CellResult unsampled = RunCell(cell, MachineConfig{}, limits);
+  CellResult sampled = RunCell(cell, limits, &sampler);
+  CellResult unsampled = RunCell(cell, limits);
   ASSERT_TRUE(sampled.died()) << "livelocked cell was not killed";
   ASSERT_TRUE(unsampled.died()) << "livelocked cell was not killed";
   EXPECT_EQ(sampled.failure_kind, "watchdog-livelock");

@@ -57,6 +57,18 @@ TEST(Model, PerfectPlacementGivesAlphaOne) {
   EXPECT_NEAR(p.gamma, 1.0, 1e-9);
 }
 
+TEST(Model, TnumaOutsideItsBoundsIsUndefinedAlpha) {
+  // A NUMA run slower than all-global (Tnuma 0.293 > Tglobal 0.240, as a kill-node
+  // plan produces) would give alpha -0.59; one faster than all-local, alpha 1.11.
+  // Eq. 4 leaves both undefined. Beta does not depend on Tnuma and stays.
+  for (double t_numa : {0.293, 0.140}) {
+    ModelParams p = SolveModel(t_numa, 0.240, 0.150, 2.0);
+    EXPECT_FALSE(p.alpha_defined) << t_numa;
+    EXPECT_NEAR(p.beta, 0.6, 1e-9) << t_numa;
+    EXPECT_NEAR(p.gamma, t_numa / 0.150, 1e-9) << t_numa;
+  }
+}
+
 TEST(Model, DegenerateZeroLocalTime) {
   ModelParams p = SolveModel(1.0, 2.0, 0.0, 2.0);
   EXPECT_FALSE(p.alpha_defined);

@@ -8,14 +8,14 @@ namespace ace {
 namespace {
 
 TEST(Mmu, TranslateMissesOnEmpty) {
-  Mmu mmu(0, /*rosetta_single_mapping=*/true);
+  Mmu mmu(0);
   TranslateResult r = mmu.Translate(5, AccessKind::kFetch);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.fault, FaultKind::kNoMapping);
 }
 
 TEST(Mmu, EnterThenTranslate) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   mmu.Enter(5, FrameRef::Global(2), Protection::kReadWrite);
   TranslateResult r = mmu.Translate(5, AccessKind::kStore);
   ASSERT_TRUE(r.ok());
@@ -24,7 +24,7 @@ TEST(Mmu, EnterThenTranslate) {
 }
 
 TEST(Mmu, ProtectionFaultOnReadOnlyStore) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   mmu.Enter(5, FrameRef::Local(0, 1), Protection::kRead);
   EXPECT_TRUE(mmu.Translate(5, AccessKind::kFetch).ok());
   TranslateResult r = mmu.Translate(5, AccessKind::kStore);
@@ -33,7 +33,7 @@ TEST(Mmu, ProtectionFaultOnReadOnlyStore) {
 }
 
 TEST(Mmu, ReplaceMappingSameVpage) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   mmu.Enter(5, FrameRef::Global(2), Protection::kRead);
   mmu.Enter(5, FrameRef::Local(0, 3), Protection::kReadWrite);
   TranslateResult r = mmu.Translate(5, AccessKind::kStore);
@@ -43,7 +43,7 @@ TEST(Mmu, ReplaceMappingSameVpage) {
 }
 
 TEST(Mmu, RosettaDisplacesSecondVirtualAddressForSameFrame) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   mmu.Enter(5, FrameRef::Global(2), Protection::kRead);
   Mmu::EnterResult er = mmu.Enter(9, FrameRef::Global(2), Protection::kRead);
   EXPECT_TRUE(er.displaced);
@@ -53,17 +53,8 @@ TEST(Mmu, RosettaDisplacesSecondVirtualAddressForSameFrame) {
   EXPECT_EQ(mmu.MappingCount(), 1u);
 }
 
-TEST(Mmu, NoDisplacementWhenQuirkDisabled) {
-  Mmu mmu(0, /*rosetta_single_mapping=*/false);
-  mmu.Enter(5, FrameRef::Global(2), Protection::kRead);
-  Mmu::EnterResult er = mmu.Enter(9, FrameRef::Global(2), Protection::kRead);
-  EXPECT_FALSE(er.displaced);
-  EXPECT_TRUE(mmu.Translate(5, AccessKind::kFetch).ok());
-  EXPECT_TRUE(mmu.Translate(9, AccessKind::kFetch).ok());
-}
-
 TEST(Mmu, ReenteringSameVpageSameFrameDoesNotDisplaceItself) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   mmu.Enter(5, FrameRef::Global(2), Protection::kRead);
   Mmu::EnterResult er = mmu.Enter(5, FrameRef::Global(2), Protection::kReadWrite);
   EXPECT_FALSE(er.displaced);
@@ -71,7 +62,7 @@ TEST(Mmu, ReenteringSameVpageSameFrameDoesNotDisplaceItself) {
 }
 
 TEST(Mmu, RemoveDropsMappingAndReverseEntry) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   mmu.Enter(5, FrameRef::Global(2), Protection::kRead);
   EXPECT_TRUE(mmu.Remove(5));
   EXPECT_FALSE(mmu.Remove(5));  // already gone
@@ -81,7 +72,7 @@ TEST(Mmu, RemoveDropsMappingAndReverseEntry) {
 }
 
 TEST(Mmu, DowngradeTightensButNeverLoosens) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   mmu.Enter(5, FrameRef::Global(2), Protection::kReadWrite);
   mmu.Downgrade(5, Protection::kRead);
   EXPECT_EQ(mmu.Translate(5, AccessKind::kFetch).prot, Protection::kRead);
@@ -94,7 +85,7 @@ TEST(Mmu, DowngradeTightensButNeverLoosens) {
 }
 
 TEST(Mmu, RemapVpageToNewFrameCleansReverseIndex) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   mmu.Enter(5, FrameRef::Global(2), Protection::kRead);
   mmu.Enter(5, FrameRef::Global(3), Protection::kRead);  // vpage 5 now -> frame 3
   // Frame 2's reverse entry must be gone: mapping it from vpage 9 displaces nothing.
@@ -105,7 +96,7 @@ TEST(Mmu, RemapVpageToNewFrameCleansReverseIndex) {
 }
 
 TEST(Mmu, RemoveAllClearsEverything) {
-  Mmu mmu(0, true);
+  Mmu mmu(0);
   for (VirtPage v = 0; v < 10; ++v) {
     mmu.Enter(v, FrameRef::Global(static_cast<std::uint32_t>(v)), Protection::kRead);
   }
@@ -115,7 +106,7 @@ TEST(Mmu, RemoveAllClearsEverything) {
 }
 
 TEST(Mmu, ForEachMappingVisitsAll) {
-  Mmu mmu(1, true);
+  Mmu mmu(1);
   mmu.Enter(5, FrameRef::Global(2), Protection::kRead);
   mmu.Enter(6, FrameRef::Local(1, 0), Protection::kReadWrite);
   int count = 0;
@@ -133,7 +124,7 @@ TEST(Mmu, ForEachMappingVisitsAll) {
 }
 
 TEST(MmuArray, PerProcessorIsolation) {
-  MmuArray mmus(3, true);
+  MmuArray mmus(3);
   mmus.At(0).Enter(5, FrameRef::Global(2), Protection::kRead);
   EXPECT_TRUE(mmus.At(0).Translate(5, AccessKind::kFetch).ok());
   EXPECT_FALSE(mmus.At(1).Translate(5, AccessKind::kFetch).ok());

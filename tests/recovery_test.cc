@@ -311,11 +311,8 @@ TEST(EvacuateNode, CachedTlbTranslationsAreShotDown) {
   mo.custom_policy = &policy;
   mo.fault_plan = Plan(kArmingPlan);
   mo.enable_tlb = true;
-  mo.tlb_verify = 1;
+  mo.tlb_verify = true;
   Machine machine(mo);
-  if (!machine.tlb_enabled()) {
-    GTEST_SKIP() << "ACE_TLB=off in the environment";
-  }
   Task* task = machine.CreateTask("tlb");
   const VirtAddr va = task->MapAnonymous("data", machine.page_size());
 

@@ -35,7 +35,7 @@ SweepCell FixtureCell(const std::string& app) {
 TEST(Watchdog, DeadlineKillsRunawayCell) {
   WatchdogLimits limits;
   limits.deadline_ns = 1000;  // 1us of virtual time: any real cell exceeds this
-  CellResult result = RunCell(FixtureCell("IMatMult"), MachineConfig{}, limits);
+  CellResult result = RunCell(FixtureCell("IMatMult"), limits);
   EXPECT_TRUE(result.died());
   EXPECT_EQ(result.failure_kind, "watchdog-deadline");
   EXPECT_FALSE(result.ok);
@@ -53,7 +53,7 @@ TEST(Watchdog, LivelockDetectedKilledAndReported) {
   cell.policy.move_threshold = kInfMoveThreshold;  // never pin: unbounded ping-pong
   WatchdogLimits limits;
   limits.move_budget = 5000;
-  CellResult result = RunCell(cell, MachineConfig{}, limits);
+  CellResult result = RunCell(cell, limits);
   ASSERT_TRUE(result.died()) << "livelocked cell was not killed";
   EXPECT_EQ(result.failure_kind, "watchdog-livelock");
   EXPECT_NE(result.failure_detail.find("ping-pong suspect"), std::string::npos)
@@ -67,11 +67,11 @@ TEST(Watchdog, LivelockDetectedKilledAndReported) {
 // an unwatched run.
 TEST(Watchdog, GenerousLimitsDoNotChangeResults) {
   SweepCell cell = NormalCell("IMatMult");
-  CellResult bare = RunCell(cell, MachineConfig{});
+  CellResult bare = RunCell(cell);
   WatchdogLimits generous;
   generous.deadline_ns = 1'000'000'000'000;  // 1000 virtual seconds
   generous.move_budget = 1'000'000'000;
-  CellResult watched = RunCell(cell, MachineConfig{}, generous);
+  CellResult watched = RunCell(cell, generous);
   EXPECT_EQ(SerializeCellObject(bare), SerializeCellObject(watched));
 }
 
@@ -97,10 +97,22 @@ TEST(Watchdog, ScaledWatchdogScalesDeadlineOnly) {
 // --- deaths and quarantine -------------------------------------------------------------
 
 TEST(Resilience, EscapedExceptionBecomesDeath) {
-  CellResult result = RunCell(FixtureCell("ThrowOnRun"), MachineConfig{});
+  CellResult result = RunCell(FixtureCell("ThrowOnRun"));
   ASSERT_TRUE(result.died());
   EXPECT_EQ(result.failure_kind, "exception");
   EXPECT_NE(result.failure_detail.find("deliberate"), std::string::npos)
+      << result.failure_detail;
+}
+
+// A plan that empties the page pool for good leaves a reference no frame can back:
+// the run ends with the named outcome out-of-memory, not an ACE_CHECK abort.
+TEST(Resilience, ExhaustedPagePoolBecomesOutOfMemoryDeath) {
+  SweepCell cell = FixtureCell("IMatMult");
+  cell.fault_plan = "pool-exhausted@always";
+  CellResult result = RunCell(cell);
+  ASSERT_TRUE(result.died());
+  EXPECT_EQ(result.failure_kind, "out-of-memory");
+  EXPECT_NE(result.failure_detail.find("page pool"), std::string::npos)
       << result.failure_detail;
 }
 

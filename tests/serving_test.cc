@@ -250,20 +250,6 @@ TEST(LatencyHistogram, BucketsBoundAndPercentilesAreExactRanks) {
   EXPECT_EQ(other.sum_ns(), h.sum_ns() + 7);
 }
 
-TEST(LatencyReservoir, SeededSamplingIsDeterministic) {
-  LatencyReservoir a(99), b(99);
-  for (std::uint64_t i = 0; i < 5000; ++i) {
-    a.Record(i * 17);
-    b.Record(i * 17);
-  }
-  EXPECT_EQ(a.SampleQuantileNs(0.5), b.SampleQuantileNs(0.5));
-  EXPECT_EQ(a.SampleQuantileNs(0.99), b.SampleQuantileNs(0.99));
-  // The sampled median of 0..5000*17 sits near the true median.
-  double p50 = static_cast<double>(a.SampleQuantileNs(0.5));
-  EXPECT_GT(p50, 2500.0 * 17 * 0.8);
-  EXPECT_LT(p50, 2500.0 * 17 * 1.2);
-}
-
 // --- end-to-end determinism --------------------------------------------------------
 
 // The acceptance property from ISSUE: the serving suite serializes byte-identically

@@ -164,12 +164,11 @@ TEST(SweepDeterminism, ParallelDispatchDoesNotChangeMetrics) {
 }
 
 TEST(SweepRunner, CellMetricsCoverBothModes) {
-  MachineConfig config;
   SweepCell full;
   full.app = "IMatMult";
   full.threads = 3;
   full.scale = 0.1;
-  CellResult full_result = RunCell(full, config);
+  CellResult full_result = RunCell(full);
   EXPECT_TRUE(full_result.ok);
   EXPECT_GT(full_result.MetricOr("t_numa", 0.0), 0.0);
   EXPECT_GT(full_result.MetricOr("t_global", 0.0), 0.0);
@@ -178,7 +177,7 @@ TEST(SweepRunner, CellMetricsCoverBothModes) {
 
   SweepCell numa_only = full;
   numa_only.mode = CellMode::kNumaOnly;
-  CellResult numa_result = RunCell(numa_only, config);
+  CellResult numa_result = RunCell(numa_only);
   EXPECT_TRUE(numa_result.ok);
   EXPECT_GT(numa_result.MetricOr("t_numa", 0.0), 0.0);
   // No global/local placement in this mode.
@@ -186,7 +185,6 @@ TEST(SweepRunner, CellMetricsCoverBothModes) {
 }
 
 TEST(SweepRunner, GlRatioOverrideScalesGlobalLatency) {
-  MachineConfig config;
   SweepCell slow_global;
   slow_global.app = "Gfetch";  // all time in global fetches: Tnuma tracks the ratio
   slow_global.threads = 3;
@@ -194,8 +192,8 @@ TEST(SweepRunner, GlRatioOverrideScalesGlobalLatency) {
   slow_global.gl_ratio = 4.0;
   SweepCell normal = slow_global;
   normal.gl_ratio = 0.0;
-  double t_slow = RunCell(slow_global, config).MetricOr("t_numa", 0.0);
-  double t_normal = RunCell(normal, config).MetricOr("t_numa", 0.0);
+  double t_slow = RunCell(slow_global).MetricOr("t_numa", 0.0);
+  double t_normal = RunCell(normal).MetricOr("t_numa", 0.0);
   EXPECT_GT(t_slow, t_normal * 1.3);
 }
 

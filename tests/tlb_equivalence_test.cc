@@ -18,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -279,24 +278,20 @@ TEST(TlbEquivalenceObservers, ServingKillNodeStreamIdenticalWithTlbOnAndOff) {
   ExpectObserversIdentical("Serving", "corrupt-page@1:2000000:4000000:1000;kill-node@2:5000000");
 }
 
-// --- serialized ace-bench-v1 cell JSON, via the ACE_TLB environment toggle ----------
+// --- serialized ace-bench-v1 cell JSON ----------------------------------------------
 
-TEST(TlbEquivalenceJson, BenchCellJsonByteIdenticalAcrossAceTlbEnv) {
+TEST(TlbEquivalenceJson, BenchCellJsonByteIdenticalWithTlbOnAndOff) {
   SweepCell cell;
   cell.app = "IMatMult";
   cell.threads = 4;
   cell.scale = 0.25;
 
-  MachineConfig config;
-  WatchdogLimits watchdog;
-
-  // The environment toggle is read at Machine construction, so flipping it between
-  // in-process runs exercises exactly what the soak harness and CI differ do.
-  ASSERT_EQ(setenv("ACE_TLB", "1", /*overwrite=*/1), 0);
-  CellResult on = RunCell(cell, config, watchdog);
-  ASSERT_EQ(setenv("ACE_TLB", "0", /*overwrite=*/1), 0);
-  CellResult off = RunCell(cell, config, watchdog);
-  ASSERT_EQ(unsetenv("ACE_TLB"), 0);
+  // The sweep's own options for the cell, with only the TLB switch flipped.
+  ExperimentOptions options = OptionsForCell(cell);
+  options.machine.enable_tlb = true;
+  CellResult on = RunCellUnguarded(cell, options);
+  options.machine.enable_tlb = false;
+  CellResult off = RunCellUnguarded(cell, options);
 
   ASSERT_TRUE(on.ok);
   ASSERT_TRUE(off.ok);

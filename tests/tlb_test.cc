@@ -316,7 +316,7 @@ TEST(TlbDisabled, OptionsDisableMeansNoFillsAndIdenticalValues) {
 
 TEST(TlbDeath, StaleEntryAfterDetachedSinkTripsVerify) {
   Machine::Options mo = SmallMachine();
-  mo.tlb_verify = 1;  // force the poison cross-check on regardless of build flags
+  mo.tlb_verify = true;  // force the poison cross-check on regardless of build flags
   Machine m(mo);
   Task* t = m.CreateTask("t");
   VirtAddr va = t->MapAnonymous("page", m.page_size());

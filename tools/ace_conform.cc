@@ -35,13 +35,13 @@ struct Options {
   std::string policy = "all";
   int threshold = 4;
   std::string plan;
-  int tlb = -1;  // -1 = derived from the seed (the per-seed ACE_TLB flip), 0/1 forced
+  int tlb = -1;  // -1 = derived from the seed (the per-seed TLB flip), 0/1 forced
   int durability = -1;  // -1 = derived from the seed, 0/1 forced
   bool expect_divergence = false;
   bool quiet = false;
 };
 
-// The per-seed ACE_TLB flip: half of all seeds run with the software-TLB mirror
+// The per-seed TLB flip: half of all seeds run with the software-TLB mirror
 // attached (ConformConfig::tlb), so sweeps continuously exercise the shootdown
 // discipline the Machine fast path depends on. SplitMix64-style mix so neighboring
 // seeds don't all land on the same side.

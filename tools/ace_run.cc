@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/apps/app.h"
+#include "src/common/run_killed.h"
 #include "src/machine/chaos.h"
 #include "src/machine/recovery.h"
 #include "src/metrics/experiment.h"
@@ -50,7 +51,9 @@ void Usage() {
       "  --page-size BYTES      page size, power of two (default 4096)\n"
       "  --scheduler S          affinity | migrating (default affinity)\n"
       "  --pager                enable pageout to backing store\n"
-      "  --global-pages N       logical page pool size (default 4096)\n"
+      "  --global-pages N       logical page pool size (default 4096); a run that\n"
+      "                         exhausts it ends out-of-memory and exits 1 (--pager\n"
+      "                         evicts pages instead)\n"
       "  --seed N               run seed (fault-plan probability streams; default 0)\n"
       "serving workload (--app Serving; ignored by the batch apps):\n"
       "  --tenants N            key namespaces sharing the store (default 4)\n"
@@ -63,7 +66,7 @@ void Usage() {
       "                         also arm the serving SLO guard\n"
       "  --trace                print the sharing-class trace report\n"
       "  --no-tlb               disable the software-TLB fast path (same metrics,\n"
-      "                         slower; ACE_TLB=0 in the environment does the same)\n"
+      "                         slower)\n"
       "  --tlb-stats            print the tlb counter group (hits, fills,\n"
       "                         shootdowns, and same-page hit runs: run-flushes runs\n"
       "                         covering batched-refs hits). Off by default so output\n"
@@ -353,8 +356,22 @@ int main(int argc, char** argv) {
     return true;
   };
 
+  // A run that ends early with a named outcome (out-of-memory) prints it and exits 1.
+  auto run_killed = [&](const ace::RunKilledError& killed) {
+    std::fprintf(stderr, "run ended: %s\n", killed.what());
+    if (sampler != nullptr) {
+      close_feed();
+    }
+    return 1;
+  };
+
   if (experiment) {
-    ace::ExperimentResult r = ace::RunExperiment(app_name, options);
+    ace::ExperimentResult r;
+    try {
+      r = ace::RunExperiment(app_name, options);
+    } catch (const ace::RunKilledError& killed) {
+      return run_killed(killed);
+    }
     ace::TextTable table({"Application", "Tglobal", "Tnuma", "Tlocal", "alpha", "beta",
                           "gamma", "alpha(ref)", "verified"});
     table.AddRow({app_name, ace::Fmt("%.3f", r.global.user_sec),
@@ -388,7 +405,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const ace::PlacementRun run = ace::RunOnMachine(*app, machine, options);
+  ace::PlacementRun run;
+  try {
+    run = ace::RunOnMachine(*app, machine, options);
+  } catch (const ace::RunKilledError& killed) {
+    return run_killed(killed);
+  }
   const ace::AppResult& result = run.app;
   std::printf("app:            %s (%s)\n", app_name.c_str(), result.detail.c_str());
   std::printf("policy:         %s (threshold %d)\n", policy_name.c_str(), threshold);

@@ -202,7 +202,7 @@ RunSpec DeriveRun(std::uint64_t seed) {
   spec.threshold = 1 + static_cast<int>(rng.Below(6));
   spec.migrating = rng.Below(4) == 0;
   spec.pager = rng.Below(2) == 0;
-  // The ACE_TLB flip: half of all seeds run through the software-TLB fast path with
+  // The TLB flip: half of all seeds run through the software-TLB fast path with
   // the poison cross-check forced on, so a degrade path that forgets a shootdown
   // aborts ("poisoned TLB entry") and is caught by the fork layer as a violation.
   spec.tlb = rng.Below(2) == 0;
@@ -296,7 +296,9 @@ std::string RunInProcess(const RunSpec& spec) {
   options.machine.policy = *policy;
   options.machine.enable_pager = spec.pager;
   options.machine.enable_tlb = spec.tlb;
-  options.machine.tlb_verify = spec.tlb ? 1 : -1;  // poison cross-check on: stale entries abort
+  if (spec.tlb) {
+    options.machine.tlb_verify = true;  // poison cross-check on: stale entries abort
+  }
   options.machine.fault_plan = spec.plan;
   options.machine.fault_seed = spec.fault_seed;
   options.app.num_threads = spec.threads;
@@ -354,10 +356,8 @@ std::string RunInProcess(const RunSpec& spec) {
     std::snprintf(buf, sizeof buf, "measured alpha out of range: %f", alpha);
     return buf;
   }
-  // The machine's TLB switch, not the spec's: ACE_TLB in the environment overrides
-  // the spec at Machine construction.
   const ace::TlbStats& t = run.tlb;
-  if (machine.tlb_enabled()) {
+  if (spec.tlb) {
     // Every fill follows a miss, with or without injected faults in the resolve path.
     if (t.fills > t.misses) {
       return fail("tlb fills <= tlb misses", t.fills, t.misses);
