@@ -335,6 +335,7 @@ struct OrderCase {
   std::string plan;          // fault plan text; empty = no chaos
   bool migrate_to = false;   // two fibers call Env::MigrateTo mid-run
   bool sampled = false;      // a bare LiveSampler and a watchdog that never trips
+  bool foreign = false;      // fibers charge processor 0 directly and use the atomics
 };
 
 DispatchOrder RunOrderCase(const OrderCase& c) {
@@ -392,6 +393,32 @@ DispatchOrder RunOrderCase(const OrderCase& c) {
       if (c.migrate_to && tid == 5 && i == iters / 3) {
         env.MigrateTo(0, /*move_pages=*/false);
         record();
+      }
+      if (c.foreign) {
+        // As the UnixMaster fixture does: work charged straight to processor 0,
+        // outside any Env op, so a clock other than the running one moves between
+        // dispatches. The next Env op of this fiber is what yields.
+        const VirtAddr word = shared + static_cast<VirtAddr>(i % 8) * m.page_size() + 64;
+        if (i % 7 == 0) {
+          m.Compute(0, 3'000 + 500 * tid);
+          order.Mix(m.clocks().now(0));
+        }
+        if (i % 9 == 0 && env.proc() != 0) {
+          order.Mix(m.LoadWord(*t, 0, word));
+          order.Mix(m.clocks().now(0));
+        }
+        if (i % 4 == 0) {
+          order.Mix(env.TestAndSet(word + 4, static_cast<std::uint32_t>(tid + 1)));
+          record();
+        }
+        if (i % 6 == 1) {
+          order.Mix(env.FetchAdd(word + 8, static_cast<std::uint32_t>(tid) + 1));
+          record();
+        }
+        if (i % 10 == 3) {
+          order.Mix(env.FetchOr(word + 12, 1u << (tid % 32)));
+          record();
+        }
       }
     }
   });
@@ -499,6 +526,19 @@ TEST(DispatchOrder, MigratingAndMigrateToSkipADeadNode) {
   EXPECT_EQ(got.chaos_events, 1u);
   EXPECT_EQ(got.migrations, 166u);
   ExpectOrder(got, 9023638249039397376ull, 1156, {196375197, 190522631, 24300119, 196016752});
+}
+
+TEST(DispatchOrder, ForeignChargesAndAtomics) {
+  // A fiber moves processor 0's clock without an Env op (Machine::Compute and
+  // Machine::LoadWord on processor 0), so the running fiber is not the only one whose
+  // clock changes between dispatches; TestAndSet, FetchAdd and FetchOr yield like a
+  // load, and their return values are hashed too.
+  OrderCase c;
+  c.procs = 4;
+  c.threads = 6;
+  c.foreign = true;
+  const DispatchOrder got = RunOrderCase(c);
+  ExpectOrder(got, 1989984590613604709ull, 1022, {59241463, 42428487, 39829180, 41206124});
 }
 
 }  // namespace
