@@ -24,47 +24,28 @@ thread_local Runtime* Runtime::active_ = nullptr;
 
 // --- Env ---------------------------------------------------------------------------------
 
-Machine& Env::machine() { return runtime_->machine(); }
-Task& Env::task() { return runtime_->task(); }
-
-std::uint32_t Env::Load(VirtAddr va) {
-  std::uint32_t v = runtime_->machine_->LoadWord(runtime_->task(), proc_, va);
-  runtime_->MaybeYield(*this, /*voluntary=*/false);
-  return v;
-}
-
-void Env::Store(VirtAddr va, std::uint32_t value) {
-  runtime_->machine_->StoreWord(runtime_->task(), proc_, va, value);
-  runtime_->MaybeYield(*this, /*voluntary=*/false);
-}
-
 std::uint32_t Env::TestAndSet(VirtAddr va, std::uint32_t new_value) {
-  std::uint32_t v = runtime_->machine_->TestAndSet(runtime_->task(), proc_, va, new_value);
-  runtime_->MaybeYield(*this, /*voluntary=*/false);
+  const std::uint32_t v = machine_->TestAndSet(*task_, proc_, va, new_value);
+  runtime_->AfterOp(*this);
   return v;
 }
 
 std::uint32_t Env::FetchAdd(VirtAddr va, std::uint32_t delta) {
-  std::uint32_t v = runtime_->machine_->FetchAdd(runtime_->task(), proc_, va, delta);
-  runtime_->MaybeYield(*this, /*voluntary=*/false);
+  const std::uint32_t v = machine_->FetchAdd(*task_, proc_, va, delta);
+  runtime_->AfterOp(*this);
   return v;
 }
 
 std::uint32_t Env::FetchOr(VirtAddr va, std::uint32_t bits) {
-  std::uint32_t v = runtime_->machine_->FetchOr(runtime_->task(), proc_, va, bits);
-  runtime_->MaybeYield(*this, /*voluntary=*/false);
+  const std::uint32_t v = machine_->FetchOr(*task_, proc_, va, bits);
+  runtime_->AfterOp(*this);
   return v;
-}
-
-void Env::Compute(TimeNs ns) {
-  runtime_->machine_->Compute(proc_, ns);
-  runtime_->MaybeYield(*this, /*voluntary=*/false);
 }
 
 void Env::Yield() { runtime_->MaybeYield(*this, /*voluntary=*/true); }
 
 void Env::MigrateTo(ProcId new_proc, bool move_pages) {
-  ACE_CHECK(new_proc >= 0 && new_proc < runtime_->machine_->num_processors());
+  ACE_CHECK(new_proc >= 0 && new_proc < machine_->num_processors());
   // A migration aimed at a node lost to kill-node chaos lands on the next live
   // processor instead — a real OS refuses to bind to an offline CPU.
   new_proc = runtime_->LiveProcFrom(new_proc);
@@ -356,6 +337,8 @@ void Runtime::Run(int num_threads, const Body& body) {
   for (int i = 0; i < num_threads; ++i) {
     auto fiber = std::make_unique<Fiber>();
     fiber->env.runtime_ = this;
+    fiber->env.machine_ = machine_;
+    fiber->env.task_ = task_;
     fiber->env.tid_ = i;
     fiber->env.proc_ = static_cast<ProcId>(i % machine_->num_processors());
     // Left uninitialized: nothing reads a stack byte before writing it, and

@@ -37,6 +37,9 @@ class Runtime;
 
 // Per-thread handle through which application code touches simulated memory. All
 // loads/stores/atomics charge the thread's current processor and may context-switch.
+// Load, Store and Compute are inline (defined after Runtime, below): a TLB hit, the
+// clock charge and the deadline check all finish in the caller, and only a dispatch
+// leaves it, through the one out-of-line call Runtime::MaybeYield.
 class Env {
  public:
   std::uint32_t Load(VirtAddr va);
@@ -61,12 +64,15 @@ class Env {
   int tid() const { return tid_; }
   ProcId proc() const { return proc_; }
   Runtime& runtime() { return *runtime_; }
-  Machine& machine();
-  Task& task();
+  Machine& machine() { return *machine_; }
+  Task& task() { return *task_; }
 
  private:
   friend class Runtime;
   Runtime* runtime_ = nullptr;
+  // The runtime's machine and task, held here so an op reaches them with one load.
+  Machine* machine_ = nullptr;
+  Task* task_ = nullptr;
   int tid_ = -1;
   ProcId proc_ = kNoProc;
 };
@@ -156,8 +162,15 @@ class Runtime {
   // count — of a central scheduler loop.
   void DispatchNextFrom(FiberContext* from, int self);
 
-  // Called by Env after every time-advancing operation: switch to the scheduler if
-  // this thread's processor clock is no longer the minimum.
+  // Called by Env after every time-advancing operation (inline, below). While the
+  // run is not being killed, the scheduler is kAffinity and this thread's processor
+  // clock is within the deadline of its dispatch, the op returns to its caller with
+  // no call at all; otherwise AfterOp calls MaybeYield.
+  void AfterOp(Env& env);
+
+  // The out-of-line rest of an op, and all of Yield and MigrateTo: unwind a killed
+  // run, rotate a kMigrating thread whose quantum ran out, and dispatch when the
+  // thread yields voluntarily or its clock passed the deadline.
   void MaybeYield(Env& env, bool voluntary);
 
   // One pass over the fibers: return the next fiber to dispatch (-1 if none runnable)
@@ -211,6 +224,31 @@ class Runtime {
   // (the sweep engine, src/metrics/sweep); a runtime never spans host threads.
   static thread_local Runtime* active_;
 };
+
+// --- the inline Env op ------------------------------------------------------------------
+
+inline void Runtime::AfterOp(Env& env) {
+  if (killing_ || options_.scheduler == SchedulerKind::kMigrating ||
+      now_[env.proc_] > current_deadline_) {
+    MaybeYield(env, /*voluntary=*/false);
+  }
+}
+
+inline std::uint32_t Env::Load(VirtAddr va) {
+  const std::uint32_t v = machine_->LoadWord(*task_, proc_, va);
+  runtime_->AfterOp(*this);
+  return v;
+}
+
+inline void Env::Store(VirtAddr va, std::uint32_t value) {
+  machine_->StoreWord(*task_, proc_, va, value);
+  runtime_->AfterOp(*this);
+}
+
+inline void Env::Compute(TimeNs ns) {
+  machine_->Compute(proc_, ns);
+  runtime_->AfterOp(*this);
+}
 
 }  // namespace ace
 

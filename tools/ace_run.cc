@@ -74,7 +74,8 @@ void Usage() {
       "  --optimal              print the optimal-placement comparison\n"
       "  --experiment           run all three placements and print the model row\n"
       "                         (--plan, --seed and --pager apply to each; the\n"
-      "                         single-run reports above and below do not)\n"
+      "                         single-run reports above and below do not; not for\n"
+      "                         serving: use ace_bench --suite serving)\n"
       "observability (src/obs; all options also accept --opt=value):\n"
       "  --trace-out FILE       write a Chrome trace-event JSON (Perfetto-loadable)\n"
       "  --heat-csv FILE        write the per-page heat table as CSV\n"
@@ -293,6 +294,14 @@ int main(int argc, char** argv) {
   // The serving-workload shape, echoed in the run header and the live-feed tag (like
   // --seed/--plan) so a serving run is replayable from its feed alone.
   const bool is_serving = app_name == "Serving" || app_name == "serving";
+  if (experiment && is_serving) {
+    // RunExperiment's Tlocal leg runs one thread: an open-loop latency run on one
+    // shard, not comparable to the sharded runs, so the model row would be noise.
+    // The serving comparison (numa against all-global, on latency) is a sweep suite.
+    std::fprintf(stderr, "--experiment has no model row for serving (its one-thread "
+                         "Tlocal leg is not comparable); run ace_bench --suite serving\n");
+    return 2;
+  }
   std::string serving_desc;
   if (is_serving || serving_flags) {
     serving_desc = "ten" + std::to_string(serving.tenants) + "/z" +

@@ -18,7 +18,10 @@
 //   * on runs without a permanent failure (kill-node / corrupt-page plans ride the
 //     seed % 8 == 5 family, at most one kill each so survivors always remain), that
 //     the durability counters stayed zero and no replica/recovery manager was built;
-//     on permanent-failure runs, the journal and detection counter identities.
+//     on permanent-failure runs, the journal and detection counter identities,
+//   * on pool-exhaustion runs (the seed % 16 == 3 family adds pool-exhausted@always),
+//     that the run ends in the named out-of-memory outcome with the protocol
+//     invariants intact; completing, an abort or any other ending is a violation.
 //
 // A failing run's plan is shrunk to a minimal subset of schedules that still fails
 // and printed as a replayable `ace_soak --replay ...` command line (also written to
@@ -29,8 +32,10 @@
 // fallbacks (local-exhausted, frame-alloc, copy-fail) may fire at any rate, while
 // pool-exhausted and victim-contention are kept transient — a plan that permanently
 // empties the page pool makes the application legitimately run out of memory, which
-// is not a robustness bug. The protocol-mutation sites (skip-sync, skip-move-count)
-// are excluded: they corrupt results by design and belong to ace_conform.
+// is not a robustness bug. That ending is drawn on purpose on one seed family only,
+// where out-of-memory is the one outcome that passes. The protocol-mutation sites
+// (skip-sync, skip-move-count) are excluded: they corrupt results by design and
+// belong to ace_conform.
 //
 // A soak is time-bounded random sampling: every invocation runs its seed range from
 // the start (each night draws a fresh range), so there is nothing to resume.
@@ -53,6 +58,7 @@
 #include <vector>
 
 #include "src/apps/app.h"
+#include "src/common/run_killed.h"
 #include "src/inject/fault_plan.h"
 #include "src/machine/machine.h"
 #include "src/metrics/experiment.h"
@@ -240,7 +246,30 @@ RunSpec DeriveRun(std::uint64_t seed) {
       spec.plan.chaos.push_back(e);
     }
   }
+  // Every 16th seed (% 16 == 3: disjoint from the clean, transient-chaos and durable
+  // families) also empties the page pool for good, on top of its drawn schedules. No
+  // pager can help, so RunInProcess requires the named out-of-memory ending. Nothing
+  // is drawn here, so every other seed's run is unchanged.
+  if (seed % 16 == 3) {
+    ace::FaultSchedule exhausted;
+    exhausted.site = ace::FaultSite::kGlobalPoolExhausted;
+    exhausted.kind = ace::FaultSchedule::Kind::kAlways;
+    spec.plan.schedules.push_back(exhausted);
+  }
   return spec;
+}
+
+// Whether `plan` empties the page pool for good, so the run can only end out of
+// memory. Read from the plan, not the seed, so a replayed or shrunk plan is judged
+// by what it arms.
+bool ExhaustsPoolForGood(const ace::FaultPlan& plan) {
+  for (const ace::FaultSchedule& s : plan.schedules) {
+    if (s.site == ace::FaultSite::kGlobalPoolExhausted &&
+        s.kind == ace::FaultSchedule::Kind::kAlways) {
+      return true;
+    }
+  }
+  return false;
 }
 
 std::string ReplayCommand(const RunSpec& spec) {
@@ -326,7 +355,20 @@ std::string RunInProcess(const RunSpec& spec) {
   }
 
   ace::Machine machine(options.machine);
-  const ace::PlacementRun run = ace::RunOnMachine(*app, machine, options);
+  const bool must_run_out = ExhaustsPoolForGood(spec.plan);
+  ace::PlacementRun run;
+  try {
+    run = ace::RunOnMachine(*app, machine, options);
+  } catch (const ace::RunKilledError& killed) {
+    if (must_run_out && killed.reason() == "out-of-memory") {
+      machine.numa_manager().VerifyAllInvariants();
+      return "";
+    }
+    return std::string("run ended early: ") + killed.what();
+  }
+  if (must_run_out) {
+    return "a page pool exhausted for good must end the run out-of-memory, but it completed";
+  }
   const ace::AppResult& result = run.app;
   if (!result.ok) {
     return "application verification failed: " + result.detail;
