@@ -81,8 +81,9 @@ Machine::Machine(Options options)
   fault_handler_ =
       std::make_unique<FaultHandler>(pmap_.get(), pool_.get(), pager_.get(), &stats_);
   // Site schedules arm the injector; chaos events arm the controller. Each half is
-  // independent so a chaos-only plan leaves fault_injector() null (ace_soak's
-  // clean-run checks rely on that) and a sites-only plan leaves chaos() null.
+  // independent so a chaos-only plan leaves fault_injector() null (the run-level
+  // checks in CheckRunIdentities rely on that) and a sites-only plan leaves chaos()
+  // null.
   if (!options_.fault_plan.schedules.empty()) {
     injector_ = std::make_unique<FaultInjector>(options_.fault_plan, options_.fault_seed);
     injector_->set_clocks(&clocks_);

@@ -49,7 +49,7 @@ void AcePager::PageIn(const VmObject& object, std::uint64_t index, LogicalPage l
   stats_.pageins++;
 }
 
-bool AcePager::EvictSomePage(ProcId proc) {
+void AcePager::EvictSomePage(ProcId proc) {
   // Second-chance scan: examine at most 2x the queue (each page may be spared once).
   std::size_t budget = 2 * scan_queue_.size();
   while (budget-- > 0 && !scan_queue_.empty()) {
@@ -85,9 +85,8 @@ bool AcePager::EvictSomePage(ProcId proc) {
     // paged out and back in gets its placement reconsidered — the paper's footnote.
     pool_->Free(lp);
     stats_.pageouts++;
-    return true;
+    return;
   }
-  return false;
 }
 
 }  // namespace ace

@@ -53,7 +53,7 @@ class AcePager : public Pager {
            std::uint32_t page_size);
 
   // --- Pager interface --------------------------------------------------------------
-  bool EvictSomePage(ProcId proc) override;
+  void EvictSomePage(ProcId proc) override;
   bool IsPagedOut(const VmObject& object, std::uint64_t index) const override;
   void PageIn(const VmObject& object, std::uint64_t index, LogicalPage lp,
               ProcId proc) override;

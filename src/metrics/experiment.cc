@@ -1,6 +1,10 @@
 #include "src/metrics/experiment.h"
 
+#include <cmath>
+#include <cstdio>
+
 #include "src/common/check.h"
+#include "src/common/run_killed.h"
 #include "src/obs/sampler.h"
 #include "src/trace/ref_trace.h"
 #include "src/threads/watchdog.h"
@@ -44,9 +48,26 @@ PlacementRun RunOnMachine(App& app, Machine& machine, const ExperimentOptions& o
   PlacementRun run;
   try {
     run.app = app.Run(machine, options.app);
+    run.user_sec = static_cast<double>(machine.clocks().TotalUser()) * 1e-9;
+    run.system_sec = static_cast<double>(machine.clocks().TotalSystem()) * 1e-9;
+    run.stats = machine.stats();
+    run.measured_alpha = machine.stats().MeasuredAlpha();
+    run.pages_pinned = machine.stats().pages_pinned;
+    run.tlb = machine.tlb_stats();
+    if (const ReconsiderPolicy* reconsider = machine.reconsider_policy()) {
+      run.unpin_events = reconsider->unpin_events();
+    }
+    if (machine.observability().heat_on()) {
+      run.heat_alpha = machine.observability().heat().AggregateAlpha();
+    }
+    CheckRunIdentities(machine, run);
   } catch (const RunKilledError& e) {
+    if (e.reason() == "out-of-memory") {
+      // The pool ran dry mid-run, but what the protocol had done must still hold.
+      machine.numa_manager().VerifyAllInvariants();
+    }
     if (sampler != nullptr) {
-      sampler->EndRun(e.reason());  // "watchdog-*" | "out-of-memory"
+      sampler->EndRun(e.reason());  // "watchdog-*" | "out-of-memory" | "identity-violated"
     }
     throw;
   } catch (...) {
@@ -58,16 +79,93 @@ PlacementRun RunOnMachine(App& app, Machine& machine, const ExperimentOptions& o
   if (sampler != nullptr) {
     sampler->EndRun(run.app.ok ? "ok" : "failed");
   }
-  run.user_sec = static_cast<double>(machine.clocks().TotalUser()) * 1e-9;
-  run.system_sec = static_cast<double>(machine.clocks().TotalSystem()) * 1e-9;
-  run.stats = machine.stats();
-  run.measured_alpha = machine.stats().MeasuredAlpha();
-  run.pages_pinned = machine.stats().pages_pinned;
-  run.tlb = machine.tlb_stats();
-  if (const ReconsiderPolicy* reconsider = machine.reconsider_policy()) {
-    run.unpin_events = reconsider->unpin_events();
-  }
   return run;
+}
+
+namespace {
+
+// Throws the identity-violated kill when `holds` is false, naming the identity and
+// its two sides.
+void Require(bool holds, const char* identity, std::uint64_t lhs, std::uint64_t rhs) {
+  if (!holds) {
+    char buf[192];
+    std::snprintf(buf, sizeof buf, "%s (%llu vs %llu)", identity,
+                  static_cast<unsigned long long>(lhs), static_cast<unsigned long long>(rhs));
+    throw RunKilledError("identity-violated", buf);
+  }
+}
+
+void RequireAlpha(bool holds, const char* identity, double lhs, double rhs) {
+  if (!holds) {
+    char buf[192];
+    std::snprintf(buf, sizeof buf, "%s (%.9f vs %.9f)", identity, lhs, rhs);
+    throw RunKilledError("identity-violated", buf);
+  }
+}
+
+}  // namespace
+
+void CheckRunIdentities(Machine& machine, const PlacementRun& run) {
+  machine.numa_manager().VerifyAllInvariants();
+
+  const MachineStats& s = run.stats;
+  // Every synced copy was created by a replication or a zero-fill.
+  Require(s.page_syncs <= s.page_copies + s.zero_fills, "page_syncs <= page_copies + zero_fills",
+          s.page_syncs, s.page_copies + s.zero_fills);
+  if (const AcePager* pager = machine.pager()) {
+    Require(pager->stats().pageins <= pager->stats().pageouts, "pageins <= pageouts",
+            pager->stats().pageins, pager->stats().pageouts);
+  }
+  const double alpha = run.measured_alpha;
+  RequireAlpha(alpha >= 0.0 && alpha <= 1.0, "0 <= measured alpha <= 1", alpha, 1.0);
+  if (machine.observability().heat_on()) {
+    // The heat profile records references at the same point as MachineStats, so the
+    // two locality fractions agree to double precision.
+    RequireAlpha(std::fabs(run.heat_alpha - alpha) <= 1e-9, "heat alpha == measured alpha",
+                 run.heat_alpha, alpha);
+  }
+
+  const TlbStats& t = run.tlb;
+  if (machine.tlb_enabled()) {
+    // Every fill follows a miss, with or without injected faults in the resolve path.
+    Require(t.fills <= t.misses, "tlb fills <= tlb misses", t.fills, t.misses);
+  } else {
+    Require(t.hits + t.misses + t.fills == 0, "disabled TLB stays cold",
+            t.hits + t.misses + t.fills, 0);
+  }
+
+  // Injection, chaos and durability are zero-cost when the plan leaves them unarmed:
+  // no manager is built and no counter of their group moves.
+  const FaultPlan& plan = machine.options().fault_plan;
+  if (plan.empty()) {
+    std::uint64_t degraded = CounterGroupTotal(s, kDegradedCounters);
+    Require(degraded == 0 && machine.fault_injector() == nullptr,
+            "an empty plan builds no injector and degrades nothing", degraded, 0);
+  }
+  if (plan.chaos.empty()) {
+    std::uint64_t chaos = CounterGroupTotal(s, kChaosCounters);
+    Require(chaos == 0 && machine.chaos() == nullptr,
+            "a chaos-free plan builds no controller and keeps chaos counters zero", chaos, 0);
+  }
+  if (!plan.has_durable_chaos()) {
+    std::uint64_t durability = CounterGroupTotal(s, kDurabilityCounters);
+    Require(durability == 0 && machine.replica_manager() == nullptr &&
+                machine.recovery() == nullptr,
+            "a plan without a permanent failure builds no replica or recovery manager and "
+            "keeps durability counters zero",
+            durability, 0);
+  } else {
+    // Every journal opens with a full-frame mirror write before any word-sized
+    // appends, so the byte count can never undercut the open count.
+    Require(s.journal_bytes >= s.replicated_pages * machine.page_size(),
+            "journal_bytes >= replicated_pages * page_size", s.journal_bytes,
+            s.replicated_pages * machine.page_size());
+    // Every detected corruption ends in a repair or an accounted loss; kills add
+    // recoveries and losses of their own, so detection can never exceed the sum.
+    Require(s.checksum_failures <= s.recovered_pages + s.lost_pages,
+            "checksum_failures <= recovered_pages + lost_pages", s.checksum_failures,
+            s.recovered_pages + s.lost_pages);
+  }
 }
 
 PlacementRun RunPlacement(App& app, const ExperimentOptions& options) {

@@ -11,9 +11,10 @@
 // program on one machine configuration and differ only in placement.
 //
 // It is also the one run path of the tools: RunOnMachine runs an app on a machine the
-// caller built. The sweep runner and `ace_run --experiment` reach it through
-// RunPlacement; ace_run's single run and ace_soak build their machine from
-// ExperimentOptions::machine, attach their own observers, and call it directly.
+// caller built and checks the finished run (CheckRunIdentities). The sweep runner,
+// `ace_run --experiment` and ace_soak reach it through RunPlacement; ace_run's single
+// run builds its machine from ExperimentOptions::machine, attaches its own observers,
+// and calls it directly.
 
 #ifndef SRC_METRICS_EXPERIMENT_H_
 #define SRC_METRICS_EXPERIMENT_H_
@@ -74,6 +75,9 @@ struct PlacementRun {
   std::uint64_t unpin_events = 0;
   // The optimal-placement estimate (set only with ExperimentOptions::estimate_optimal).
   OptimalEstimate optimal;
+  // The heat profile's locality fraction (set only when heat profiling was attached);
+  // CheckRunIdentities requires it to equal measured_alpha.
+  double heat_alpha = 0.0;
 };
 
 struct ExperimentResult {
@@ -92,7 +96,25 @@ struct ExperimentResult {
 // sampler: it opens a segment described by the machine's own options (the plan in
 // its canonical FaultPlan::Format() text), closes it with the run's outcome on every
 // exit, exceptions included, and reads back times, stats, TLB counters and unpins.
+// Every run that returns has passed CheckRunIdentities; a run that ends
+// out-of-memory has passed VerifyAllInvariants before the kill is rethrown.
 PlacementRun RunOnMachine(App& app, Machine& machine, const ExperimentOptions& options);
+
+// The run-level checks, made once per run by RunOnMachine after the app returns.
+// What is armed is read from `machine` itself (its fault plan, TLB switch, heat
+// profile and subsystems), and the counters from `run`:
+//   * VerifyAllInvariants (an ACE_CHECK abort on violation, in invariant builds);
+//   * page_syncs <= page_copies + zero_fills, and pageins <= pageouts with a pager;
+//   * measured alpha in [0, 1], and equal to the heat profile's when one is attached;
+//   * TLB fills <= misses, and a disabled TLB stays cold;
+//   * an empty plan builds no fault injector and moves no degraded counter, a
+//     chaos-free plan no chaos controller or chaos counter, and a plan without a
+//     permanent failure no replica or recovery manager or durability counter;
+//   * on plans with a permanent failure, journal_bytes >= replicated_pages *
+//     page_size and checksum_failures <= recovered_pages + lost_pages.
+// A broken identity throws RunKilledError("identity-violated") whose diagnostics
+// name the identity and both its sides.
+void CheckRunIdentities(Machine& machine, const PlacementRun& run);
 
 // Build the machine `options` describe (with the G/L override), arm its watchdog
 // tracing and the optimal-placement tracer, and RunOnMachine.

@@ -158,9 +158,12 @@ class FaultHandler {
   }
 
   // Allocate a logical page, driving pageout to free space when the pool is empty.
-  // Bounded at kMaxEvictRetries rounds; stops early once the pager has nothing left to
-  // evict. Rounds beyond the first count as degraded_pool_retries (the first round is
-  // the ordinary alloc-evict-alloc path), and a final failure as a degraded_oom_fault.
+  // Bounded at kMaxEvictRetries rounds, each an eviction attempt and a fresh Alloc.
+  // The Alloc is retried even when the pager found nothing to evict: a failure may be
+  // an injected, transient pool miss while free pages remain (as before any page is
+  // resident). Rounds beyond the first count as degraded_pool_retries (the first round
+  // is the ordinary alloc-evict-alloc path), and a final failure as a
+  // degraded_oom_fault.
   LogicalPage AllocWithRetry(ProcId proc) {
     LogicalPage lp = pool_->Alloc();
     for (int attempt = 0;
@@ -168,9 +171,7 @@ class FaultHandler {
       if (attempt > 0 && stats_ != nullptr) {
         stats_->degraded_pool_retries++;
       }
-      if (!pager_->EvictSomePage(proc)) {
-        break;
-      }
+      pager_->EvictSomePage(proc);
       lp = pool_->Alloc();
     }
     if (lp == kNoLogicalPage && stats_ != nullptr) {

@@ -29,9 +29,10 @@ class Pager {
  public:
   virtual ~Pager() = default;
 
-  // Attempt to free one logical page by paging it out. Returns true if a page was
-  // evicted (the caller retries its pool allocation). Charges `proc` system time.
-  virtual bool EvictSomePage(ProcId proc) = 0;
+  // Attempt to free one logical page by paging it out; finding no victim is not an
+  // error (the caller retries its pool allocation either way). Charges `proc` system
+  // time.
+  virtual void EvictSomePage(ProcId proc) = 0;
 
   // Does backing store hold content for this object page?
   virtual bool IsPagedOut(const VmObject& object, std::uint64_t index) const = 0;

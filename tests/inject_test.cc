@@ -358,6 +358,32 @@ TEST(PagerDegradeTest, InjectedPoolExhaustionIsAbsorbedByRetry) {
   machine.numa_manager().VerifyAllInvariants();
 }
 
+// An injected pool miss before any page is resident leaves the pager nothing to
+// evict, but the pool still has free pages: the retried allocation must succeed.
+TEST(PagerDegradeTest, TransientPoolMissOnAFreshMachineIsRetried) {
+  for (bool store : {true, false}) {
+    Machine::Options mo;
+    mo.config.num_processors = 2;
+    mo.config.global_pages = 8;
+    mo.enable_pager = true;
+    mo.fault_plan = Plan("pool-exhausted@nth:1");
+    Machine machine(mo);
+    Task* task = machine.CreateTask("fresh");
+    VirtAddr va = task->MapAnonymous("data", machine.page_size());
+
+    if (store) {
+      machine.StoreWord(*task, 0, va, 42);
+      EXPECT_EQ(machine.LoadWord(*task, 1, va), 42u);
+    } else {
+      EXPECT_EQ(machine.LoadWord(*task, 0, va), 0u);  // a zero-filled first touch
+    }
+    EXPECT_EQ(machine.fault_injector()->fires(FaultSite::kGlobalPoolExhausted), 1u);
+    EXPECT_EQ(machine.pager()->stats().pageouts, 0u);
+    EXPECT_EQ(machine.stats().degraded_oom_faults, 0u);
+    machine.numa_manager().VerifyAllInvariants();
+  }
+}
+
 TEST(PagerDegradeTest, VictimContentionSparesPagesButEvictionProceeds) {
   Machine::Options mo;
   mo.config.num_processors = 2;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "src/common/run_killed.h"
 #include "src/metrics/experiment.h"
 #include "src/metrics/model.h"
 #include "src/metrics/table.h"
@@ -99,6 +103,70 @@ TEST(Experiment, LocalRunUsesOneProcessor) {
   EXPECT_TRUE(r.local.app.ok);
   // All of Tlocal's references must have been local.
   EXPECT_NEAR(r.local.measured_alpha, 1.0, 1e-9);
+}
+
+// --- run-level checks (CheckRunIdentities) ------------------------------------------
+
+ExperimentOptions SmallRun() {
+  ExperimentOptions options;
+  options.machine.config.num_processors = 3;
+  options.app.num_threads = 3;
+  options.app.scale = 0.2;
+  return options;
+}
+
+// CheckRunIdentities on `run` must end identity-violated with `diagnostics`.
+void ExpectViolation(Machine& machine, const PlacementRun& run, const std::string& diagnostics) {
+  try {
+    CheckRunIdentities(machine, run);
+    ADD_FAILURE() << "no violation; expected: " << diagnostics;
+  } catch (const RunKilledError& killed) {
+    EXPECT_EQ(killed.reason(), "identity-violated");
+    EXPECT_EQ(killed.diagnostics(), diagnostics);
+  }
+}
+
+TEST(RunIdentities, CleanPlacementRunPasses) {
+  std::unique_ptr<App> app = CreateAppByName("Primes2");
+  PlacementRun run;
+  ASSERT_NO_THROW(run = RunPlacement(*app, SmallRun()));
+  EXPECT_TRUE(run.app.ok);
+  EXPECT_GT(run.stats.page_syncs, 0u);  // the syncs identity had something to check
+}
+
+TEST(RunIdentities, DoctoredCountersAreNamedWithBothSides) {
+  ExperimentOptions options = SmallRun();
+  Machine machine(options.machine);
+  machine.EnableHeat();
+  std::unique_ptr<App> app = CreateAppByName("Primes2");
+  const PlacementRun run = RunOnMachine(*app, machine, options);
+  ASSERT_NO_THROW(CheckRunIdentities(machine, run));
+
+  PlacementRun syncs = run;
+  const std::uint64_t created = run.stats.page_copies + run.stats.zero_fills;
+  syncs.stats.page_syncs = created + 1;
+  ExpectViolation(machine, syncs,
+                  "page_syncs <= page_copies + zero_fills (" + std::to_string(created + 1) +
+                      " vs " + std::to_string(created) + ")");
+
+  PlacementRun chaos = run;  // the plan is empty, so chaos is unarmed
+  chaos.stats.chaos_events = 1;
+  ExpectViolation(machine, chaos,
+                  "a chaos-free plan builds no controller and keeps chaos counters zero "
+                  "(1 vs 0)");
+
+  ASSERT_TRUE(machine.tlb_enabled());
+  PlacementRun tlb = run;
+  tlb.tlb.fills = run.tlb.misses + 1;
+  ExpectViolation(machine, tlb,
+                  "tlb fills <= tlb misses (" + std::to_string(run.tlb.misses + 1) + " vs " +
+                      std::to_string(run.tlb.misses) + ")");
+
+  PlacementRun heat = run;
+  heat.heat_alpha = run.measured_alpha + 0.5;
+  ExpectViolation(machine, heat,
+                  Fmt("heat alpha == measured alpha (%.9f", heat.heat_alpha) +
+                      Fmt(" vs %.9f)", run.measured_alpha));
 }
 
 TEST(TextTable, FormatsAlignedColumns) {

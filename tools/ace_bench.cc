@@ -342,7 +342,8 @@ int main(int argc, char** argv) {
   if (!result.failures.empty()) {
     std::fprintf(stderr, "\n%zu cell(s) quarantined:\n", result.failures.size());
     for (const ace::CellFailure& failure : result.failures) {
-      std::fprintf(stderr, "  %s: %s\n", failure.key.c_str(), failure.kind.c_str());
+      std::fprintf(stderr, "  %s: %s: %s\n", failure.key.c_str(), failure.kind.c_str(),
+                   failure.detail.c_str());
     }
   }
 

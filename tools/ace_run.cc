@@ -13,7 +13,6 @@
 //   ace_run --app IMatMult --report pmap      # Figures 1 and 2: machine, pmap traffic
 //   ace_run --list
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -495,16 +494,8 @@ int main(int argc, char** argv) {
   if (want_obs) {
     const ace::Observability& obs = machine.observability();
     const ace::HeatProfile& heat = obs.heat();
-
-    // Cross-check: the heat profile records references at the same point as
-    // MachineStats, so the two locality fractions must agree to double precision.
-    double heat_alpha = heat.AggregateAlpha();
-    double stats_alpha = s.MeasuredAlpha();
-    std::printf("heat alpha:     %.9f (stats %.9f)\n", heat_alpha, stats_alpha);
-    if (std::fabs(heat_alpha - stats_alpha) > 1e-9) {
-      std::fprintf(stderr, "ERROR: heat-profile alpha diverges from MeasuredAlpha\n");
-      return 1;
-    }
+    // RunOnMachine already required the two to agree (CheckRunIdentities).
+    std::printf("heat alpha:     %.9f (stats %.9f)\n", run.heat_alpha, run.measured_alpha);
 
     // Ring pressure: a nonzero drop count means the per-processor rings wrapped and
     // any report built from them is missing that many oldest events.

@@ -5,23 +5,21 @@
 // of 1–3 schedules over the graceful-degradation fault sites (src/inject). The run
 // executes in a forked child so that an ACE_CHECK abort — a degradation path that
 // crashed instead of degrading — is caught as a violation instead of killing the
-// harness. After the application finishes, the child checks:
+// harness. The child runs the application through RunPlacement, so every run-level
+// check that any run gets is made here too (CheckRunIdentities in
+// src/metrics/experiment.h: the protocol invariants, the counter identities, TLB
+// coldness when disabled, and zero-cost-when-unarmed for injection, chaos and
+// durability); a broken one ends the run `identity-violated`. On top of that the
+// soak requires:
 //   * the application's own result verification (every app computes and checks a
 //     real result through simulated memory),
-//   * the full protocol invariant sweep (VerifyAllInvariants; aborts on violation),
-//   * counter identities that must survive any injection: page_syncs <= page_copies
-//     + zero_fills, pageins <= pageouts, measured alpha in [0, 1],
-//   * on clean runs (every 8th seed carries an empty plan), that every degradation
-//     counter stayed zero — injection must be zero-cost when unarmed,
-//   * on chaos-free runs (chaos events ride along only on every 4th seed), that the
-//     chaos counters stayed zero and no controller was built,
-//   * on runs without a permanent failure (kill-node / corrupt-page plans ride the
-//     seed % 8 == 5 family, at most one kill each so survivors always remain), that
-//     the durability counters stayed zero and no replica/recovery manager was built;
-//     on permanent-failure runs, the journal and detection counter identities,
 //   * on pool-exhaustion runs (the seed % 16 == 3 family adds pool-exhausted@always),
-//     that the run ends in the named out-of-memory outcome with the protocol
-//     invariants intact; completing, an abort or any other ending is a violation.
+//     the named out-of-memory ending (RunPlacement has checked the invariants before
+//     rethrowing it); completing, an abort or any other ending is a violation.
+// The seed families make the unarmed checks bite: every 8th seed carries an empty
+// plan, chaos events ride only the seed % 4 == 2 family, and permanent failures
+// (kill-node / corrupt-page, at most one kill each so survivors always remain) only
+// the seed % 8 == 5 family.
 //
 // A failing run's plan is shrunk to a minimal subset of schedules that still fails
 // and printed as a replayable `ace_soak --replay ...` command line (also written to
@@ -30,10 +28,13 @@
 //
 // Generated plans are constrained to stay *survivable*: the sites with graceful
 // fallbacks (local-exhausted, frame-alloc, copy-fail) may fire at any rate, while
-// pool-exhausted and victim-contention are kept transient — a plan that permanently
-// empties the page pool makes the application legitimately run out of memory, which
-// is not a robustness bug. That ending is drawn on purpose on one seed family only,
-// where out-of-memory is the one outcome that passes. The protocol-mutation sites
+// pool-exhausted and victim-contention are kept transient and drawn on pager
+// machines only. There the fault handler retries a failed allocation for a bounded
+// number of rounds whether or not the pager found a victim, so a transient miss is
+// absorbed even before any page is resident. A plan that permanently empties the
+// page pool makes the application legitimately run out of memory, which is not a
+// robustness bug. That ending is drawn on purpose on one seed family only, where
+// out-of-memory is the one outcome that passes. The protocol-mutation sites
 // (skip-sync, skip-move-count) are excluded: they corrupt results by design and
 // belong to ace_conform.
 //
@@ -60,7 +61,6 @@
 #include "src/apps/app.h"
 #include "src/common/run_killed.h"
 #include "src/inject/fault_plan.h"
-#include "src/machine/machine.h"
 #include "src/metrics/experiment.h"
 #include "src/common/splitmix64.h"
 #include "src/metrics/sweep/report.h"
@@ -222,7 +222,8 @@ RunSpec DeriveRun(std::uint64_t seed) {
   }
   // Every 4th seed also rides a machine-scoped chaos plan (disjoint from the clean
   // seeds above: seed % 8 == 0 implies seed % 4 == 0). All other seeds stay
-  // chaos-free so RunInProcess can assert the chaos counters' zero-cost invariant.
+  // chaos-free so the run-level checks can assert the chaos counters' zero-cost
+  // invariant.
   if (seed % 4 == 2) {
     std::uint32_t count = 1 + rng.Below(2);
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -233,8 +234,8 @@ RunSpec DeriveRun(std::uint64_t seed) {
   // the transient-chaos family at % 4 == 2) rides a permanent-failure plan, so the
   // soak continuously exercises journal restore, mirror reconstruction, fiber
   // re-homing and the checksum scrub under every machine shape. All other seeds
-  // stay durable-free so RunInProcess can assert the durability counters' and the
-  // replica/recovery managers' zero-cost invariant.
+  // stay durable-free so the run-level checks can assert the durability counters' and
+  // the replica/recovery managers' zero-cost invariant.
   if (seed % 8 == 5) {
     std::uint32_t count = 1 + rng.Below(2);
     bool allow_kill = true;
@@ -307,8 +308,9 @@ std::string DescribeRun(const RunSpec& spec) {
 std::string g_live_out;
 long long g_sample_interval_ns = 10'000'000;
 
-// Build the machine, run the application, run every check. Empty string = run OK;
-// otherwise the first violation. ACE_CHECK failures abort (caught by the fork layer).
+// Run the application through RunPlacement, which makes the run-level checks, and
+// judge the ending. Empty string = run OK; otherwise the violation. ACE_CHECK
+// failures abort (caught by the fork layer).
 std::string RunInProcess(const RunSpec& spec) {
   std::unique_ptr<ace::App> app = ace::CreateAppByName(spec.app);
   if (app == nullptr) {
@@ -354,95 +356,21 @@ std::string RunInProcess(const RunSpec& spec) {
     options.app.runtime.sampler = sampler.get();
   }
 
-  ace::Machine machine(options.machine);
   const bool must_run_out = ExhaustsPoolForGood(spec.plan);
   ace::PlacementRun run;
   try {
-    run = ace::RunOnMachine(*app, machine, options);
+    run = ace::RunPlacement(*app, options);
   } catch (const ace::RunKilledError& killed) {
     if (must_run_out && killed.reason() == "out-of-memory") {
-      machine.numa_manager().VerifyAllInvariants();
-      return "";
+      return "";  // RunPlacement checked the protocol invariants before the rethrow
     }
     return std::string("run ended early: ") + killed.what();
   }
   if (must_run_out) {
     return "a page pool exhausted for good must end the run out-of-memory, but it completed";
   }
-  const ace::AppResult& result = run.app;
-  if (!result.ok) {
-    return "application verification failed: " + result.detail;
-  }
-  machine.numa_manager().VerifyAllInvariants();
-
-  const ace::MachineStats& s = run.stats;
-  auto fail = [](const char* what, std::uint64_t a, std::uint64_t b) {
-    char buf[160];
-    std::snprintf(buf, sizeof buf, "counter identity violated: %s (%llu vs %llu)", what,
-                  static_cast<unsigned long long>(a), static_cast<unsigned long long>(b));
-    return std::string(buf);
-  };
-  // Every synced copy was created by a replication or a zero-fill.
-  if (s.page_syncs > s.page_copies + s.zero_fills) {
-    return fail("page_syncs <= page_copies + zero_fills", s.page_syncs,
-                s.page_copies + s.zero_fills);
-  }
-  if (machine.pager() != nullptr &&
-      machine.pager()->stats().pageins > machine.pager()->stats().pageouts) {
-    return fail("pageins <= pageouts", machine.pager()->stats().pageins,
-                machine.pager()->stats().pageouts);
-  }
-  double alpha = s.MeasuredAlpha();
-  if (!(alpha >= 0.0 && alpha <= 1.0)) {
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "measured alpha out of range: %f", alpha);
-    return buf;
-  }
-  const ace::TlbStats& t = run.tlb;
-  if (spec.tlb) {
-    // Every fill follows a miss, with or without injected faults in the resolve path.
-    if (t.fills > t.misses) {
-      return fail("tlb fills <= tlb misses", t.fills, t.misses);
-    }
-  } else if (t.hits + t.misses + t.fills != 0) {
-    return fail("disabled TLB must stay cold", t.hits + t.misses + t.fills, 0);
-  }
-  if (spec.plan.empty()) {
-    std::uint64_t degraded = ace::CounterGroupTotal(s, ace::kDegradedCounters);
-    if (degraded != 0 || machine.fault_injector() != nullptr) {
-      return fail("clean run must not degrade (disarmed injection is zero-cost)", degraded, 0);
-    }
-  }
-  if (spec.plan.chaos.empty()) {
-    // Chaos-free runs (including every plan-only seed) must never build a controller
-    // or touch the chaos counters — chaos, like injection, is zero-cost when unarmed.
-    std::uint64_t chaos = ace::CounterGroupTotal(s, ace::kChaosCounters);
-    if (chaos != 0 || machine.chaos() != nullptr) {
-      return fail("chaos-free run must keep chaos counters zero", chaos, 0);
-    }
-  }
-  std::uint64_t durability = ace::CounterGroupTotal(s, ace::kDurabilityCounters);
-  if (!spec.plan.has_durable_chaos()) {
-    // Plans without a permanent failure — transient chaos included — must never arm
-    // the durability subsystem: no replica or recovery manager, every durability
-    // counter exactly zero. Durability, like chaos, is zero-cost when unarmed.
-    if (durability != 0 || machine.replica_manager() != nullptr ||
-        machine.recovery() != nullptr) {
-      return fail("durable-chaos-free run must keep durability counters zero", durability, 0);
-    }
-  } else {
-    // Every journal opens with a full-frame mirror write before any word-sized
-    // appends, so the byte count can never undercut the open count.
-    if (s.journal_bytes < s.replicated_pages * machine.page_size()) {
-      return fail("journal_bytes >= replicated_pages * page_size", s.journal_bytes,
-                  s.replicated_pages * machine.page_size());
-    }
-    // Every detected corruption ends in a repair or an accounted loss; kills add
-    // recoveries and losses of their own, so detection can never exceed the sum.
-    if (s.checksum_failures > s.recovered_pages + s.lost_pages) {
-      return fail("checksum_failures <= recovered_pages + lost_pages", s.checksum_failures,
-                  s.recovered_pages + s.lost_pages);
-    }
+  if (!run.app.ok) {
+    return "application verification failed: " + run.app.detail;
   }
   return "";
 }
