@@ -10,7 +10,6 @@
 #include "src/numa/policies.h"
 #include "src/numa/replica_manager.h"
 #include "src/obs/observability.h"
-#include "src/sim/bus.h"
 #include "src/sim/clocks.h"
 #include "src/sim/machine_config.h"
 #include "src/sim/physical_memory.h"
@@ -167,7 +166,7 @@ struct Differ::Impl {
         phys(machine),
         clocks(machine.num_processors),
         policy(BuildPolicy(cc, &stats)),
-        manager(machine, &phys, &clocks, &stats, &bus, policy.get(),
+        manager(machine, &phys, &clocks, &stats, policy.get(),
                 cc.tlb ? static_cast<MappingControl*>(&tlb) : &mappings),
         model(BuildModelConfig(cc)),
         obs(cc.num_processors, cc.pages, &clocks) {
@@ -183,7 +182,7 @@ struct Differ::Impl {
       // must stay recoverable. One journal per page is the true upper bound.
       ReplicaManager::Options ropt;
       ropt.journal_page_cap = cc.pages;
-      replica = std::make_unique<ReplicaManager>(machine, &phys, &clocks, &stats, &bus, ropt);
+      replica = std::make_unique<ReplicaManager>(machine, &phys, &clocks, &stats, ropt);
       manager.set_replica_manager(replica.get());
     }
     // The conformance sweeps run with full observability attached: a protocol bug that
@@ -201,7 +200,6 @@ struct Differ::Impl {
   PhysicalMemory phys;
   ProcClocks clocks;
   MachineStats stats;
-  IpcBus bus;
   std::unique_ptr<NumaPolicy> policy;
   NullMappings mappings;
   TlbMirror tlb;  // real side's MappingControl when config.tlb — declared before manager

@@ -373,14 +373,7 @@ TimeNs FaultInjector::Now(ProcId proc) const {
   if (clocks_ == nullptr) {
     return 0;
   }
-  if (proc != kNoProc) {
-    return clocks_->now(proc);
-  }
-  TimeNs max_now = 0;
-  for (ProcId p = 0; p < clocks_->num_processors(); ++p) {
-    max_now = std::max(max_now, clocks_->now(p));
-  }
-  return max_now;
+  return proc != kNoProc ? clocks_->now(proc) : clocks_->MaxNow();
 }
 
 bool FaultInjector::ShouldInject(FaultSite site, ProcId proc) {

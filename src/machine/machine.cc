@@ -63,8 +63,8 @@ Machine::Machine(Options options)
     }
     active_policy_ = policy_.get();
   }
-  pmap_ = std::make_unique<PmapAce>(options_.config, &phys_, &clocks_, &stats_, &bus_,
-                                    active_policy_);
+  pmap_ =
+      std::make_unique<PmapAce>(options_.config, &phys_, &clocks_, &stats_, active_policy_);
   if (tlb_on_) {
     // Every MMU mutation — whichever protocol path drove it — now shoots down the
     // matching TLB entries before the translation changes.
@@ -101,8 +101,8 @@ Machine::Machine(Options options)
   if (options_.fault_plan.has_durable_chaos()) {
     ReplicaManager::Options ropt;
     ropt.journal_page_cap = options_.journal_page_cap;
-    replica_ = std::make_unique<ReplicaManager>(options_.config, &phys_, &clocks_,
-                                                &stats_, &bus_, ropt);
+    replica_ =
+        std::make_unique<ReplicaManager>(options_.config, &phys_, &clocks_, &stats_, ropt);
     pmap_->manager().set_replica_manager(replica_.get());
     recovery_ = std::make_unique<RecoveryManager>(this);
   }
@@ -366,13 +366,7 @@ void Machine::CaptureLiveSample(LiveSample* out) {
   out->stats = stats_;
   out->user_ns = clocks_.TotalUser();
   out->system_ns = clocks_.TotalSystem();
-  out->max_clock_ns = 0;
-  for (int p = 0; p < options_.config.num_processors; ++p) {
-    const TimeNs t = clocks_.now(static_cast<ProcId>(p));
-    if (t > out->max_clock_ns) {
-      out->max_clock_ns = t;
-    }
-  }
+  out->max_clock_ns = clocks_.MaxNow();
 
   out->tlb_hits_by_proc.clear();
   out->tlb_misses_by_proc.clear();
@@ -410,11 +404,6 @@ void Machine::CaptureLiveSample(LiveSample* out) {
     }
   }
 
-  out->app_requests = app_requests_;
-  out->app_req_lat_ns = app_req_lat_ns_;
-  out->app_timeouts = app_timeouts_;
-  out->app_retries = app_retries_;
-  out->app_shed = app_shed_;
   out->dead_nodes = recovery_ != nullptr ? recovery_->dead_nodes() : 0;
 }
 

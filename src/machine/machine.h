@@ -35,7 +35,6 @@
 #include "src/numa/policies.h"
 #include "src/numa/policy.h"
 #include "src/obs/observability.h"
-#include "src/sim/bus.h"
 #include "src/sim/clocks.h"
 #include "src/sim/machine_config.h"
 #include "src/sim/physical_memory.h"
@@ -214,14 +213,13 @@ class Machine {
   void DebugWrite(Task& task, VirtAddr va, std::uint32_t value);
 
   // --- introspection --------------------------------------------------------------------
-  // Every reference is accounted as it happens, so clocks, stats and bus are exact at
-  // every instant and a reference taken once stays current.
+  // Every reference is accounted as it happens, so clocks and stats are exact at every
+  // instant and a reference taken once stays current.
   const MachineConfig& config() const { return options_.config; }
   ProcClocks& clocks() { return clocks_; }
   const ProcClocks& clocks() const { return clocks_; }
   MachineStats& stats() { return stats_; }
   const MachineStats& stats() const { return stats_; }
-  IpcBus& bus() { return bus_; }
   PhysicalMemory& physical_memory() { return phys_; }
   PagePool& page_pool() { return *pool_; }
   PmapAce& pmap() { return *pmap_; }
@@ -268,27 +266,6 @@ class Machine {
     ref_observer_ = observer;
     ref_observer_ctx_ = ctx;
   }
-
-  // Application-level request counters for live telemetry: the running app (the
-  // serving workload) records each completed request and its virtual-time latency,
-  // and CaptureLiveSample folds the cumulative totals into each sample. Stored on
-  // the machine — not behind a callback — so the end-of-run summary capture still
-  // sees them after the app has returned. Both values are monotone by construction
-  // (the feed validator enforces non-negative deltas and summary == sum of deltas).
-  // Purely observational: the simulation never reads them back.
-  void RecordAppRequest(TimeNs latency_ns) {
-    app_requests_ += 1;
-    app_req_lat_ns_ += static_cast<std::uint64_t>(latency_ns);
-  }
-
-  // SLO outcome counters for the serving workload under chaos (DESIGN.md section
-  // 13): requests that missed their virtual-time deadline, retry attempts issued,
-  // and requests shed by the per-tenant backlog guard. Same contract as
-  // RecordAppRequest — monotone, purely observational, zero on chaos-free runs
-  // (the app only arms its SLO machinery when chaos() is non-null).
-  void RecordAppTimeout() { app_timeouts_ += 1; }
-  void RecordAppRetry() { app_retries_ += 1; }
-  void RecordAppShed() { app_shed_ += 1; }
 
   // The software TLB and its counter group (the `tlb` observability group). The
   // counters are kept out of MachineStats: they differ between TLB-on and TLB-off
@@ -366,7 +343,7 @@ class Machine {
 
   // The one accounting step of a reference whose translation is known, shared by the
   // TLB hit and the slow path: off-node dilation, the user-time charge, the reference
-  // counters, the heat profile, the bus transfer, the word copy through the frame's
+  // counters, the heat profile, the word copy through the frame's
   // host pointer `data` (a store also journals for the durability subsystem), then
   // the ref observer. `lp` may be kNoLogicalPage when no consumer needs it.
   void CompleteAccess(ProcId proc, VirtAddr va, AccessKind kind, std::uint32_t* value,
@@ -380,9 +357,6 @@ class Machine {
       // Recorded at the same point as RecordRef, so the heat profile's aggregate
       // locality fraction agrees with MeasuredAlpha() exactly.
       obs_.OnRef(lp, proc, cls, kind);
-    }
-    if (cls != MemoryClass::kLocal) {
-      bus_.RecordTransfer(kWordBytes, clocks_.now(proc));
     }
     const std::uint32_t offset = static_cast<std::uint32_t>(va & page_mask_);
     ACE_DCHECK(offset % kWordBytes == 0);
@@ -411,7 +385,6 @@ class Machine {
 
   MachineStats stats_;
   ProcClocks clocks_;
-  IpcBus bus_;
   // The TLB is the MmuArray's shootdown sink; declared before pmap_/pool_ so it
   // outlives every teardown path that still mutates MMUs (~Machine drains the pool,
   // which frees pages and fires shootdowns).
@@ -445,12 +418,6 @@ class Machine {
 
   RefObserver ref_observer_ = nullptr;
   void* ref_observer_ctx_ = nullptr;
-
-  std::uint64_t app_requests_ = 0;
-  std::uint64_t app_req_lat_ns_ = 0;
-  std::uint64_t app_timeouts_ = 0;
-  std::uint64_t app_retries_ = 0;
-  std::uint64_t app_shed_ = 0;
 };
 
 }  // namespace ace

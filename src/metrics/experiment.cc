@@ -51,8 +51,6 @@ PlacementRun RunOnMachine(App& app, Machine& machine, const ExperimentOptions& o
     run.user_sec = static_cast<double>(machine.clocks().TotalUser()) * 1e-9;
     run.system_sec = static_cast<double>(machine.clocks().TotalSystem()) * 1e-9;
     run.stats = machine.stats();
-    run.measured_alpha = machine.stats().MeasuredAlpha();
-    run.pages_pinned = machine.stats().pages_pinned;
     run.tlb = machine.tlb_stats();
     if (const ReconsiderPolicy* reconsider = machine.reconsider_policy()) {
       run.unpin_events = reconsider->unpin_events();
@@ -116,7 +114,7 @@ void CheckRunIdentities(Machine& machine, const PlacementRun& run) {
     Require(pager->stats().pageins <= pager->stats().pageouts, "pageins <= pageouts",
             pager->stats().pageins, pager->stats().pageouts);
   }
-  const double alpha = run.measured_alpha;
+  const double alpha = s.MeasuredAlpha();
   RequireAlpha(alpha >= 0.0 && alpha <= 1.0, "0 <= measured alpha <= 1", alpha, 1.0);
   if (machine.observability().heat_on()) {
     // The heat profile records references at the same point as MachineStats, so the
@@ -146,6 +144,9 @@ void CheckRunIdentities(Machine& machine, const PlacementRun& run) {
     std::uint64_t chaos = CounterGroupTotal(s, kChaosCounters);
     Require(chaos == 0 && machine.chaos() == nullptr,
             "a chaos-free plan builds no controller and keeps chaos counters zero", chaos, 0);
+    // The serving app arms its deadline, retry and shed guard only under chaos.
+    std::uint64_t slo = CounterGroupTotal(s, kSloCounters);
+    Require(slo == 0, "a chaos-free plan keeps SLO counters zero", slo, 0);
   }
   if (!plan.has_durable_chaos()) {
     std::uint64_t durability = CounterGroupTotal(s, kDurabilityCounters);

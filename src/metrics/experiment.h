@@ -65,9 +65,7 @@ struct PlacementRun {
   double user_sec = 0.0;
   double system_sec = 0.0;
   AppResult app;
-  MachineStats stats;
-  double measured_alpha = 0.0;  // directly counted locality fraction
-  std::uint64_t pages_pinned = 0;
+  MachineStats stats;  // the measured locality fraction is stats.MeasuredAlpha()
   // The machine's software-TLB counters (all zero when the TLB is disabled);
   // deterministic for a given source tree and config, like every MachineStats counter.
   TlbStats tlb;
@@ -76,7 +74,7 @@ struct PlacementRun {
   // The optimal-placement estimate (set only with ExperimentOptions::estimate_optimal).
   OptimalEstimate optimal;
   // The heat profile's locality fraction (set only when heat profiling was attached);
-  // CheckRunIdentities requires it to equal measured_alpha.
+  // CheckRunIdentities requires it to equal stats.MeasuredAlpha().
   double heat_alpha = 0.0;
 };
 
@@ -108,8 +106,9 @@ PlacementRun RunOnMachine(App& app, Machine& machine, const ExperimentOptions& o
 //   * measured alpha in [0, 1], and equal to the heat profile's when one is attached;
 //   * TLB fills <= misses, and a disabled TLB stays cold;
 //   * an empty plan builds no fault injector and moves no degraded counter, a
-//     chaos-free plan no chaos controller or chaos counter, and a plan without a
-//     permanent failure no replica or recovery manager or durability counter;
+//     chaos-free plan no chaos controller, chaos counter or SLO counter, and a plan
+//     without a permanent failure no replica or recovery manager or durability
+//     counter;
 //   * on plans with a permanent failure, journal_bytes >= replicated_pages *
 //     page_size and checksum_failures <= recovered_pages + lost_pages.
 // A broken identity throws RunKilledError("identity-violated") whose diagnostics

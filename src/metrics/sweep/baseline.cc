@@ -88,7 +88,10 @@ BaselineComparison CompareAgainstBaseline(const SweepResult& result,
     const CellResult& new_cell = *it->second;
     cmp.cells_compared++;
 
-    if (!new_cell.ok) {
+    if (new_cell.died()) {
+      AddIssue(cmp, key, "",
+               "run died: " + new_cell.failure_kind + ": " + new_cell.failure_detail, true);
+    } else if (!new_cell.ok) {
       AddIssue(cmp, key, "", "application verification failed: " + new_cell.detail, true);
     }
 

@@ -98,7 +98,7 @@ struct CellResult {
   // --- resilience bookkeeping (the run-resilience layer, runner.h) -------------------
   // Why the cell's run *died*, or empty if it ran to completion (ok reflects
   // verification, not survival): "watchdog-deadline", "watchdog-livelock",
-  // "out-of-memory" or "exception". Dead cells carry no metrics.
+  // "out-of-memory", "identity-violated" or "exception". Dead cells carry no metrics.
   std::string failure_kind;
   std::string failure_detail;  // kill report / exception text
 

@@ -148,7 +148,7 @@ CellResult RunCellUnguarded(const SweepCell& cell, const ExperimentOptions& opti
     result.detail = run.app.detail;
     result.metrics.emplace_back("t_numa", run.user_sec);
     result.metrics.emplace_back("s_numa", run.system_sec);
-    result.metrics.emplace_back("measured_alpha", run.measured_alpha);
+    result.metrics.emplace_back("measured_alpha", run.stats.MeasuredAlpha());
     AppendNumaCounters(cell, run, result.metrics);
     return result;
   }
@@ -170,7 +170,7 @@ CellResult RunCellUnguarded(const SweepCell& cell, const ExperimentOptions& opti
     result.metrics.emplace_back("s_numa", numa.system_sec);
     result.metrics.emplace_back("t_global", global.user_sec);
     result.metrics.emplace_back("s_global", global.system_sec);
-    result.metrics.emplace_back("measured_alpha", numa.measured_alpha);
+    result.metrics.emplace_back("measured_alpha", numa.stats.MeasuredAlpha());
     // Per-policy latency metrics: the move-limit run unprefixed, all-global prefixed.
     for (const auto& [name, value] : numa.app.metrics) {
       result.metrics.emplace_back(name, value);
@@ -208,7 +208,7 @@ CellResult RunCellUnguarded(const SweepCell& cell, const ExperimentOptions& opti
   result.metrics.emplace_back("alpha", NanIfUndefined(r.model.alpha_defined, r.model.alpha));
   result.metrics.emplace_back("beta", r.model.beta);
   result.metrics.emplace_back("gamma", r.model.gamma);
-  result.metrics.emplace_back("measured_alpha", r.numa.measured_alpha);
+  result.metrics.emplace_back("measured_alpha", r.numa.stats.MeasuredAlpha());
   result.metrics.emplace_back("model_gl", r.gl_ratio);
   AppendNumaCounters(cell, r.numa, result.metrics);
   if (cell.mode == CellMode::kOptimal) {

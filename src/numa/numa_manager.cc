@@ -11,12 +11,10 @@
 namespace ace {
 
 NumaManager::NumaManager(const MachineConfig& config, PhysicalMemory* phys, ProcClocks* clocks,
-                         MachineStats* stats, IpcBus* bus, NumaPolicy* policy,
-                         MappingControl* mappings)
+                         MachineStats* stats, NumaPolicy* policy, MappingControl* mappings)
     : phys_(phys),
       clocks_(clocks),
       stats_(stats),
-      bus_(bus),
       policy_(policy),
       mappings_(mappings),
       kernel_(config.kernel),
@@ -168,7 +166,6 @@ void NumaManager::SyncOwner(LogicalPage lp, ProcId proc) {
   FrameRef global = FrameRef::Global(lp);
   TimeNs cost = phys_->CopyPage(local, global, proc);
   ChargeSystem(proc, cost + kernel_.consistency_op_ns);
-  bus_->RecordTransfer(page_size_, clocks_->now(proc));
   stats_->page_syncs++;
   ObsEvent(TraceEventType::kSync, lp, proc, static_cast<std::uint32_t>(info.owner));
   if (replica_ != nullptr) {
@@ -249,7 +246,6 @@ bool NumaManager::EnsureLocalCopy(LogicalPage lp, ProcId proc) {
       RepairGlobal(lp, proc);
     }
     cost = phys_->CopyPage(FrameRef::Global(lp), frame, proc);
-    bus_->RecordTransfer(page_size_, clocks_->now(proc));
     stats_->page_copies++;
     ObsEvent(TraceEventType::kReplicate, lp, proc);
   }
@@ -266,7 +262,6 @@ void NumaManager::MaterializeGlobalZero(LogicalPage lp, ProcId proc) {
   }
   TimeNs cost = phys_->ZeroPage(FrameRef::Global(lp), proc);
   ChargeSystem(proc, cost);
-  bus_->RecordTransfer(page_size_, clocks_->now(proc));
   stats_->zero_fills++;
   ObsEvent(TraceEventType::kZeroFill, lp, proc);
   info.zero_pending = false;
@@ -629,7 +624,6 @@ void NumaManager::CopyLogicalPage(LogicalPage src, LogicalPage dst, ProcId proc)
   }
   TimeNs cost = phys_->CopyPage(FrameRef::Global(src), FrameRef::Global(dst), proc);
   ChargeSystem(proc, cost);
-  bus_->RecordTransfer(2 * static_cast<std::uint64_t>(page_size_), clocks_->now(proc));
   stats_->page_copies++;
   ObsEvent(TraceEventType::kReplicate, dst, proc, src);
   dst_info.zero_pending = false;
@@ -732,7 +726,6 @@ void NumaManager::RepairGlobal(LogicalPage lp, ProcId proc) {
     std::uint32_t frame_idx = info.local_frame[static_cast<std::size_t>(donor)];
     TimeNs cost = phys_->CopyPage(FrameRef::Local(donor, frame_idx), FrameRef::Global(lp), proc);
     ChargeSystem(proc, cost + kernel_.consistency_op_ns);
-    bus_->RecordTransfer(page_size_, clocks_->now(proc));
     stats_->recovered_pages++;
     ObsEvent(TraceEventType::kRecover, lp, proc,
              static_cast<std::uint32_t>(RecoverySource::kReplica));
@@ -769,7 +762,6 @@ std::uint32_t NumaManager::KillNode(ProcId node, ProcId proc) {
         std::memcpy(phys_->FrameData(FrameRef::Global(lp)), replica_->journal_data(lp),
                     page_size_);
         replica_->ChargeMirror(proc, page_size_ / kWordBytes);
-        bus_->RecordTransfer(page_size_, clocks_->now(proc));
         stats_->recovered_pages++;
         ObsEvent(TraceEventType::kRecover, lp, proc,
                  static_cast<std::uint32_t>(RecoverySource::kJournal));
@@ -860,7 +852,6 @@ std::uint32_t NumaManager::CorruptAndScrubNode(ProcId node, std::uint64_t seed,
                     "scrub missed an injected corruption (journal)");
       std::memcpy(data, replica_->journal_data(lp), page_size_);
       replica_->ChargeMirror(proc, words);
-      bus_->RecordTransfer(page_size_, clocks_->now(proc));
       ObsEvent(TraceEventType::kRecover, lp, proc,
                static_cast<std::uint32_t>(RecoverySource::kJournal));
       stats_->recovered_pages++;
@@ -871,7 +862,6 @@ std::uint32_t NumaManager::CorruptAndScrubNode(ProcId node, std::uint64_t seed,
           "scrub missed an injected corruption (clean owner)");
       TimeNs cost = phys_->CopyPage(FrameRef::Global(lp), frame, proc);
       ChargeSystem(proc, cost);
-      bus_->RecordTransfer(page_size_, clocks_->now(proc));
       ObsEvent(TraceEventType::kRecover, lp, proc,
                static_cast<std::uint32_t>(RecoverySource::kGlobalMirror));
       stats_->recovered_pages++;
@@ -918,7 +908,6 @@ std::uint32_t NumaManager::CorruptAndScrubNode(ProcId node, std::uint64_t seed,
       }
       TimeNs cost = phys_->CopyPage(FrameRef::Global(lp), frame, proc);
       ChargeSystem(proc, cost);
-      bus_->RecordTransfer(page_size_, clocks_->now(proc));
       ObsEvent(TraceEventType::kRecover, lp, proc,
                static_cast<std::uint32_t>(RecoverySource::kGlobalMirror));
       stats_->recovered_pages++;

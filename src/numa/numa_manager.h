@@ -19,7 +19,6 @@
 #include "src/numa/page_state.h"
 #include "src/numa/policy.h"
 #include "src/obs/trace_event.h"
-#include "src/sim/bus.h"
 #include "src/sim/clocks.h"
 #include "src/sim/machine_config.h"
 #include "src/sim/physical_memory.h"
@@ -53,7 +52,7 @@ struct Resolution {
 class NumaManager {
  public:
   NumaManager(const MachineConfig& config, PhysicalMemory* phys, ProcClocks* clocks,
-              MachineStats* stats, IpcBus* bus, NumaPolicy* policy, MappingControl* mappings);
+              MachineStats* stats, NumaPolicy* policy, MappingControl* mappings);
 
   NumaManager(const NumaManager&) = delete;
   NumaManager& operator=(const NumaManager&) = delete;
@@ -228,7 +227,6 @@ class NumaManager {
   PhysicalMemory* phys_;
   ProcClocks* clocks_;
   MachineStats* stats_;
-  IpcBus* bus_;
   NumaPolicy* policy_;
   MappingControl* mappings_;
   KernelCostModel kernel_;

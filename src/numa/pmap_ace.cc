@@ -7,9 +7,9 @@
 namespace ace {
 
 PmapAce::PmapAce(const MachineConfig& config, PhysicalMemory* phys, ProcClocks* clocks,
-                 MachineStats* stats, IpcBus* bus, NumaPolicy* policy)
+                 MachineStats* stats, NumaPolicy* policy)
     : mmus_(config.num_processors),
-      manager_(config, phys, clocks, stats, bus, policy, this),
+      manager_(config, phys, clocks, stats, policy, this),
       stats_(stats),
       num_processors_(config.num_processors),
       proc_vmap_(static_cast<std::size_t>(config.num_processors)),

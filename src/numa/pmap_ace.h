@@ -24,7 +24,6 @@
 #include "src/mmu/mmu.h"
 #include "src/numa/numa_manager.h"
 #include "src/numa/policy.h"
-#include "src/sim/bus.h"
 #include "src/sim/clocks.h"
 #include "src/sim/machine_config.h"
 #include "src/sim/physical_memory.h"
@@ -53,7 +52,7 @@ struct PmapCallCounts {
 class PmapAce : public PmapSystem, public MappingControl {
  public:
   PmapAce(const MachineConfig& config, PhysicalMemory* phys, ProcClocks* clocks,
-          MachineStats* stats, IpcBus* bus, NumaPolicy* policy);
+          MachineStats* stats, NumaPolicy* policy);
 
   PmapAce(const PmapAce&) = delete;
   PmapAce& operator=(const PmapAce&) = delete;

@@ -5,12 +5,10 @@
 namespace ace {
 
 ReplicaManager::ReplicaManager(const MachineConfig& config, PhysicalMemory* phys,
-                               ProcClocks* clocks, MachineStats* stats, IpcBus* bus,
-                               Options options)
+                               ProcClocks* clocks, MachineStats* stats, Options options)
     : phys_(phys),
       clocks_(clocks),
       stats_(stats),
-      bus_(bus),
       options_(options),
       page_size_(config.page_size),
       words_per_page_(config.WordsPerPage()),
@@ -54,7 +52,6 @@ void ReplicaManager::NoteOwnedStore(LogicalPage lp, const std::uint8_t* frame,
     stats_->journal_bytes += page_size_;
     if (charge) {
       ChargeMirror(proc, words_per_page_);
-      bus_->RecordTransfer(page_size_, clocks_->now(proc));
     }
     return;
   }
@@ -63,7 +60,6 @@ void ReplicaManager::NoteOwnedStore(LogicalPage lp, const std::uint8_t* frame,
   stats_->journal_bytes += kWordBytes;
   if (charge) {
     ChargeMirror(proc, 1);
-    bus_->RecordTransfer(kWordBytes, clocks_->now(proc));
   }
 }
 

@@ -35,7 +35,6 @@
 
 #include "src/common/check.h"
 #include "src/common/types.h"
-#include "src/sim/bus.h"
 #include "src/sim/clocks.h"
 #include "src/sim/machine_config.h"
 #include "src/sim/physical_memory.h"
@@ -61,10 +60,7 @@ class ReplicaManager {
   };
 
   ReplicaManager(const MachineConfig& config, PhysicalMemory* phys, ProcClocks* clocks,
-                 MachineStats* stats, IpcBus* bus, Options options);
-  ReplicaManager(const MachineConfig& config, PhysicalMemory* phys, ProcClocks* clocks,
-                 MachineStats* stats, IpcBus* bus)
-      : ReplicaManager(config, phys, clocks, stats, bus, Options()) {}
+                 MachineStats* stats, Options options);
 
   ReplicaManager(const ReplicaManager&) = delete;
   ReplicaManager& operator=(const ReplicaManager&) = delete;
@@ -74,7 +70,7 @@ class ReplicaManager {
   // A store landed in the owner frame of `lp` (frame content already post-write).
   // Opens the journal on the first store (full-frame mirror, page-copy cost) and
   // writes the word through on later ones. `charge` is false for debug stores, which
-  // must not perturb clocks or the bus.
+  // must not perturb clocks.
   void NoteOwnedStore(LogicalPage lp, const std::uint8_t* frame, std::uint32_t offset,
                       std::uint32_t value, ProcId proc, bool charge);
 
@@ -118,7 +114,6 @@ class ReplicaManager {
   PhysicalMemory* phys_;
   ProcClocks* clocks_;
   MachineStats* stats_;
-  IpcBus* bus_;
   Options options_;
   std::uint32_t page_size_;
   std::uint32_t words_per_page_;

@@ -35,8 +35,9 @@ inline constexpr int kLiveFeedVersion = 1;
 
 // The counter vocabulary of sample (delta) and summary (cumulative) records, in
 // feed order. The machine rows are the registry's groups (src/sim/stats.h) under
-// their live keys; each SAMPLE(key, expr) row is a counter MachineStats does not
-// keep, read as `sample.expr` from a LiveSample (src/obs/sampler.h documents each).
+// their live keys; each SAMPLE(key, expr) row is a counter MachineStats cannot keep
+// (it differs with the TLB switch or the attached recorders, or is a clock or a
+// bitmask), read as `sample.expr` from a LiveSample (src/obs/sampler.h documents each).
 // Every counter is monotone over a run, so sample fields are non-negative by
 // construction — the validator enforces it. The key order is the wire format;
 // tests/counter_registry_test.cc pins it, so a change to it is deliberate.
@@ -53,12 +54,9 @@ inline constexpr int kLiveFeedVersion = 1;
   SAMPLE(trace_dropped, trace_dropped)       \
   SAMPLE(user_ns, user_ns)                   \
   SAMPLE(system_ns, system_ns)               \
-  SAMPLE(requests, app_requests)             \
-  SAMPLE(req_lat_ns, app_req_lat_ns)         \
+  ACE_REQUEST_COUNTERS(STAT)                 \
   ACE_CHAOS_COUNTERS(STAT)                   \
-  SAMPLE(timeouts, app_timeouts)             \
-  SAMPLE(retries, app_retries)               \
-  SAMPLE(shed, app_shed)                     \
+  ACE_SLO_COUNTERS(STAT)                     \
   ACE_DURABILITY_COUNTERS(STAT)              \
   SAMPLE(dead_nodes, dead_nodes)             \
   ACE_HOST_COUNTERS(STAT)

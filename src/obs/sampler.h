@@ -38,7 +38,7 @@ struct LiveSample {
   MachineStats stats;                 // cumulative counters incl. per-proc refs
   TimeNs user_ns = 0;                 // ProcClocks::TotalUser
   TimeNs system_ns = 0;               // ProcClocks::TotalSystem
-  TimeNs max_clock_ns = 0;            // max per-processor virtual clock
+  TimeNs max_clock_ns = 0;            // ProcClocks::MaxNow
   // Per-processor software-TLB hit/miss counters (empty when the TLB is off).
   std::vector<std::uint64_t> tlb_hits_by_proc;
   std::vector<std::uint64_t> tlb_misses_by_proc;
@@ -54,17 +54,6 @@ struct LiveSample {
   // degrades to counters-only records with no hot-page list.
   bool have_heat = false;
   std::vector<std::array<std::uint64_t, 4>> page_refs;
-  // Application-level serving counters (Machine::RecordAppRequest); zeros when
-  // the running app records no requests. The latency is a running sum, not a
-  // percentile, so it stays monotone in the feed (mean = req_lat_ns / requests).
-  std::uint64_t app_requests = 0;
-  std::uint64_t app_req_lat_ns = 0;
-  // SLO outcome counters under chaos (Machine::RecordAppTimeout/Retry/Shed);
-  // zeros on chaos-free runs. The chaos_events/evacuated_pages counters ride in
-  // `stats` above.
-  std::uint64_t app_timeouts = 0;
-  std::uint64_t app_retries = 0;
-  std::uint64_t app_shed = 0;
   // Dead-node bitmask (bit p = processor p lost to kill-node chaos). Monotone —
   // bits are only ever set — so the feed validator's non-negative-delta rule holds.
   // Zero unless the plan carries a permanent chaos event. The durability counters

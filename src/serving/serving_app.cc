@@ -132,7 +132,7 @@ class ServingApp : public App {
             } else {
               shed_remotes[tid] += r.remote;
             }
-            machine.RecordAppShed();
+            machine.stats().shed++;
             continue;
           }
           const std::size_t slot = static_cast<std::size_t>(r.tenant) * keys + r.key;
@@ -183,14 +183,14 @@ class ServingApp : public App {
             }
             // Deadline miss with budget left: the client backs off and re-issues.
             retries[tid]++;
-            machine.RecordAppRetry();
+            machine.stats().retries++;
             env.Compute(kRetryBackoffNs << (attempt - 1));
             attempt_issue = env.machine().clocks().now(env.proc());
           }
           if (slo_armed && attempt_lat > static_cast<std::uint64_t>(kSloDeadlineNs)) {
             timeouts[tid]++;
             tenant_timeouts[tid][r.tenant]++;
-            machine.RecordAppTimeout();
+            machine.stats().timeouts++;
           }
           hist[tid].Record(latency_ns);
           tenant_hist[tid][r.tenant].Record(latency_ns);
@@ -202,7 +202,8 @@ class ServingApp : public App {
               recovery_hist[tid].Record(latency_ns);
             }
           }
-          machine.RecordAppRequest(static_cast<TimeNs>(latency_ns));
+          machine.stats().requests++;
+          machine.stats().req_lat_ns += latency_ns;
         }
         barrier.Wait(env, &sense);
       }

@@ -59,6 +59,14 @@ class ProcClocks {
   // The time(1)-style totals the paper reports: summed across processors.
   TimeNs TotalUser() const { return Sum(user_ns_); }
   TimeNs TotalSystem() const { return Sum(system_ns_); }
+  // The latest processor "now": how far the run has advanced in virtual time.
+  TimeNs MaxNow() const {
+    TimeNs latest = 0;
+    for (TimeNs t : now_ns_) {
+      latest = t > latest ? t : latest;
+    }
+    return latest;
+  }
 
   int num_processors() const { return static_cast<int>(user_ns_.size()); }
 

@@ -9,9 +9,9 @@
 // of the tables below, and everything that lists counters expands from them:
 // ProcRefCounts and MachineStats themselves, DiffStats and the mismatch text
 // (src/obs/snapshot.h), the ace-live-v1 vocabulary (src/obs/live_stream.h), the
-// sweep runner's group metrics and the soak's zero-when-unarmed checks. Adding a
-// counter means adding one row. Rows are X(field, "live_key"): the struct member
-// and its ace-live-v1 JSON key.
+// sweep runner's group metrics and the run-level zero-when-unarmed checks
+// (CheckRunIdentities). Adding a counter means adding one row. Rows are
+// X(field, "live_key"): the struct member and its ace-live-v1 JSON key.
 
 #ifndef SRC_SIM_STATS_H_
 #define SRC_SIM_STATS_H_
@@ -53,11 +53,26 @@
   X(degraded_pool_retries, "deg_pool_retries")   /* evict+alloc rounds beyond the first */ \
   X(degraded_oom_faults, "deg_oom_faults")       /* fault gave up after bounded retries */
 
+// Serving requests (src/serving): every answered request and the running sum of
+// their virtual-time latencies, so the mean stays derivable (req_lat_ns / requests)
+// from monotone counters. Zero for the batch applications.
+#define ACE_REQUEST_COUNTERS(X)                                            \
+  X(requests, "requests")      /* requests answered, shed ones excluded */ \
+  X(req_lat_ns, "req_lat_ns")  /* sum of end-to-end request latencies, ns */
+
 // Chaos accounting (DESIGN.md section 13). Both exactly zero unless the fault plan
 // carries chaos events, so every chaos-free baseline survives unchanged.
 #define ACE_CHAOS_COUNTERS(X)                                                      \
   X(chaos_events, "chaos_events")        /* chaos transitions (activation + recovery) */ \
   X(evacuated_pages, "evacuated_pages")  /* resident copies moved off a draining node */
+
+// Serving SLO outcomes under chaos (DESIGN.md section 13). The serving app arms its
+// deadline, retry and shed guard only when the plan carries chaos events, so all
+// three stay exactly zero on chaos-free runs, like the chaos group.
+#define ACE_SLO_COUNTERS(X)                                                     \
+  X(timeouts, "timeouts")  /* requests whose last attempt missed the deadline */ \
+  X(retries, "retries")    /* attempts re-issued after a deadline miss */        \
+  X(shed, "shed")          /* requests shed by the per-tenant backlog guard */
 
 // Durability accounting (DESIGN.md section 14). All five stay exactly zero unless the
 // fault plan carries a permanent chaos event (kill-node / corrupt-page) — only then is
@@ -81,7 +96,9 @@
 #define ACE_MACHINE_COUNTERS(X) \
   ACE_PROTOCOL_COUNTERS(X)      \
   ACE_DEGRADED_COUNTERS(X)      \
+  ACE_REQUEST_COUNTERS(X)       \
   ACE_CHAOS_COUNTERS(X)         \
+  ACE_SLO_COUNTERS(X)           \
   ACE_DURABILITY_COUNTERS(X)    \
   ACE_HOST_COUNTERS(X)
 
@@ -182,6 +199,7 @@ using CounterGroup = std::span<const MachineCounter>;
 inline constexpr MachineCounter kProtocolCounters[] = {ACE_PROTOCOL_COUNTERS(ACE_STAT_DEF)};
 inline constexpr MachineCounter kDegradedCounters[] = {ACE_DEGRADED_COUNTERS(ACE_STAT_DEF)};
 inline constexpr MachineCounter kChaosCounters[] = {ACE_CHAOS_COUNTERS(ACE_STAT_DEF)};
+inline constexpr MachineCounter kSloCounters[] = {ACE_SLO_COUNTERS(ACE_STAT_DEF)};
 inline constexpr MachineCounter kDurabilityCounters[] = {
     ACE_DURABILITY_COUNTERS(ACE_STAT_DEF)};
 inline constexpr MachineCounter kHostCounters[] = {ACE_HOST_COUNTERS(ACE_STAT_DEF)};

@@ -22,7 +22,7 @@ TEST(Reproduction, GfetchGammaIsFetchRatio) {
   ExperimentResult r = RunExperiment("Gfetch", SmallExperiment());
   ASSERT_TRUE(r.AllOk());
   EXPECT_NEAR(r.model.gamma, r.gl_ratio, 0.12);
-  EXPECT_LT(r.numa.measured_alpha, 0.1);
+  EXPECT_LT(r.numa.stats.MeasuredAlpha(), 0.1);
 }
 
 TEST(Reproduction, ParMultIsInsensitiveToPlacement) {
@@ -39,7 +39,7 @@ TEST(Reproduction, Primes1IsFullyLocal) {
   ASSERT_TRUE(r.AllOk());
   EXPECT_GT(r.model.alpha, 0.97);
   EXPECT_NEAR(r.model.gamma, 1.0, 0.02);
-  EXPECT_GT(r.numa.measured_alpha, 0.97);
+  EXPECT_GT(r.numa.stats.MeasuredAlpha(), 0.97);
 }
 
 TEST(Reproduction, AutomaticPlacementNearOptimalForWellBehavedApps) {
@@ -86,8 +86,8 @@ TEST(Reproduction, PaddingRemovesPlyTracePins) {
   options.app.variant = 1;
   PlacementRun padded = RunPlacement(*app, options);
   ASSERT_TRUE(packed.app.ok && padded.app.ok);
-  EXPECT_LT(padded.pages_pinned, packed.pages_pinned);
-  EXPECT_GE(padded.measured_alpha, packed.measured_alpha);
+  EXPECT_LT(padded.stats.pages_pinned, packed.stats.pages_pinned);
+  EXPECT_GE(padded.stats.MeasuredAlpha(), packed.stats.MeasuredAlpha());
 }
 
 TEST(Reproduction, Table4OverheadShape) {
@@ -127,7 +127,7 @@ TEST(Reproduction, AffinityMattersOnNuma) {
   options.app.runtime.scheduler = SchedulerKind::kMigrating;
   PlacementRun migrating = RunPlacement(*app, options);
   ASSERT_TRUE(affinity.app.ok && migrating.app.ok);
-  EXPECT_GT(affinity.measured_alpha, migrating.measured_alpha + 0.3);
+  EXPECT_GT(affinity.stats.MeasuredAlpha(), migrating.stats.MeasuredAlpha() + 0.3);
   EXPECT_LT(affinity.user_sec, migrating.user_sec);
 }
 
@@ -137,7 +137,7 @@ TEST(Reproduction, DerivedAlphaAgreesWithCountedAlpha) {
   for (const char* name : {"Primes1", "Primes2", "IMatMult"}) {
     ExperimentResult r = RunExperiment(name, SmallExperiment());
     ASSERT_TRUE(r.AllOk()) << name;
-    EXPECT_NEAR(r.model.alpha, r.numa.measured_alpha, 0.15) << name;
+    EXPECT_NEAR(r.model.alpha, r.numa.stats.MeasuredAlpha(), 0.15) << name;
   }
 }
 

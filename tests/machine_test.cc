@@ -115,17 +115,6 @@ TEST(Machine, RefStatsDistinguishClasses) {
   EXPECT_EQ(m.stats().refs[1].fetch_global, gf + 1);
 }
 
-TEST(Machine, BusTrafficRecordedForGlobalRefs) {
-  Machine m(SmallMachine(2));
-  Task* t = m.CreateTask("t");
-  VirtAddr va = t->MapAnonymous("p", 4096, Protection::kReadWrite,
-                                PlacementPragma::kNoncacheable);
-  std::uint64_t bytes = m.bus().total_bytes();
-  m.StoreWord(*t, 0, va, 1);
-  (void)m.LoadWord(*t, 1, va);
-  EXPECT_GE(m.bus().total_bytes(), bytes + 8);  // two 4-byte transactions
-}
-
 TEST(Machine, DebugAccessHasNoSideEffects) {
   Machine m(SmallMachine(2));
   Task* t = m.CreateTask("t");

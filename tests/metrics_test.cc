@@ -91,7 +91,7 @@ TEST(Experiment, RunsThreePlacementsAndDerivesModel) {
   EXPECT_GT(r.model.alpha, 0.8);
   EXPECT_LT(r.model.gamma, 1.1);
   // The derived alpha must roughly agree with the directly counted one.
-  EXPECT_NEAR(r.model.alpha, r.numa.measured_alpha, 0.15);
+  EXPECT_NEAR(r.model.alpha, r.numa.stats.MeasuredAlpha(), 0.15);
 }
 
 TEST(Experiment, LocalRunUsesOneProcessor) {
@@ -102,7 +102,7 @@ TEST(Experiment, LocalRunUsesOneProcessor) {
   ExperimentResult r = RunExperiment("ParMult", options);
   EXPECT_TRUE(r.local.app.ok);
   // All of Tlocal's references must have been local.
-  EXPECT_NEAR(r.local.measured_alpha, 1.0, 1e-9);
+  EXPECT_NEAR(r.local.stats.MeasuredAlpha(), 1.0, 1e-9);
 }
 
 // --- run-level checks (CheckRunIdentities) ------------------------------------------
@@ -155,6 +155,10 @@ TEST(RunIdentities, DoctoredCountersAreNamedWithBothSides) {
                   "a chaos-free plan builds no controller and keeps chaos counters zero "
                   "(1 vs 0)");
 
+  PlacementRun slo = run;  // the serving app arms its SLO guard only under chaos
+  slo.stats.retries = 2;
+  ExpectViolation(machine, slo, "a chaos-free plan keeps SLO counters zero (2 vs 0)");
+
   ASSERT_TRUE(machine.tlb_enabled());
   PlacementRun tlb = run;
   tlb.tlb.fills = run.tlb.misses + 1;
@@ -163,10 +167,10 @@ TEST(RunIdentities, DoctoredCountersAreNamedWithBothSides) {
                       std::to_string(run.tlb.misses) + ")");
 
   PlacementRun heat = run;
-  heat.heat_alpha = run.measured_alpha + 0.5;
+  heat.heat_alpha = run.stats.MeasuredAlpha() + 0.5;
   ExpectViolation(machine, heat,
                   Fmt("heat alpha == measured alpha (%.9f", heat.heat_alpha) +
-                      Fmt(" vs %.9f)", run.measured_alpha));
+                      Fmt(" vs %.9f)", run.stats.MeasuredAlpha()));
 }
 
 TEST(TextTable, FormatsAlignedColumns) {

@@ -317,14 +317,14 @@ TEST(ServingLive, RequestCountersReachTheLiveSample) {
 
   LiveSample sample;
   machine.CaptureLiveSample(&sample);
-  EXPECT_EQ(sample.app_requests, 256u);
-  EXPECT_GT(sample.app_req_lat_ns, 0u);
+  EXPECT_EQ(sample.stats.requests, 256u);
+  EXPECT_GT(sample.stats.req_lat_ns, 0u);
 
   // The flat counter vocabulary carries both, in the declared slots.
   std::uint64_t flat[kNumLiveCounters];
   FlattenLiveCounters(sample, flat);
-  EXPECT_EQ(flat[kLc_requests], sample.app_requests);
-  EXPECT_EQ(flat[kLc_req_lat_ns], sample.app_req_lat_ns);
+  EXPECT_EQ(flat[kLc_requests], sample.stats.requests);
+  EXPECT_EQ(flat[kLc_req_lat_ns], sample.stats.req_lat_ns);
   EXPECT_EQ(std::string(LiveCounterKey(kLc_requests)), "requests");
   EXPECT_EQ(std::string(LiveCounterKey(kLc_req_lat_ns)), "req_lat_ns");
 }

@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/sim/bus.h"
 #include "src/sim/clocks.h"
 #include "src/sim/machine_config.h"
 #include "src/sim/physical_memory.h"
@@ -246,17 +245,6 @@ TEST(ProcClocks, UserSystemIdleSplit) {
   EXPECT_EQ(clocks.TotalUser(), 105);
   clocks.Reset();
   EXPECT_EQ(clocks.now(0), 0);
-}
-
-TEST(IpcBus, TracksTrafficAndUtilization) {
-  IpcBus bus;
-  EXPECT_EQ(bus.Utilization(), 0.0);
-  // 80 MB over 1 second on an 80 MB/s bus = 100% utilization.
-  bus.RecordTransfer(80'000'000, 1'000'000'000);
-  EXPECT_NEAR(bus.Utilization(), 1.0, 1e-9);
-  EXPECT_EQ(bus.transactions(), 1u);
-  bus.Reset();
-  EXPECT_EQ(bus.total_bytes(), 0u);
 }
 
 TEST(MachineStats, MeasuredAlpha) {

@@ -465,6 +465,38 @@ TEST(SweepBaseline, NewCellIsReportedButPasses) {
   EXPECT_EQ(cmp.new_cells, 1);
 }
 
+// A cell the sweep quarantined is reported as the run death it was, with its kind and
+// diagnostics, not as a failed application verification.
+TEST(SweepBaseline, DiedCellIsReportedAsARunDeath) {
+  SweepResult result;
+  result.suite = "tiny";
+  CellResult cell;
+  cell.cell.app = "ParMult";
+  cell.cell.threads = 4;
+  cell.ok = true;
+  cell.metrics.emplace_back("t_numa", 1.0);
+  result.cells.push_back(cell);
+  std::string baseline = BaselineFrom(result, R"("default_tolerance":0.0,)");
+
+  CellResult& died = result.cells[0];
+  died.ok = false;
+  died.metrics.clear();
+  died.failure_kind = "identity-violated";
+  died.failure_detail = "page_syncs <= page_copies + zero_fills (4 vs 3)";
+  died.detail = died.failure_kind;
+  BaselineComparison cmp = CompareAgainstBaseline(result, baseline);
+  ASSERT_TRUE(cmp.loaded) << cmp.load_error;
+  EXPECT_TRUE(cmp.HasRegression());
+  ASSERT_FALSE(cmp.issues.empty());
+  EXPECT_EQ(cmp.issues[0].metric, "");
+  EXPECT_EQ(cmp.issues[0].detail,
+            "run died: identity-violated: page_syncs <= page_copies + zero_fills (4 vs 3)");
+  for (const BaselineIssue& issue : cmp.issues) {
+    EXPECT_EQ(issue.detail.find("application verification failed"), std::string::npos)
+        << issue.detail;
+  }
+}
+
 TEST(SweepBaseline, NanMismatchIsARegressionAndNanMatchPasses) {
   SweepResult result = TinyResult();
   std::string baseline = BaselineFrom(result, R"("default_tolerance":0.0,)");

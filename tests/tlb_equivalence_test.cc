@@ -66,8 +66,7 @@ void ExpectRunsIdentical(const PlacementRun& on, const PlacementRun& off,
   EXPECT_TRUE(on.app.metrics == off.app.metrics) << label << ": app metrics differ";
   EXPECT_EQ(on.user_sec, off.user_sec) << label << " user_sec";
   EXPECT_EQ(on.system_sec, off.system_sec) << label << " system_sec";
-  EXPECT_EQ(on.measured_alpha, off.measured_alpha) << label << " measured_alpha";
-  EXPECT_EQ(on.pages_pinned, off.pages_pinned) << label << " pages_pinned";
+  // Every counter, the reference matrix (and so the measured alpha) included.
   EXPECT_TRUE(on.stats == off.stats) << label << ": " << DescribeStatsMismatch(on.stats, off.stats);
 }
 
@@ -138,7 +137,7 @@ TEST(TlbEquivalenceModel, DerivedModelParametersIdentical) {
     }
     EXPECT_EQ(on.model.beta, off.model.beta) << app;
     EXPECT_EQ(on.model.gamma, off.model.gamma) << app;
-    EXPECT_EQ(on.numa.measured_alpha, off.numa.measured_alpha) << app;
+    EXPECT_EQ(on.numa.stats.MeasuredAlpha(), off.numa.stats.MeasuredAlpha()) << app;
     ExpectRunsIdentical(on.numa, off.numa, std::string(app) + "/numa");
     ExpectRunsIdentical(on.global, off.global, std::string(app) + "/global");
     ExpectRunsIdentical(on.local, off.local, std::string(app) + "/local");

@@ -36,6 +36,10 @@
 
 namespace {
 
+// The ACE's Inter-Processor Communication bus: 32 bits wide at 80 Mbyte/s (paper
+// section 2.2).
+constexpr double kBusCapacityBytesPerSec = 80.0e6;
+
 void Usage() {
   std::printf(
       "usage: ace_run [options]\n"
@@ -100,7 +104,7 @@ std::string RenderPmapReport(ace::Machine& m) {
                 "processors).\n\n",
                 m.num_processors(), c.local_pages_per_proc * c.page_size / 1024,
                 c.global_pages * c.page_size / 1024,
-                ace::kBusCapacityBytesPerSec / 1e6);
+                kBusCapacityBytesPerSec / 1e6);
   out += line;
   ace::TextTable latencies({"32-bit reference", "charged (us)", "paper (us)"});
   latencies.AddRow({"local fetch", ace::Fmt("%.2f", lat.local_fetch_ns * 1e-3), "0.65"});
@@ -386,7 +390,7 @@ int main(int argc, char** argv) {
                   ace::Fmt("%.3f", r.numa.user_sec), ace::Fmt("%.3f", r.local.user_sec),
                   r.model.alpha_defined ? ace::Fmt("%.2f", r.model.alpha) : "na",
                   ace::Fmt("%.2f", r.model.beta), ace::Fmt("%.2f", r.model.gamma),
-                  ace::Fmt("%.2f", r.numa.measured_alpha), r.AllOk() ? "ok" : "FAILED"});
+                  ace::Fmt("%.2f", r.numa.stats.MeasuredAlpha()), r.AllOk() ? "ok" : "FAILED"});
     table.Print();
     if (sampler != nullptr) {
       if (!close_feed()) {
@@ -437,8 +441,18 @@ int main(int argc, char** argv) {
               (unsigned long long)s.page_faults, (unsigned long long)s.page_copies,
               (unsigned long long)s.page_syncs, (unsigned long long)s.ownership_moves,
               (unsigned long long)s.pages_pinned);
-  std::printf("bus traffic:    %.2f MB (utilization %.1f%%)\n",
-              machine.bus().total_bytes() / 1e6, 100.0 * machine.bus().Utilization());
+  // The bus only accounts, it never delays a reference (the paper's applications had
+  // to be free of bus contention, section 3.1): one word per off-node reference and
+  // one page per page copy or sync, over the longest processor clock.
+  const ace::ProcRefCounts refs = s.TotalRefs();
+  const std::uint64_t bus_bytes =
+      ace::kWordBytes * (refs.GlobalTotal() + refs.RemoteTotal()) +
+      std::uint64_t{machine.page_size()} * (s.page_copies + s.page_syncs);
+  const ace::TimeNs horizon = machine.clocks().MaxNow();
+  const double bus_utilization =
+      horizon > 0 ? bus_bytes / (kBusCapacityBytesPerSec * (horizon * 1e-9)) : 0.0;
+  std::printf("bus traffic:    %.2f MB (utilization %.1f%%)\n", bus_bytes / 1e6,
+              100.0 * bus_utilization);
   if (machine.pager() != nullptr) {
     std::printf("pager:          %llu pageouts, %llu pageins\n",
                 (unsigned long long)machine.pager()->stats().pageouts,
@@ -495,7 +509,7 @@ int main(int argc, char** argv) {
     const ace::Observability& obs = machine.observability();
     const ace::HeatProfile& heat = obs.heat();
     // RunOnMachine already required the two to agree (CheckRunIdentities).
-    std::printf("heat alpha:     %.9f (stats %.9f)\n", run.heat_alpha, run.measured_alpha);
+    std::printf("heat alpha:     %.9f (stats %.9f)\n", run.heat_alpha, s.MeasuredAlpha());
 
     // Ring pressure: a nonzero drop count means the per-processor rings wrapped and
     // any report built from them is missing that many oldest events.

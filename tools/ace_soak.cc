@@ -29,14 +29,14 @@
 // Generated plans are constrained to stay *survivable*: the sites with graceful
 // fallbacks (local-exhausted, frame-alloc, copy-fail) may fire at any rate, while
 // pool-exhausted and victim-contention are kept transient and drawn on pager
-// machines only. There the fault handler retries a failed allocation for a bounded
-// number of rounds whether or not the pager found a victim, so a transient miss is
-// absorbed even before any page is resident. A plan that permanently empties the
-// page pool makes the application legitimately run out of memory, which is not a
-// robustness bug. That ending is drawn on purpose on one seed family only, where
-// out-of-memory is the one outcome that passes. The protocol-mutation sites
-// (skip-sync, skip-move-count) are excluded: they corrupt results by design and
-// belong to ace_conform.
+// machines only, with at most one pool-exhausted schedule per plan. There the fault
+// handler retries a failed allocation for a bounded number of rounds whether or not
+// the pager found a victim, so a transient miss is absorbed even before any page is
+// resident. A plan that permanently empties the page pool makes the application
+// legitimately run out of memory, which is not a robustness bug. That ending is drawn
+// on purpose on one seed family only, where out-of-memory is the one outcome that
+// passes. The protocol-mutation sites (skip-sync, skip-move-count) are excluded: they
+// corrupt results by design and belong to ace_conform.
 //
 // A soak is time-bounded random sampling: every invocation runs its seed range from
 // the start (each night draws a fresh range), so there is nothing to resume.
@@ -215,9 +215,21 @@ RunSpec DeriveRun(std::uint64_t seed) {
   // With the pager on, a tight pool forces real pageout traffic under injection.
   spec.global_pages = spec.pager ? 1024 : 4096;
   if (seed % 8 != 0) {  // every 8th run stays clean to assert zero-cost-when-unarmed
+    // At most one drawn pool-exhausted schedule: two share one occurrence counter,
+    // so every:2 and @p:P together can fail more allocations in a row than the
+    // fault handler retries. A second one is dropped after its draws, so the rest
+    // of the plan is what it would have been.
     std::uint32_t count = 1 + rng.Below(3);
+    bool pool_drawn = false;
     for (std::uint32_t i = 0; i < count; ++i) {
-      spec.plan.schedules.push_back(GenSchedule(rng, spec.pager));
+      ace::FaultSchedule s = GenSchedule(rng, spec.pager);
+      if (s.site == ace::FaultSite::kGlobalPoolExhausted) {
+        if (pool_drawn) {
+          continue;
+        }
+        pool_drawn = true;
+      }
+      spec.plan.schedules.push_back(s);
     }
   }
   // Every 4th seed also rides a machine-scoped chaos plan (disjoint from the clean
